@@ -1,16 +1,16 @@
 """Command line interface.
 
 Exit codes: 0 when the requested property is verified (or the output was
-produced), 1 when a checked property is refuted, and 2 on any input
-problem (bad schema, bad arguments, missing file). All output documents
-share the fracture/1 envelope.
+produced), 1 when a checked property is refuted, 2 on any input problem
+(bad schema, bad arguments, missing file, a cube over FRACTURE_MAX_T),
+and 3 on an internal error. All output documents share the fracture/1
+envelope.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .cube_categories import (
@@ -22,27 +22,11 @@ from .cube_categories import (
 )
 from .exact_linalg import InputError, smith_normal_form
 from .fracture import LocalizationFamily, build_fracture_cube, verify_fracture
-from .holim import PosetDiagram, cube_labels, homotopy_limit, total_fiber
+from .holim import PosetDiagram, homotopy_limit, total_fiber
 from .posets import certify_initial, pcubelim_index_map, subset_poset
 from .sorted_complex import homology_p_local
 from . import serialize
-from .serialize import SchemaError, label_to_str
-
-DEFAULT_MAX_T = 6
-
-
-def _max_t() -> int:
-    raw = os.environ.get("FRACTURE_MAX_T", "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_T
-    except ValueError:
-        raise InputError(f"FRACTURE_MAX_T must be an integer, got {raw!r}")
-
-
-def _check_dimension(n: int):
-    cap = _max_t()
-    if n > cap:
-        raise InputError(f"cube dimension {n} exceeds FRACTURE_MAX_T={cap}")
+from .serialize import SchemaError, check_dimension, label_to_str
 
 
 def _parse_primes(raw: str) -> tuple:
@@ -163,7 +147,6 @@ def _cmd_homology(args, out):
 
 def _cmd_holim(args, out):
     _, d = _load(args.input, "diagram")
-    _check_dimension(len(max(d.shape.elements, key=len)))
     hl = homotopy_limit(d)
     _emit(serialize.wrap("complex", hl.complex), args.output, out)
     return 0
@@ -171,15 +154,13 @@ def _cmd_holim(args, out):
 
 def _cmd_tfib(args, out):
     _, d = _load(args.input, "diagram")
-    labels = cube_labels(d, punctured=False)
-    _check_dimension(len(labels))
     _emit(serialize.wrap("complex", total_fiber(d)), args.output, out)
     return 0
 
 
 def _cmd_poset_check_initial(args, out):
     labels = tuple(range(1, args.T + 1))
-    _check_dimension(len(labels))
+    check_dimension(len(labels))
     rep = certify_initial(pcubelim_index_map(labels, args.t))
     payload = {
         "overall": rep.overall,
@@ -194,7 +175,7 @@ def _cmd_poset_check_initial(args, out):
 def _cmd_fracture_build(args, out):
     _, x = _load(args.input, "complex")
     fam = LocalizationFamily(_parse_primes(args.primes))
-    _check_dimension(fam.size)
+    check_dimension(fam.size)
     cube = build_fracture_cube(x, fam)
     _emit(serialize.wrap("diagram", cube), args.output, out)
     return 0
@@ -203,7 +184,7 @@ def _cmd_fracture_build(args, out):
 def _cmd_fracture_verify(args, out):
     _, x = _load(args.input, "complex")
     fam = LocalizationFamily(_parse_primes(args.primes))
-    _check_dimension(fam.size)
+    check_dimension(fam.size)
     rep = verify_fracture(x, fam)
     payload = {
         "verdict": "pass" if rep.verdict else "fail",
@@ -218,7 +199,6 @@ def _cmd_fracture_verify(args, out):
 
 def _cmd_cat_validate(args, out):
     _, g = _load(args.input, "fracture-object")
-    _check_dimension(len(g.labels))
     violations = validate_fracture_object(g)
     payload = {"ok": not violations,
                "violations": [{"location": v.location, "message": v.message}
@@ -261,7 +241,7 @@ def _cmd_cat_glue(args, out):
 
 def _cmd_emit_dot(args, out):
     if args.category_cube is not None:
-        _check_dimension(args.category_cube)
+        check_dimension(args.category_cube)
         text = emit_category_cube_dot(args.category_cube)
     else:
         if not args.input:
@@ -290,9 +270,6 @@ def _add_io(p, needs_input=True):
         p.add_argument("input", help="input document (fracture/1 JSON)")
     p.add_argument("-o", "--output", help="write the result here instead of stdout")
     p.add_argument("--primes", default="", help="comma separated prime set, e.g. 2,3")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized suites (all shipped commands are "
-                        "deterministic; accepted for interface stability)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", help="diagram or fracture-object document")
     p.add_argument("-o", "--output")
     p.add_argument("--primes", default="")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--homology", action="store_true",
                    help="label vertices with homology invariants")
     p.add_argument("--category-cube", type=int, default=None, metavar="N",
@@ -382,6 +358,10 @@ def run(argv, out=None, err=None) -> int:
     except OSError as exc:
         err.write(f"io error: {exc}\n")
         return 2
+    except Exception as exc:
+        # exit 1 means "refuted"; a fault of the program must not read as one
+        err.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 def main():

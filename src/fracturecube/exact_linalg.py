@@ -573,10 +573,30 @@ def p_part(d: int, primes) -> int:
     return out
 
 
-def invariants_from_diagonal(diag, ambient_rank: int) -> AbelianInvariants:
-    nonzero = [d for d in diag if d != 0]
-    torsion = tuple(d for d in nonzero if d > 1)
-    return AbelianInvariants(ambient_rank - len(nonzero), torsion)
+def integer_homology(ranks: dict, diffs: dict) -> dict[int, AbelianInvariants]:
+    """Homology of an integer chain complex, read off Smith diagonals.
+
+    ranks[n] is the rank of C_n and diffs[n] the matrix of d_n: C_n -> C_{n-1};
+    a missing differential is zero. Each differential is reduced once by
+    snf_diagonal. H_n then has free rank dim C_n - rank d_n - rank d_{n+1},
+    and its torsion is the elementary divisors of d_{n+1} greater than 1.
+    Returns an entry, trivial or not, for every degree of ranks.
+    """
+    for n, d in diffs.items():
+        if (d.rows, d.cols) != (ranks.get(n - 1, 0), ranks.get(n, 0)):
+            raise InputError(f"shape mismatch: d_{n} is {d.rows}x{d.cols}")
+        if not d.is_integral():
+            raise InputError("matrix has a non-integral entry")
+    for n, d in diffs.items():
+        if n + 1 in diffs and not (d * diffs[n + 1]).is_zero():
+            raise InputError(f"composite d_{n} * d_{n + 1} is nonzero")
+    divisors = {n: [x for x in snf_diagonal(d) if x] for n, d in diffs.items()}
+    out = {}
+    for n, dim in ranks.items():
+        into = divisors.get(n + 1, ())
+        free = dim - len(divisors.get(n, ())) - len(into)
+        out[n] = AbelianInvariants(free, tuple(x for x in into if x > 1))
+    return out
 
 
 def integer_homology_at(d_in: ExactMatrix, d_out: ExactMatrix) -> AbelianInvariants:
@@ -587,15 +607,5 @@ def integer_homology_at(d_in: ExactMatrix, d_out: ExactMatrix) -> AbelianInvaria
     """
     if d_out.cols != d_in.rows:
         raise InputError("shape mismatch: d_out.cols must equal d_in.rows")
-    if not d_in.is_integral() or not d_out.is_integral():
-        raise InputError("matrix has a non-integral entry")
-    if not (d_out * d_in).is_zero():
-        raise InputError("composite d_out * d_in is nonzero")
-    k = kernel_basis(d_out)
-    if k.cols == 0:
-        return AbelianInvariants(0)
-    x = solve_in_span(k, d_in)
-    if not x.is_integral():
-        raise InputError("internal error: kernel coordinates not integral")
-    diag = snf_diagonal(x) if x.cols else []
-    return invariants_from_diagonal(diag, k.cols)
+    ranks = {-1: d_out.rows, 0: d_out.cols, 1: d_in.cols}
+    return integer_homology(ranks, {0: d_out, 1: d_in})[0]

@@ -120,17 +120,6 @@ class PosetDiagram:
         edges = {(x, y): self.hom(x, y) for (x, y) in sub.covering_pairs()}
         return PosetDiagram(sub, verts, edges, check=False)
 
-    def map_to(self, other: "PosetDiagram", components: dict,
-               check: bool = True) -> dict:
-        """Validate a strict natural transformation given per-vertex maps."""
-        if check:
-            for (x, y), e in self.edges.items():
-                left = components[y].compose(e)
-                right = other.edges[(x, y)].compose(components[x])
-                if left != right:
-                    raise InputError(f"naturality fails on edge {x!r} -> {y!r}")
-        return components
-
     def sorts(self):
         out = set()
         for c in self.vertices.values():

@@ -12,7 +12,7 @@ from .exact_linalg import (
     AbelianInvariants,
     ExactMatrix,
     InputError,
-    integer_homology_at,
+    integer_homology,
 )
 
 DEFAULT_MAX_GENERATORS = 12
@@ -52,12 +52,6 @@ class FinitePoset:
         p._up = tuple(frozenset(s) for s in up_indices)
         return p
 
-    @classmethod
-    def from_leq(cls, elements, leq) -> "FinitePoset":
-        elements = tuple(elements)
-        pairs = [(x, y) for x in elements for y in elements if leq(x, y)]
-        return cls(elements, pairs)
-
     def __len__(self):
         return len(self.elements)
 
@@ -72,9 +66,6 @@ class FinitePoset:
 
     def lt(self, x, y) -> bool:
         return x != y and self.leq(x, y)
-
-    def up_set(self, x):
-        return tuple(self.elements[j] for j in sorted(self._up[self._index[x]]))
 
     def strict_up_set(self, x):
         i = self._index[x]
@@ -272,7 +263,6 @@ def reduced_homology(k: SimplicialComplexData) -> dict[int, AbelianInvariants]:
     faces = k.faces_by_dimension()
     if not faces:
         raise InputError("empty complex")
-    top = max(faces)
     index = {d: {f: i for i, f in enumerate(faces[d])} for d in faces}
 
     def boundary(d):
@@ -287,15 +277,9 @@ def reduced_homology(k: SimplicialComplexData) -> dict[int, AbelianInvariants]:
                 entries[(index[d - 1][sub], j)] = (-1) ** pos
         return ExactMatrix(len(faces.get(d - 1, [])), len(faces.get(d, [])), entries)
 
-    out = {}
-    for d in range(0, top + 1):
-        d_out = boundary(d)
-        d_in = (boundary(d + 1) if d + 1 <= top
-                else ExactMatrix.zeros(len(faces[d]), 0))
-        inv = integer_homology_at(d_in, d_out)
-        if not inv.is_trivial():
-            out[d] = inv
-    return out
+    ranks = {-1: 1, **{d: len(fs) for d, fs in faces.items()}}
+    hom = integer_homology(ranks, {d: boundary(d) for d in faces})
+    return {d: inv for d, inv in hom.items() if not inv.is_trivial()}
 
 
 # --- dismantlability and initiality --------------------------------------------

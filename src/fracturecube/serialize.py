@@ -8,13 +8,14 @@ with the JSON path of the offender.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 
-from .cube_categories import FractureObject, SplitData
+from .cube_categories import FractureObject, SplitData, anchored_supersets
 from .exact_linalg import ExactMatrix, InputError
 from .fracture import LocalizationFamily
 from .holim import PosetDiagram
-from .posets import FinitePoset, canonical_subset
+from .posets import FinitePoset, canonical_subset, subset_poset
 from .sorted_complex import (
     ComplexMap,
     EMPTY_MODULE,
@@ -25,6 +26,7 @@ from .sorted_complex import (
 )
 
 FORMAT_VERSION = "fracture/1"
+DEFAULT_MAX_T = 6
 KINDS = ("complex", "diagram", "fracture-object", "poset", "report", "matrix")
 
 
@@ -52,6 +54,17 @@ def _only_keys(d, required, optional, path):
     for k in d:
         if k not in required and k not in optional:
             raise SchemaError(f"{path}.{k}", "unknown field")
+
+
+def check_dimension(n: int):
+    """Reject a cube on more labels than FRACTURE_MAX_T (default 6) allows."""
+    raw = os.environ.get("FRACTURE_MAX_T", "")
+    try:
+        cap = int(raw) if raw else DEFAULT_MAX_T
+    except ValueError:
+        raise InputError(f"FRACTURE_MAX_T must be an integer, got {raw!r}") from None
+    if n > cap:
+        raise InputError(f"cube dimension {n} exceeds FRACTURE_MAX_T={cap}")
 
 
 # --- scalars and labels -----------------------------------------------------------
@@ -165,6 +178,13 @@ def _sorted_map_from_json(d, source, target, path) -> SortedMap:
         raise SchemaError(path, str(exc)) from None
 
 
+def _degree(key, path) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise SchemaError(path, "degree must be an integer") from None
+
+
 def complex_to_json(c: SortedComplex) -> dict:
     return {
         "modules": {str(n): _module_to_json(m)
@@ -178,20 +198,13 @@ def complex_from_json(d, path="$") -> SortedComplex:
     _only_keys(d, ("modules", "differentials"), (), path)
     mods = {}
     for key, m in _expect(d["modules"], dict, f"{path}.modules").items():
-        try:
-            n = int(key)
-        except ValueError:
-            raise SchemaError(f"{path}.modules.{key}", "degree must be an integer") \
-                from None
+        n = _degree(key, f"{path}.modules.{key}")
         mods[n] = _module_from_json(m, f"{path}.modules.{key}")
     diffs = {}
     for key, dd in _expect(d["differentials"], dict,
                            f"{path}.differentials").items():
         dpath = f"{path}.differentials.{key}"
-        try:
-            n = int(key)
-        except ValueError:
-            raise SchemaError(dpath, "degree must be an integer") from None
+        n = _degree(key, dpath)
         diffs[n] = _sorted_map_from_json(dd, mods.get(n, EMPTY_MODULE),
                                          mods.get(n - 1, EMPTY_MODULE), dpath)
     try:
@@ -235,6 +248,18 @@ def _complex_map_components_to_json(m: ComplexMap) -> dict:
     return {str(n): _sorted_map_to_json(f) for n, f in sorted(m.maps.items())}
 
 
+def _complex_map_from_json(d, source, target, path) -> ComplexMap:
+    comps = {}
+    for key, payload in _expect(d, dict, path).items():
+        n = _degree(key, f"{path}.{key}")
+        comps[n] = _sorted_map_from_json(payload, source.module(n), target.module(n),
+                                         f"{path}.{key}")
+    try:
+        return ComplexMap(source, target, comps)
+    except InputError as exc:
+        raise SchemaError(path, str(exc)) from None
+
+
 def diagram_to_json(d: PosetDiagram) -> dict:
     verts = {}
     for s in d.shape.elements:
@@ -247,21 +272,20 @@ def diagram_to_json(d: PosetDiagram) -> dict:
     return {"vertices": verts, "edges": edges}
 
 
-def diagram_from_json(d, path="$") -> PosetDiagram:
-    """Rebuild a cube-style diagram whose vertex keys are subset strings."""
+def _vertex_payloads(d, path) -> dict:
+    """Vertex subsets of a diagram document, each with its key and payload."""
     _only_keys(d, ("vertices", "edges"), (), path)
-    verts_raw = _expect(d["vertices"], dict, f"{path}.vertices")
-    verts = {}
-    for key, payload in verts_raw.items():
-        s = subset_from_str(key, f"{path}.vertices.{key}")
-        verts[s] = complex_from_json(payload, f"{path}.vertices.{key}")
-    labels = max(verts, key=len) if verts else ()
-    punctured = () not in verts
-    from .posets import subset_poset
-    shape = subset_poset(labels, punctured=punctured)
-    if set(shape.elements) != set(verts):
-        raise SchemaError(f"{path}.vertices",
-                          f"keys do not form the subset poset on {labels}")
+    raw = _expect(d["vertices"], dict, f"{path}.vertices")
+    return {subset_from_str(k, f"{path}.vertices.{k}"): (k, v) for k, v in raw.items()}
+
+
+def _diagram_over(shape: FinitePoset, payloads: dict, d, path) -> PosetDiagram:
+    """Decode the vertices and edges of a diagram document of a known shape."""
+    if set(payloads) != set(shape.elements):
+        raise SchemaError(f"{path}.vertices", "keys do not form the diagram's "
+                          f"poset on {label_to_str(max(shape.elements, key=len))}")
+    verts = {s: complex_from_json(v, f"{path}.vertices.{k}")
+             for s, (k, v) in payloads.items()}
     edges = {}
     for k, e in enumerate(_expect(d["edges"], list, f"{path}.edges")):
         epath = f"{path}.edges[{k}]"
@@ -270,25 +294,27 @@ def diagram_from_json(d, path="$") -> PosetDiagram:
         y = subset_from_str(e["to"], f"{epath}.to")
         if x not in verts or y not in verts:
             raise SchemaError(epath, "edge endpoint is not a vertex")
-        comps = {}
-        for key, payload in _expect(e["components"], dict,
-                                    f"{epath}.components").items():
-            try:
-                n = int(key)
-            except ValueError:
-                raise SchemaError(f"{epath}.components.{key}",
-                                  "degree must be an integer") from None
-            comps[n] = _sorted_map_from_json(
-                payload, verts[x].module(n), verts[y].module(n),
-                f"{epath}.components.{key}")
-        try:
-            edges[(x, y)] = ComplexMap(verts[x], verts[y], comps)
-        except InputError as exc:
-            raise SchemaError(epath, str(exc)) from None
+        edges[(x, y)] = _complex_map_from_json(e["components"], verts[x], verts[y],
+                                               f"{epath}.components")
     try:
         return PosetDiagram(shape, verts, edges)
     except InputError as exc:
         raise SchemaError(path, str(exc)) from None
+
+
+def diagram_from_json(d, path="$") -> PosetDiagram:
+    """Rebuild a cube-style diagram whose vertex keys are subset strings.
+
+    The cube dimension is checked against FRACTURE_MAX_T before any
+    vertex or edge payload is decoded.
+    """
+    payloads = _vertex_payloads(d, path)
+    if not payloads:
+        raise SchemaError(f"{path}.vertices", "a diagram needs at least one vertex")
+    labels = max(payloads, key=len)
+    check_dimension(len(labels))
+    shape = subset_poset(labels, punctured=() not in payloads)
+    return _diagram_over(shape, payloads, d, path)
 
 
 def fracture_object_to_json(g: FractureObject) -> dict:
@@ -328,47 +354,22 @@ def split_to_json(sp: SplitData) -> dict:
 def split_from_json(d, path="$"):
     _only_keys(d, ("top", "bottom", "witness"), (), path)
     top = fracture_object_from_json(d["top"], f"{path}.top")
-    fam_full = LocalizationFamily(top.family.primes)
-    bottom_raw = _expect(d["bottom"], dict, f"{path}.bottom")
-    # the bottom face is anchored at the first index, not a full subset
-    # poset; rebuild it through the anchored shape
-    from .cube_categories import anchored_supersets
-    first = min(fam_full.labels())
+    # the bottom face is anchored at the first index, not a full subset poset
+    first = min(top.family.labels())
     labels = canonical_subset((first,) + top.labels)
-    shape = anchored_supersets((first,), labels)
-    verts = {}
-    for key, payload in _expect(bottom_raw["vertices"], dict,
-                                f"{path}.bottom.vertices").items():
-        s = subset_from_str(key, f"{path}.bottom.vertices.{key}")
-        verts[s] = complex_from_json(payload, f"{path}.bottom.vertices.{key}")
-    if set(verts) != set(shape.elements):
-        raise SchemaError(f"{path}.bottom.vertices",
-                          "keys do not form the anchored poset")
-    edges = {}
-    for k, e in enumerate(_expect(bottom_raw["edges"], list,
-                                  f"{path}.bottom.edges")):
-        epath = f"{path}.bottom.edges[{k}]"
-        x = subset_from_str(e["from"], f"{epath}.from")
-        y = subset_from_str(e["to"], f"{epath}.to")
-        comps = {}
-        for key, payload in e["components"].items():
-            n = int(key)
-            comps[n] = _sorted_map_from_json(
-                payload, verts[x].module(n), verts[y].module(n),
-                f"{epath}.components.{key}")
-        edges[(x, y)] = ComplexMap(verts[x], verts[y], comps)
-    bottom = PosetDiagram(shape, verts, edges)
+    check_dimension(len(labels))
+    bpath = f"{path}.bottom"
+    bottom = _diagram_over(anchored_supersets((first,), labels),
+                           _vertex_payloads(d["bottom"], bpath), d["bottom"], bpath)
     witness = {}
     for key, payload in _expect(d["witness"], dict, f"{path}.witness").items():
-        u = subset_from_str(key, f"{path}.witness.{key}")
-        comps = {}
-        for dkey, mp in payload.items():
-            n = int(dkey)
-            comps[n] = _sorted_map_from_json(
-                mp, bottom.vertex(u).module(n), bottom.vertex(u).module(n),
-                f"{path}.witness.{key}.{dkey}")
-        witness[u] = ComplexMap(bottom.vertex(u), bottom.vertex(u), comps)
-    return SplitData(top, bottom, witness), fam_full
+        wpath = f"{path}.witness.{key}"
+        u = subset_from_str(key, wpath)
+        if u not in bottom.vertices:
+            raise SchemaError(wpath, "not a vertex of the bottom face")
+        witness[u] = _complex_map_from_json(payload, bottom.vertex(u),
+                                            bottom.vertex(u), wpath)
+    return SplitData(top, bottom, witness), top.family
 
 
 # --- the envelope ---------------------------------------------------------------------

@@ -38,7 +38,7 @@ from .exact_linalg import (
     InputError,
     _is_probable_prime,
     _rank_mod,
-    integer_homology_at,
+    integer_homology,
     kernel_basis,
     p_part,
     rank_lower_bound,
@@ -672,9 +672,6 @@ class LocalizationTable:
             return ZLOC
         return s
 
-    def fixes(self, s: Sort) -> bool:
-        return self.apply_sort(s) == s
-
     def label(self) -> str:
         if self.kind == "complete":
             return f"complete:{self.prime}"
@@ -951,10 +948,12 @@ def homology_p_local(c: SortedComplex, primes=None) -> dict[int, AbelianInvarian
     """Homology invariants of a Z- or ZlocP-sorted complex over ZlocP.
 
     Each differential is rescaled by the lcm of its denominators, a unit
-    of ZlocP, which gives an isomorphic integer complex; its Smith normal
-    form homology is then projected to the primes of P. With primes=None
-    the matrices must be integral and the full integer invariants are
-    returned.
+    of ZlocP, which gives an isomorphic integer complex. Each of its
+    differentials is reduced once to its Smith diagonal: H_n has free rank
+    dim C_n - rank d_n - rank d_{n+1}, and its torsion is the elementary
+    divisors of d_{n+1} greater than 1, projected to the primes of P.
+    With primes=None the matrices must be integral and the full integer
+    invariants are returned.
     """
     for m in c.modules.values():
         for s, _ in m.summands:
@@ -974,12 +973,9 @@ def homology_p_local(c: SortedComplex, primes=None) -> dict[int, AbelianInvarian
                         raise InputError("denominator is not a unit of ZlocP")
                 mult = mult * den // gcd(mult, den)
         dense[n] = d.scale(mult)
+    ranks = {n: m.total_rank for n, m in c.modules.items()}
     out = {}
-    for n in c.modules:
-        dim = c.module(n).total_rank
-        d_out = dense.get(n, ExactMatrix.zeros(c.module(n - 1).total_rank, dim))
-        d_in = dense.get(n + 1, ExactMatrix.zeros(dim, c.module(n + 1).total_rank))
-        inv = integer_homology_at(d_in, d_out)
+    for n, inv in integer_homology(ranks, dense).items():
         if primes is not None:
             torsion = tuple(t for t in (p_part(d, primes) for d in inv.torsion)
                             if t > 1)

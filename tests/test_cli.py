@@ -224,3 +224,73 @@ class TestErrors:
         path = write_doc(tmp_path, "m.json", "matrix", ExactMatrix.identity(1))
         code, _, err = cli("holim", path)
         assert code == 2
+
+    def test_internal_error_exits_3(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr("fracturecube.cli.homology_p_local", broken)
+        path = write_doc(tmp_path, "s.json", "complex", SortedComplex.single(Z))
+        code, _, err = cli("homology", path)
+        assert code == 3
+        assert err == "internal error: ZeroDivisionError: boom\n"
+
+    def test_empty_diagram(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"version": "fracture/1", "kind": "diagram",
+                                    "payload": {"vertices": {}, "edges": []}}),
+                        encoding="utf-8")
+        for argv in (["holim"], ["tfib"], ["emit-dot"]):
+            code, _, err = cli(*argv, str(path))
+            assert code == 2
+            assert "at least one vertex" in err and "Traceback" not in err
+
+    def test_max_t_cap_before_payloads(self, tmp_path):
+        # every vertex payload is invalid: only a cap checked first names FRACTURE_MAX_T
+        keys = [",".join(str(x) for x in range(1, 8) if mask >> (x - 1) & 1)
+                for mask in range(2 ** 7)]
+        path = tmp_path / "cube7.json"
+        path.write_text(json.dumps({"version": "fracture/1", "kind": "diagram",
+                                    "payload": {"vertices": {k: {"bogus": 1} for k in keys},
+                                                "edges": []}}),
+                        encoding="utf-8")
+        code, _, err = cli("holim", str(path))
+        assert code == 2
+        assert "cube dimension 7 exceeds FRACTURE_MAX_T=6" in err
+
+
+def _split_report(tmp_path):
+    fam = LocalizationFamily((2, 3))
+    g = fracture_diagram(e_localize(
+        SortedComplex.two_term(Z, ExactMatrix.from_rows([[6]])), fam), fam)
+    gpath = write_doc(tmp_path, "g.json", "fracture-object", g)
+    spath = tmp_path / "split.json"
+    assert cli("cat", "split", gpath, "-o", str(spath))[0] == 0
+    return json.loads(spath.read_text(encoding="utf-8"))
+
+
+def _no_components(bottom):
+    del bottom["edges"][0]["components"]
+
+
+def _bad_degree(bottom):
+    bottom["edges"][0]["components"]["x"] = {"blocks": []}
+
+
+def _no_vertices(bottom):
+    del bottom["vertices"]
+
+
+@pytest.mark.parametrize("damage, where", [
+    (_no_components, "$.payload.bottom.edges[0]"),
+    (_bad_degree, "$.payload.bottom.edges[0].components.x"),
+    (_no_vertices, "$.payload.bottom"),
+])
+def test_malformed_glue_report(tmp_path, damage, where):
+    doc = _split_report(tmp_path)
+    damage(doc["payload"]["bottom"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = cli("cat", "glue", str(path))
+    assert code == 2
+    assert err.startswith(f"schema error: {where}:")

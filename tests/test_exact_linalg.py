@@ -210,6 +210,10 @@ class TestHomology:
         d_out = ExactMatrix.from_rows([[1]])
         with pytest.raises(InputError):
             integer_homology_at(d_in, d_out)
+        # ranks that would still add up: only the composite check catches it
+        with pytest.raises(InputError, match="composite"):
+            integer_homology_at(ExactMatrix.from_rows([[1], [0]]),
+                                ExactMatrix.from_rows([[1, 0]]))
 
     def test_torsion_chain_validated(self):
         with pytest.raises(InputError):

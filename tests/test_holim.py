@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from fracturecube.exact_linalg import AbelianInvariants, ExactMatrix, InputError
+from fracturecube.exact_linalg import (
+    AbelianInvariants,
+    ExactMatrix,
+    InputError,
+    integer_homology_at,
+)
 from fracturecube.posets import subset_poset
 from fracturecube.sorted_complex import (
     ComplexMap,
@@ -13,7 +18,6 @@ from fracturecube.sorted_complex import (
     ZLOC,
     direct_sum,
     homology_p_local,
-    integer_homology_at,
     is_acyclic,
     is_quasi_iso,
 )

@@ -20,7 +20,7 @@ from .cube_categories import (
     split_fracture_object,
     validate_fracture_object,
 )
-from .exact_linalg import InputError, smith_normal_form
+from .exact_linalg import ExactMatrix, InputError, snf_diagonal
 from .fracture import LocalizationFamily, build_fracture_cube, verify_fracture
 from .holim import PosetDiagram, homotopy_limit, total_fiber
 from .posets import certify_initial, pcubelim_index_map, subset_poset
@@ -131,7 +131,8 @@ def emit_category_cube_dot(n: int) -> str:
 
 def _cmd_snf(args, out):
     _, m = _load(args.input, "matrix")
-    u, d, v = smith_normal_form(m)
+    d = ExactMatrix(m.rows, m.cols,
+                    {(i, i): v for i, v in enumerate(snf_diagonal(m))})
     _emit(serialize.wrap("matrix", d), args.output, out)
     return 0
 

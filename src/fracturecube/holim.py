@@ -1,17 +1,24 @@
 """Homotopy limits of poset diagrams of sorted complexes.
 
-The homotopy limit is the totalization of the normalized nerve cochain
-construction: cosimplicial level k is the product of the values at the
-tops of the strictly increasing k-chains, with the alternating coface
-differential. Every sorted complex is fibrant here (all terms are free
-of finite rank), so this totalization computes the derived limit.
+The homotopy limit is a totalization: the product of the diagram's
+values over a set of cells, cell c in cosimplicial level len(c) - 1
+carrying the value at its top vertex, with the coface from the face
+without position i entering with sign (-1)^i along the map between the
+two tops. Every sorted complex is fibrant here (all terms are free of
+finite rank), so this computes the derived limit.
+
+A punctured cube is totalized over its vertices: one summand
+G(S)[-(|S| - 1)] per nonempty S, the cubical formula for the limit.
+Every other shape is totalized over the strict chains of its nerve. The
+punctured-cube recursion in one direction t is a single homotopy
+pullback of two such totalizations and the vertex at {t}.
 
 Diagrams are strictly functorial: every path composite between two
-elements must agree as matrices. Limit cones built by the nerve have
+elements must agree as matrices. Limit cones built by totalization have
 projection legs that commute with the diagram edges up to homotopy
 only; where a strict cone is required (extending a punctured cube to a
-Cartesian one), the extension re-totalizes each up-set, which restricts
-strictly and stays a diagram on the nose.
+Cartesian one), the extension re-totalizes each up-set over the nerve,
+which restricts strictly and stays a diagram on the nose.
 """
 
 from __future__ import annotations
@@ -31,11 +38,9 @@ from .sorted_complex import (
     apply_localization_chain_map,
     chain_map_group,
     comparison_is_isomorphism,
-    direct_sum,
     hofib,
     hofib_map,
     is_acyclic,
-    stack_maps,
     sum_inclusions,
     uniform_sort,
 )
@@ -54,6 +59,10 @@ class PosetDiagram:
             if x not in self.vertices:
                 raise InputError(f"missing vertex complex at {x!r}")
         covers = shape.covering_pairs()
+        cover_set = set(covers)
+        for (x, y) in edges:
+            if (x, y) not in cover_set:
+                raise InputError(f"edge {x!r} -> {y!r} is not a covering pair")
         self.edges = {}
         for (x, y) in covers:
             e = edges.get((x, y))
@@ -154,89 +163,67 @@ class ConeData:
         return True
 
 
-# --- nerve totalization -------------------------------------------------------
+# --- totalization -------------------------------------------------------------
 
 class _TotIndex:
-    """Bookkeeping for the totalization: chain list and summand offsets."""
+    """Summand layout of a totalization over a set of cells.
 
-    def __init__(self, diagram: PosetDiagram):
+    A cell is a tuple of shape elements at level len(cell) - 1 carrying
+    the diagram's value at its top vertex; dropping position i gives its
+    i-th face. Nerve cells are the strict chains (top: the last element),
+    cube cells the vertices of a punctured cube (top: the subset itself).
+    """
+
+    def __init__(self, diagram: PosetDiagram, cells, top):
         self.diagram = diagram
-        levels = diagram.shape.strict_chains()
-        self.chains = [(k, c) for k, level in enumerate(levels) for c in level]
-        self.chain_pos = {c: idx for idx, (_, c) in enumerate(self.chains)}
+        self.top = top
+        self.cells = [(len(c) - 1, c) for c in cells]
+        self.cell_pos = {c: idx for idx, (_, c) in enumerate(self.cells)}
+        # level-zero cells by their top vertex: where the cone legs live
+        self.base = {top(c): idx for idx, (k, c) in enumerate(self.cells) if k == 0}
         degs = set()
-        for k, c in self.chains:
-            for n in diagram.vertex(c[-1]).modules:
+        for k, c in self.cells:
+            for n in self.value(c).modules:
                 degs.add(n - k)
         self.degrees = sorted(degs)
-        # summand offset of each chain inside the degree-n module
+        # summand offset of each cell inside the degree-n module
         self.offsets = {}
         self.modules = {}
         for n in self.degrees:
             summands = []
-            for idx, (k, c) in enumerate(self.chains):
-                vm = diagram.vertex(c[-1]).module(n + k)
+            for idx, (k, c) in enumerate(self.cells):
                 self.offsets[(n, idx)] = len(summands)
-                summands.extend(vm.summands)
+                summands.extend(self.value(c).module(n + k).summands)
             self.modules[n] = SortedModule(summands)
+
+    def value(self, cell) -> SortedComplex:
+        return self.diagram.vertex(self.top(cell))
 
     def module(self, n: int) -> SortedModule:
         return self.modules.get(n, EMPTY_MODULE)
 
-    def chunk(self, n: int, chain) -> tuple:
-        """(summand offset, module) of a chain inside the degree-n module."""
-        idx = self.chain_pos[chain]
-        k = self.chains[idx][0]
-        return self.offsets.get((n, idx), 0), self.diagram.vertex(chain[-1]).module(n + k)
-
 
 def _tot_differential(ti: _TotIndex, n: int) -> SortedMap:
-    src = ti.module(n)
-    tgt = ti.module(n - 1)
     blocks: dict = {}
 
-    def add_block(so, to, mat_blocks):
-        for (i, j), m in mat_blocks.items():
+    def add_block(so, to, piece):
+        for (i, j), m in piece.blocks.items():
             key = (so + i, to + j)
             blocks[key] = blocks[key] + m if key in blocks else m
 
-    for idx, (k, c) in enumerate(ti.chains):
-        vx = ti.diagram.vertex(c[-1])
+    for idx, (k, c) in enumerate(ti.cells):
         # inner differential with sign (-1)^k
-        d = vx.diff(n + k)
-        if not d.is_zero():
-            so = ti.offsets.get((n, idx))
-            to = ti.offsets.get((n - 1, idx))
-            if so is not None and to is not None:
-                dd = d if k % 2 == 0 else d.scale(-1)
-                add_block(so, to, dd.blocks)
-    # cofaces: each level-(m) chain collects its faces one level down
-    for idx2, (m, c2) in enumerate(ti.chains):
-        if m == 0:
-            continue
-        to = ti.offsets.get((n - 1, idx2))
-        if to is None:
-            continue
-        q = n - 1 + m
-        for i in range(m + 1):
-            face = c2[:i] + c2[i + 1:]
-            fidx = ti.chain_pos.get(face)
-            if fidx is None:
-                continue
-            so = ti.offsets.get((n, fidx))
-            if so is None:
-                continue
-            sign = -1 if i % 2 else 1
-            if i < m:
-                vm = ti.diagram.vertex(c2[-1]).module(q)
-                ident = SortedMap.identity(vm)
-                piece = ident if sign == 1 else ident.scale(-1)
-                add_block(so, to, piece.blocks)
-            else:
-                edge = ti.diagram.hom(c2[-2], c2[-1]).map_at(q)
-                piece = edge if sign == 1 else edge.scale(-1)
-                add_block(so, to, piece.blocks)
-    return SortedMap(src, tgt, blocks)
+        d = ti.value(c).diff(n + k)
+        to = ti.offsets[(n - 1, idx)]
+        add_block(ti.offsets[(n, idx)], to, d if k % 2 == 0 else d.scale(-1))
+        # cofaces: above level zero, the face without position i enters
+        # with sign (-1)^i along the map between the two tops
+        for i in range(k + 1 if k else 0):
+            face = c[:i] + c[i + 1:]
+            edge = ti.diagram.hom(ti.top(face), ti.top(c)).map_at(n - 1 + k)
+            add_block(ti.offsets[(n, ti.cell_pos[face])], to,
+                      edge if i % 2 == 0 else edge.scale(-1))
+    return SortedMap(ti.module(n), ti.module(n - 1), blocks)
 
 
 @dataclass
@@ -249,24 +236,22 @@ class HolimResult:
         """Canonical comparison from a strict cone into the totalization.
 
         The legs must commute strictly with the diagram edges; the map
-        lands in the level-zero chains and chain-map-ness is verified.
+        lands in the level-zero cells and chain-map-ness is verified.
         """
         ti = self._index
         maps = {}
         for n in self.complex.modules:
             blocks = {}
-            for x in ti.diagram.shape.elements:
-                leg = legs[x].map_at(n)
-                off, _ = ti.chunk(n, (x,))
-                for (i, j), m in leg.blocks.items():
+            for x, idx in ti.base.items():
+                off = ti.offsets[(n, idx)]
+                for (i, j), m in legs[x].map_at(n).blocks.items():
                     blocks[(i, off + j)] = m
             maps[n] = SortedMap(apex.module(n), self.complex.module(n), blocks)
         return ComplexMap(apex, self.complex, maps)
 
 
-def homotopy_limit(diagram: PosetDiagram) -> HolimResult:
-    """Derived limit of a finite poset diagram, with its projection cone."""
-    ti = _TotIndex(diagram)
+def _totalize(diagram: PosetDiagram, cells, top) -> HolimResult:
+    ti = _TotIndex(diagram, cells, top)
     mods = {n: ti.module(n) for n in ti.degrees}
     diffs = {}
     for n in ti.degrees:
@@ -274,40 +259,77 @@ def homotopy_limit(diagram: PosetDiagram) -> HolimResult:
             continue
         diffs[n] = _tot_differential(ti, n)
     tot = SortedComplex(mods, diffs)
-    legs = {}
-    for x in diagram.shape.elements:
+    projections = {}
+    for x, idx in ti.base.items():
         vx = diagram.vertex(x)
         maps = {}
         for n in vx.modules:
-            off, vm = ti.chunk(n, (x,))
+            off = ti.offsets[(n, idx)]
             blocks = {(off + i, i): ExactMatrix.identity(r)
-                      for i, (_, r) in enumerate(vm.summands)}
-            maps[n] = SortedMap(tot.module(n), vm, blocks)
-        legs[x] = ComplexMap(tot, vx, maps)
+                      for i, (_, r) in enumerate(vx.module(n).summands)}
+            maps[n] = SortedMap(tot.module(n), vx.module(n), blocks)
+        projections[x] = ComplexMap(tot, vx, maps)
+    # cube cells start at the singletons: a larger vertex S gets the leg
+    # of its least label pushed along the diagram
+    legs = {x: projections[x] if x in projections
+            else diagram.hom(x[:1], x).compose(projections[x[:1]])
+            for x in diagram.shape.elements}
     return HolimResult(tot, ConeData(tot, legs, strict=False), ti)
+
+
+def nerve_limit(diagram: PosetDiagram) -> HolimResult:
+    """Totalization over the strict chains of the shape, for any poset.
+
+    Restricting the shape to an up-set restricts the chains, so these
+    totalizations restrict strictly; the cube engine has no such maps.
+    """
+    chains = [c for level in diagram.shape.strict_chains() for c in level]
+    return _totalize(diagram, chains, lambda c: c[-1])
+
+
+def _is_punctured_cube(shape: FinitePoset) -> bool:
+    """Whether the shape is the punctured subset poset of its labels."""
+    if not all(isinstance(s, tuple) and all(isinstance(x, int) for x in s)
+               for s in shape.elements):
+        return False
+    labels = set().union(*shape.elements)
+    return (len(shape) == 2 ** len(labels) - 1
+            and shape == subset_poset(labels, punctured=True))
+
+
+def homotopy_limit(diagram: PosetDiagram) -> HolimResult:
+    """Derived limit of a finite poset diagram, with its projection cone.
+
+    A punctured cube (the empty one included) is totalized over its
+    vertices, vertex S in cosimplicial level |S| - 1; every other shape
+    over the strict chains of its nerve.
+    """
+    if _is_punctured_cube(diagram.shape):
+        return _totalize(diagram, diagram.shape.elements, lambda s: s)
+    return nerve_limit(diagram)
 
 
 def map_between_totalizations(src: HolimResult, dst: HolimResult,
                               components: dict) -> ComplexMap:
     """Totalized map induced by a strict natural transformation.
 
-    Both totalizations must live over the same shape; components maps
+    Both totalizations must live over the same cells; components maps
     each vertex of the source diagram to the matching vertex of the
     destination diagram.
     """
     sti, dti = src._index, dst._index
-    if sti.diagram.shape.elements != dti.diagram.shape.elements:
-        raise InputError("totalizations have different shapes")
+    if sti.cells != dti.cells:
+        raise InputError("totalizations have different cells")
     maps = {}
     degs = set(src.complex.modules) | set(dst.complex.modules)
     for n in degs:
         blocks = {}
-        for idx, (k, c) in enumerate(sti.chains):
-            comp = components[c[-1]].map_at(n + k)
+        for idx, (k, c) in enumerate(sti.cells):
+            comp = components[sti.top(c)].map_at(n + k)
             if comp.is_zero():
                 continue
-            so = sti.offsets.get((n, idx))
-            do = dti.offsets.get((n, idx))
+            so = sti.offsets[(n, idx)]
+            do = dti.offsets[(n, idx)]
             for (i, j), m in comp.blocks.items():
                 blocks[(so + i, do + j)] = m
         maps[n] = SortedMap(src.complex.module(n), dst.complex.module(n), blocks)
@@ -462,15 +484,16 @@ def limit_extended_cube(punctured: PosetDiagram) -> PosetDiagram:
 
     Each vertex S is the totalization over the nonempty supersets of S;
     the edges restrict chain tuples, which makes the extension a diagram
-    on the nose. The empty corner is the homotopy limit itself and every
-    other vertex projects quasi-isomorphically to the original one.
+    on the nose. The empty corner is the nerve totalization of the whole
+    punctured cube and every other vertex projects quasi-isomorphically
+    to the original one.
     """
     labels = cube_labels(punctured, punctured=True)
     full = subset_poset(labels, punctured=False)
     results = {}
     for s in full.elements:
         upset = [u for u in punctured.shape.elements if set(s) <= set(u)]
-        results[s] = homotopy_limit(punctured.restrict(upset))
+        results[s] = nerve_limit(punctured.restrict(upset))
     verts = {s: results[s].complex for s in full.elements}
     edges = {}
     for (s, s2) in full.covering_pairs():
@@ -480,13 +503,13 @@ def limit_extended_cube(punctured: PosetDiagram) -> PosetDiagram:
         for n in set(verts[s].modules) | set(verts[s2].modules):
             blocks = {}
             # identity on every chain surviving the restriction
-            for idx, (k, c) in enumerate(dti.chains):
-                src_idx = sti.chain_pos[c]
+            for idx, (k, c) in enumerate(dti.cells):
+                src_idx = sti.cell_pos[c]
                 so = sti.offsets.get((n, src_idx))
                 do = dti.offsets.get((n, idx))
                 if so is None or do is None:
                     continue
-                vm = punctured.vertex(c[-1]).module(n + k)
+                vm = dti.value(c).module(n + k)
                 for i, (_, r) in enumerate(vm.summands):
                     blocks[(so + i, do + i)] = ExactMatrix.identity(r)
             maps[n] = SortedMap(verts[s].module(n), verts[s2].module(n), blocks)
@@ -497,7 +520,7 @@ def limit_extended_cube(punctured: PosetDiagram) -> PosetDiagram:
 def vertex_projection(extended: PosetDiagram, punctured: PosetDiagram, s):
     """Quasi-isomorphism from an extended vertex back to the original one."""
     upset = [u for u in punctured.shape.elements if set(s) <= set(u)]
-    hl = homotopy_limit(punctured.restrict(upset))
+    hl = nerve_limit(punctured.restrict(upset))
     if hl.complex != extended.vertex(s):
         raise InputError("extended cube does not match the punctured diagram")
     return hl.cone.legs[s]
@@ -548,13 +571,9 @@ def total_fiber_iterated(diagram: PosetDiagram, t_prime) -> SortedComplex:
 
 # --- recursive punctured limits ----------------------------------------------------
 
-def _plabels(diagram: PosetDiagram):
-    return cube_labels(diagram, punctured=True)
-
-
 def _shift_diagram(diagram: PosetDiagram, t) -> PosetDiagram:
     """S maps to G({t} union S) on the punctured cube without t."""
-    labels = _plabels(diagram)
+    labels = cube_labels(diagram, punctured=True)
     rest = tuple(x for x in labels if x != t)
     shape = subset_poset(rest, punctured=True)
     verts = {s: diagram.vertex(canonical_subset(s + (t,))) for s in shape.elements}
@@ -565,103 +584,33 @@ def _shift_diagram(diagram: PosetDiagram, t) -> PosetDiagram:
 
 
 def _restrict_away(diagram: PosetDiagram, t) -> PosetDiagram:
-    labels = _plabels(diagram)
+    labels = cube_labels(diagram, punctured=True)
     rest = tuple(x for x in labels if x != t)
     return diagram.restrict(subset_poset(rest, punctured=True).elements)
 
 
-@dataclass
-class _RecLimit:
-    complex: SortedComplex
-    # layout of the homotopy pullback pieces, None at the base
-    parts: tuple | None  # (A, C, B) recursive results / complexes
-
-
-def _rec_limit(diagram: PosetDiagram, t=None) -> _RecLimit:
-    labels = _plabels(diagram)
-    if len(labels) == 1:
-        return _RecLimit(diagram.vertex(labels), None)
-    if t is None:
-        t = labels[0]
-    a_diag = _restrict_away(diagram, t)
-    b_diag = _shift_diagram(diagram, t)
-    a = _rec_limit(a_diag)
-    b = _rec_limit(b_diag)
-    c = diagram.vertex((t,))
-    rest = tuple(x for x in labels if x != t)
-    phi = _rec_map(a_diag, b_diag,
-                   {s: diagram.hom(s, canonical_subset(s + (t,)))
-                    for s in a_diag.shape.elements}, a, b)
-    psi = _rec_cone(c, {s: diagram.hom((t,), canonical_subset(s + (t,)))
-                        for s in b_diag.shape.elements}, b_diag, b)
-    total, inc_a, inc_c, proj_a, proj_c = sum_inclusions(a.complex, c)
-    delta = phi.compose(proj_a) - psi.compose(proj_c)
-    return _RecLimit(hofib(delta), (a, c, b, delta))
-
-
-def _rec_map(src_diag, dst_diag, components, src: _RecLimit, dst: _RecLimit) -> ComplexMap:
-    """Map of recursive limits induced by a strict natural transformation."""
-    labels = _plabels(src_diag)
-    if len(labels) == 1:
-        return components[labels]
-    t = labels[0]
-    sa_diag, sb_diag = _restrict_away(src_diag, t), _shift_diagram(src_diag, t)
-    da_diag, db_diag = _restrict_away(dst_diag, t), _shift_diagram(dst_diag, t)
-    sa, sc, sb, sdelta = src.parts
-    da, dc, db, ddelta = dst.parts
-    u_a = _rec_map(sa_diag, da_diag,
-                   {s: components[s] for s in sa_diag.shape.elements}, sa, da)
-    u_b = _rec_map(sb_diag, db_diag,
-                   {s: components[canonical_subset(s + (t,))]
-                    for s in sb_diag.shape.elements}, sb, db)
-    u_c = components[(t,)]
-    # block sum on A + C, then the induced map of fibers
-    u_ac = _direct_sum_map(u_a, u_c)
-    return hofib_map(sdelta, ddelta, u_ac, u_b)
-
-
-def _direct_sum_map(f: ComplexMap, g: ComplexMap) -> ComplexMap:
-    src = direct_sum(f.source, g.source)
-    tgt = direct_sum(f.target, g.target)
-    maps = {}
-    for n in set(src.modules) | set(tgt.modules):
-        maps[n] = stack_maps(
-            [f.source.module(n), g.source.module(n)],
-            [f.target.module(n), g.target.module(n)],
-            {(0, 0): f.map_at(n), (1, 1): g.map_at(n)})
-    return ComplexMap(src, tgt, maps, check=False)
-
-
-def _rec_cone(apex: SortedComplex, legs: dict, diagram: PosetDiagram,
-              rec: _RecLimit) -> ComplexMap:
-    """Canonical map from a strict cone into the recursive limit."""
-    labels = _plabels(diagram)
-    if len(labels) == 1:
-        return legs[labels]
-    t = labels[0]
-    a_diag, b_diag = _restrict_away(diagram, t), _shift_diagram(diagram, t)
-    a, c, b, delta = rec.parts
-    into_a = _rec_cone(apex, {s: legs[s] for s in a_diag.shape.elements},
-                       a_diag, a)
-    into_c = legs[(t,)]
-    fib = rec.complex
-    maps = {}
-    for n in apex.modules:
-        maps[n] = stack_maps(
-            [apex.module(n)],
-            [a.complex.module(n), c.module(n), b.complex.module(n + 1)],
-            {(0, 0): into_a.map_at(n), (0, 1): into_c.map_at(n)})
-    return ComplexMap(apex, fib, maps)
-
-
 def punctured_limit_recursive(diagram: PosetDiagram, t) -> SortedComplex:
-    """Punctured-cube limit computed by the one-direction pullback recursion."""
-    labels = _plabels(diagram)
+    """Punctured-cube limit as one homotopy pullback in the direction t.
+
+    The limit is hofib(A + G({t}) -> B), with A the limit of the face
+    away from t, B the limit of the face through t shifted by t, and the
+    map the induced map A -> B minus the cone map G({t}) -> B.
+    """
+    labels = cube_labels(diagram, punctured=True)
     if len(labels) < 2:
         raise InputError("recursion needs at least two labels")
     if t not in labels:
         raise InputError(f"{t!r} is not a label of the cube")
-    return _rec_limit(diagram, t).complex
+    a_diag, b_diag = _restrict_away(diagram, t), _shift_diagram(diagram, t)
+    a, b = homotopy_limit(a_diag), homotopy_limit(b_diag)
+    c = diagram.vertex((t,))
+    phi = map_between_totalizations(
+        a, b, {s: diagram.hom(s, canonical_subset(s + (t,)))
+               for s in a_diag.shape.elements})
+    psi = b.cone_map(c, {s: diagram.hom((t,), canonical_subset(s + (t,)))
+                         for s in b_diag.shape.elements})
+    _, _, _, proj_a, proj_c = sum_inclusions(a.complex, c)
+    return hofib(phi.compose(proj_a) - psi.compose(proj_c))
 
 
 # --- the adjunction between corner inclusion and strict total fiber ------------------

@@ -95,6 +95,9 @@ def subset_from_str(s, path="$"):
         raise SchemaError(path, f"bad subset key {s!r}") from None
     if list(parts) != sorted(set(parts)):
         raise SchemaError(path, f"subset {s!r} is not strictly increasing")
+    if subset_to_str(parts) != s:
+        raise SchemaError(path, f"subset key {s!r} is not written as "
+                          f"{subset_to_str(parts)!r}")
     return parts
 
 
@@ -294,6 +297,8 @@ def _diagram_over(shape: FinitePoset, payloads: dict, d, path) -> PosetDiagram:
         y = subset_from_str(e["to"], f"{epath}.to")
         if x not in verts or y not in verts:
             raise SchemaError(epath, "edge endpoint is not a vertex")
+        if (x, y) in edges:
+            raise SchemaError(epath, "repeated edge")
         edges[(x, y)] = _complex_map_from_json(e["components"], verts[x], verts[y],
                                                f"{epath}.components")
     try:

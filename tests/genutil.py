@@ -12,6 +12,8 @@ from fracturecube.sorted_complex import (
     Z,
     chain_map_group,
     direct_sum,
+    hofib,
+    stack_maps,
 )
 
 
@@ -143,9 +145,20 @@ def _collapse_cube(rng, shape, labels, t, base, target):
     return PosetDiagram(shape, verts, edges, check=False)
 
 
+def _direct_sum_map(f: ComplexMap, g: ComplexMap) -> ComplexMap:
+    src = direct_sum(f.source, g.source)
+    tgt = direct_sum(f.target, g.target)
+    maps = {}
+    for n in set(src.modules) | set(tgt.modules):
+        maps[n] = stack_maps(
+            [f.source.module(n), g.source.module(n)],
+            [f.target.module(n), g.target.module(n)],
+            {(0, 0): f.map_at(n), (1, 1): g.map_at(n)})
+    return ComplexMap(src, tgt, maps, check=False)
+
+
 def cube_direct_sum(d1, d2):
     from fracturecube.holim import PosetDiagram
-    from fracturecube.holim import _direct_sum_map
     verts = {s: direct_sum(d1.vertex(s), d2.vertex(s)) for s in d1.shape.elements}
     edges = {k: _direct_sum_map(d1.edges[k], d2.edges[k]) for k in d1.edges}
     return PosetDiagram(d1.shape, verts, edges, check=False)
@@ -225,3 +238,11 @@ def random_cube(rng: random.Random, labels, sort: Sort = Z, deg_lo: int = 0,
     if punctured:
         total = total.restrict([s for s in shape.elements if s != ()])
     return total
+
+
+def nerve_total_fiber(d):
+    """Total fiber through the nerve totalization: the reference oracle."""
+    from fracturecube.holim import nerve_limit, punctured_restriction
+    punct = punctured_restriction(d)
+    legs = {s: d.hom((), s) for s in punct.shape.elements}
+    return hofib(nerve_limit(punct).cone_map(d.vertex(()), legs))

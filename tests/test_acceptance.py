@@ -24,12 +24,11 @@ from fracturecube.fracture import (
 )
 from fracturecube.holim import (
     adjunction_check,
-    homotopy_limit,
     is_cartesian,
     limit_extended_cube,
+    nerve_limit,
     punctured_limit_recursive,
     tfib_direction_cube,
-    total_fiber,
     total_fiber_iterated,
 )
 from fracturecube.posets import (
@@ -46,7 +45,7 @@ from fracturecube.sorted_complex import (
     homology_p_local,
 )
 
-from genutil import random_complex, random_cube
+from genutil import nerve_total_fiber, random_complex, random_cube
 
 PRIME_SETS = ((2,), (2, 3), (2, 3, 5))
 
@@ -87,7 +86,7 @@ def test_criterion_03_total_fiber_decomposition():
     for _ in range(100):
         d = random_cube(rng, (1, 2, 3), sort=ZLOC, deg_hi=2, max_rank=3,
                         pieces=2)
-        want = homology_p_local(total_fiber(d), primes)
+        want = homology_p_local(nerve_total_fiber(d), primes)
         for tp in subsets:
             got = homology_p_local(total_fiber_iterated(d, tp), primes)
             assert got == want, (tp, got, want)
@@ -120,7 +119,7 @@ def test_criterion_05_recursive_limit():
     for _ in range(100):
         g = random_cube(rng, (1, 2, 3), sort=ZLOC, deg_hi=2, max_rank=3,
                         pieces=2, punctured=True)
-        want = homology_p_local(homotopy_limit(g).complex, primes)
+        want = homology_p_local(nerve_limit(g).complex, primes)
         for t in (1, 2, 3):
             got = homology_p_local(punctured_limit_recursive(g, t), primes)
             assert got == want, t

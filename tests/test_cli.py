@@ -7,11 +7,12 @@ import pytest
 from fracturecube import serialize
 from fracturecube.cli import emit_dot, run
 from fracturecube.cube_categories import fracture_diagram
-from fracturecube.exact_linalg import ExactMatrix
+from fracturecube.exact_linalg import ExactMatrix, smith_normal_form
 from fracturecube.fracture import LocalizationFamily, build_fracture_cube, e_localize
 from fracturecube.posets import subset_poset
 from fracturecube.serialize import SchemaError
-from fracturecube.sorted_complex import Q, SortedComplex, Z
+from fracturecube.holim import PosetDiagram
+from fracturecube.sorted_complex import ComplexMap, Q, SortedComplex, Z
 
 from genutil import random_complex, random_cube
 
@@ -95,6 +96,20 @@ class TestCommands:
         assert code == 0
         payload = json.loads(out)["payload"]
         assert payload["entries"] == [["2", "0"], ["0", "4"]]
+
+    def test_snf_emits_the_decomposition_diagonal(self, tmp_path):
+        rng = random.Random(3)
+        mats = [ExactMatrix.zeros(0, 3), ExactMatrix.zeros(2, 0)]
+        for _ in range(6):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            mats.append(ExactMatrix.from_rows(
+                [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]))
+        for m in mats:
+            code, out, _ = cli("snf", write_doc(tmp_path, "m.json", "matrix", m))
+            _, d, _ = smith_normal_form(m)
+            assert code == 0
+            assert out == json.dumps(serialize.wrap("matrix", d), indent=2,
+                                     sort_keys=True) + "\n"
 
     def test_homology_command(self, tmp_path):
         path = write_doc(tmp_path, "c.json", "complex",
@@ -257,6 +272,80 @@ class TestErrors:
         code, _, err = cli("holim", str(path))
         assert code == 2
         assert "cube dimension 7 exceeds FRACTURE_MAX_T=6" in err
+
+
+def _square_doc(tmp_path, damage):
+    """A square of integer spheres and identity edges, damaged, as a file."""
+    shape = subset_poset((1, 2))
+    z = SortedComplex.single(Z)
+    one = ComplexMap.identity(z)
+    d = PosetDiagram(shape, {s: z for s in shape.elements},
+                     {k: one for k in shape.covering_pairs()})
+    doc = serialize.wrap("diagram", d)
+    damage(doc["payload"])
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _rename_vertex(old, new):
+    def damage(payload):
+        payload["vertices"][new] = payload["vertices"].pop(old)
+        for e in payload["edges"]:
+            for end in ("from", "to"):
+                if e[end] == old:
+                    e[end] = new
+    return damage
+
+
+def _add_vertex(payload):
+    # a second spelling of {1}, holding the zero complex
+    payload["vertices"]["01"] = {"modules": {}, "differentials": {}}
+
+
+def _edge(src, tgt, k):
+    return {"from": src, "to": tgt, "components": {"0": {"blocks": [
+        {"source": 0, "target": 0,
+         "matrix": {"rows": 1, "cols": 1, "entries": [[str(k)]]}}]}}}
+
+
+def _long_edge(payload):
+    # the composite "" -> "1,2" is 1; a non-covering entry says 7
+    payload["edges"].append(_edge("", "1,2", 7))
+
+
+def _reversed_edge(payload):
+    payload["edges"].append(_edge("1", "", 1))
+
+
+def _repeated_edge(payload):
+    # the same identity again: only the repetition is wrong
+    payload["edges"].append(_edge("", "1", 1))
+
+
+@pytest.mark.parametrize("damage, where", [
+    (_rename_vertex("1", "01"), "$.payload.vertices.01"),
+    (_rename_vertex("1", "+1"), "$.payload.vertices.+1"),
+    (_rename_vertex("1", " 1"), "$.payload.vertices. 1"),
+    (_rename_vertex("2", "1_0"), "$.payload.vertices.1_0"),
+    (_rename_vertex("1,2", "1, 2"), "$.payload.vertices.1, 2"),
+    (_add_vertex, "$.payload.vertices.01"),
+])
+def test_non_canonical_subset_key(tmp_path, damage, where):
+    code, _, err = cli("holim", _square_doc(tmp_path, damage))
+    assert code == 2
+    assert err.startswith(f"schema error: {where}:")
+
+
+@pytest.mark.parametrize("damage, where, message", [
+    (_long_edge, "$.payload", "not a covering pair"),
+    (_reversed_edge, "$.payload", "not a covering pair"),
+    (_repeated_edge, "$.payload.edges[4]", "repeated edge"),
+])
+def test_edge_outside_the_covering_relation(tmp_path, damage, where, message):
+    code, _, err = cli("holim", _square_doc(tmp_path, damage))
+    assert code == 2
+    assert err.startswith(f"schema error: {where}:") and message in err
 
 
 def _split_report(tmp_path):

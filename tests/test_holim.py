@@ -20,6 +20,12 @@ from fracturecube.sorted_complex import (
     homology_p_local,
     is_acyclic,
     is_quasi_iso,
+    unit_of_tables,
+)
+from fracturecube.fracture import (
+    LocalizationFamily,
+    build_fracture_cube,
+    e_localize,
 )
 from fracturecube.holim import (
     PosetDiagram,
@@ -29,6 +35,7 @@ from fracturecube.holim import (
     initial_corner_cube,
     is_cartesian,
     limit_extended_cube,
+    nerve_limit,
     punctured_limit_recursive,
     punctured_restriction,
     strict_limit,
@@ -38,7 +45,7 @@ from fracturecube.holim import (
     vertex_projection,
 )
 
-from genutil import random_complex, random_cube
+from genutil import nerve_total_fiber, random_complex, random_cube
 
 PRIMES = (2, 3)
 
@@ -76,6 +83,15 @@ class TestPosetDiagram:
         d = initial_corner_cube(sphere(), (1, 2))
         assert d.vertex(()) == sphere()
         assert d.vertex((1, 2)).is_zero_complex()
+
+    def test_stray_edges_rejected(self):
+        z = sphere()
+        shape = subset_poset((1, 2), punctured=False)
+        verts = {s: z for s in shape.elements}
+        edges = {k: ComplexMap.identity(z) for k in shape.covering_pairs()}
+        for stray in (((), (1, 2)), ((1,), ())):
+            with pytest.raises(InputError, match="not a covering pair"):
+                PosetDiagram(shape, verts, {**edges, stray: scalar_map(z, 7)})
 
     def test_cube_labels_validation(self):
         d = initial_corner_cube(sphere(), (1, 2))
@@ -123,6 +139,52 @@ class TestHomotopyLimit:
         for x in g.shape.elements:
             # legs are genuine chain maps even though the cone is homotopy level
             ComplexMap(hl.complex, g.vertex(x), hl.cone.legs[x].maps)
+
+
+class TestCubeEngine:
+    """The vertex-indexed totalization against the nerve as oracle."""
+
+    def cubes(self):
+        rng = random.Random(18)
+        for labels in ((1, 2), (1, 2, 3)):
+            for _ in range(3):
+                yield random_cube(rng, labels, sort=ZLOC, max_rank=3)
+
+    def test_limit_homology_matches_nerve(self):
+        for d in self.cubes():
+            g = punctured_restriction(d)
+            assert homology_p_local(homotopy_limit(g).complex, PRIMES) == \
+                homology_p_local(nerve_limit(g).complex, PRIMES)
+
+    def test_total_fiber_matches_nerve(self):
+        for d in self.cubes():
+            assert homology_p_local(total_fiber(d), PRIMES) == \
+                homology_p_local(nerve_total_fiber(d), PRIMES)
+
+    def test_one_summand_per_vertex(self):
+        for d in self.cubes():
+            g = punctured_restriction(d)
+            assert homotopy_limit(g).complex.total_rank() == \
+                sum(g.vertex(s).total_rank() for s in g.shape.elements)
+
+    def test_fracture_cube(self):
+        fam = LocalizationFamily((2, 3))
+        x = random_complex(random.Random(19), deg_hi=2, max_rank=3)
+        g = punctured_restriction(build_fracture_cube(x, fam))
+        lx = e_localize(x, fam)
+        legs = {s: unit_of_tables(lx, fam.tables_for(s)) for s in g.shape.elements}
+        for engine in (homotopy_limit, nerve_limit):
+            assert is_quasi_iso(engine(g).cone_map(lx, legs), fam.primes).acyclic
+        assert homotopy_limit(g).complex.total_rank() == \
+            sum(g.vertex(s).total_rank() for s in g.shape.elements)
+
+    def test_full_cube_uses_nerve(self):
+        d = random_cube(random.Random(20), (1, 2), sort=ZLOC)
+        assert homotopy_limit(d).complex == nerve_limit(d).complex
+
+    def test_empty_punctured_cube(self):
+        g = punctured_restriction(initial_corner_cube(sphere(), ()))
+        assert homotopy_limit(g).complex == SortedComplex.zero()
 
 
 class TestStrictLimit:
@@ -305,7 +367,7 @@ class TestRecursiveLimit:
         rng = random.Random(16)
         for _ in range(3):
             g = random_cube(rng, (1, 2, 3), sort=ZLOC, max_rank=3, punctured=True)
-            want = homology_p_local(homotopy_limit(g).complex, PRIMES)
+            want = homology_p_local(nerve_limit(g).complex, PRIMES)
             for t in (1, 2, 3):
                 got = homology_p_local(punctured_limit_recursive(g, t), PRIMES)
                 assert got == want, t

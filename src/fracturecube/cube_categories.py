@@ -25,6 +25,7 @@ from .sorted_complex import (
     LocalizationTable,
     SortedComplex,
     SortedMap,
+    _localize_module,
     apply_localization,
     apply_localization_chain_map,
     apply_tables,
@@ -42,8 +43,7 @@ def localize_with_trace(x: SortedComplex, tables):
     for t in tables:
         nxt = {}
         for n, m in cur.modules.items():
-            kept = [i for i, (s, _) in enumerate(m.summands)
-                    if t.apply_sort(s).kind != "Zero"]
+            kept, _ = _localize_module(m, t)
             nxt[n] = tuple(trace[n][i] for i in kept)
         cur = apply_localization(cur, t)
         trace = {n: nxt.get(n, ()) for n in cur.modules}
@@ -211,7 +211,7 @@ def build_from_generators(gen: GeneratorData, fam: LocalizationFamily,
             f = gen.maps[(m, j)]
             edges[(s, s2)] = localize_chain_map_tables(
                 f, fam.tables_for(tuple(x for x in s if x != m)))
-    diagram = PosetDiagram(shape, verts, edges, check=True)
+    diagram = PosetDiagram(shape, verts, edges)
     obj = FractureObject(diagram, fam, labels)
     bad = validate_fracture_object(obj)
     if bad:
@@ -389,7 +389,7 @@ def diagram_functor(s, s2, x: PosetDiagram, fam: LocalizationFamily) -> PosetDia
                                          fam.tables_for(gap(u)))
         widen = trace_unit(x.vertex(upper(w)), fam, gap(u), gap(w))
         edges[(u, w)] = widen.compose(step)
-    out = PosetDiagram(outer, verts, edges, check=True)
+    out = PosetDiagram(outer, verts, edges)
     table_out = fam.table(min(s2))
     for u in out.shape.elements:
         if not _is_local(out.vertex(u), table_out):
@@ -502,7 +502,7 @@ def glue_fracture_object(split: SplitData, fam: LocalizationFamily) -> FractureO
             edges[(a, b)] = ComplexMap(verts[a], verts[b], unit.maps)
         else:
             edges[(a, b)] = top.diagram.hom(a, b)
-    diagram = PosetDiagram(shape, verts, edges, check=True)
+    diagram = PosetDiagram(shape, verts, edges)
     obj = FractureObject(diagram, fam, labels)
     bad = validate_fracture_object(obj)
     if bad:

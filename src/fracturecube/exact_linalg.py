@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -427,16 +427,16 @@ def solve_in_span(k: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 def _cleared_int_rows(m: ExactMatrix):
     """Integer row list with each row scaled by the lcm of its denominators."""
-    rows = [[Fraction(0)] * m.cols for _ in range(m.rows)]
+    by_row = [[] for _ in range(m.rows)]
     for (i, j), v in m.items():
-        rows[i][j] = v
+        by_row[i].append((j, v))
     out = []
-    for row in rows:
-        mult = 1
-        for v in row:
-            if v.denominator != 1:
-                mult = mult * v.denominator // gcd(mult, v.denominator)
-        out.append([int(v * mult) for v in row])
+    for entries in by_row:
+        mult = lcm(*(v.denominator for _, v in entries))
+        row = [0] * m.cols
+        for j, v in entries:
+            row[j] = v.numerator * (mult // v.denominator)
+        out.append(row)
     return out
 
 
@@ -518,14 +518,19 @@ def rank_over_field(m: ExactMatrix, field) -> int:
         p = field[1]
         if not _is_probable_prime(p):
             raise InputError(f"{p} is not prime")
-        rows = [[0] * m.cols for _ in range(m.rows)]
-        for (i, j), v in m.items():
-            if v.denominator % p == 0:
-                raise InputError(
-                    f"denominator {v.denominator} not invertible mod {p} at ({i},{j})")
-            rows[i][j] = (v.numerator * pow(v.denominator, -1, p)) % p
-        return _rank_mod(rows, p)
+        return _rank_fp(m, p)
     raise InputError(f"unknown field spec {field!r}")
+
+
+def _rank_fp(m: ExactMatrix, p: int) -> int:
+    """Rank over F_p of a matrix whose denominators are all prime to p."""
+    rows = [[0] * m.cols for _ in range(m.rows)]
+    for (i, j), v in m.items():
+        if v.denominator % p == 0:
+            raise InputError(
+                f"denominator {v.denominator} not invertible mod {p} at ({i},{j})")
+        rows[i][j] = (v.numerator * pow(v.denominator, -1, p)) % p
+    return _rank_mod(rows, p)
 
 
 def rank_lower_bound(m: ExactMatrix) -> int:

@@ -16,7 +16,7 @@ from .exact_linalg import InputError, _is_probable_prime
 from .holim import (
     HolimResult,
     PosetDiagram,
-    homotopy_limit,
+    corner_comparison_map,
     is_cartesian,
     limit_extended_cube,
     localize_diagram,
@@ -39,7 +39,6 @@ from .sorted_complex import (
     is_acyclic,
     is_quasi_iso,
     sum_inclusions,
-    unit_of_tables,
     validate,
 )
 
@@ -103,22 +102,22 @@ def is_e_local(x: SortedComplex, fam: LocalizationFamily) -> bool:
     return e_localize(x, fam) == x
 
 
+def _require_valid(x: SortedComplex, fam: LocalizationFamily):
+    bad = validate(x, fam.primes)
+    if bad:
+        raise InputError(f"input complex invalid: {bad[0].message}")
+
+
 def build_fracture_cube(x: SortedComplex, fam: LocalizationFamily) -> PosetDiagram:
     """The inductive cube of localizations of x over the subsets of 1..n.
 
     Base case is the unit x -> L_1 x; each further stage maps the cube
     already built to its localization at the next smaller index, along
     the units. The vertex at S comes out as the ordered composite
-    localization of x at S, which is asserted.
+    localization of x at S.
     """
-    bad = validate(x, fam.primes)
-    if bad:
-        raise InputError(f"input complex invalid: {bad[0].message}")
-    cube = _build(x, fam, list(fam.labels()))
-    for s in cube.shape.elements:
-        if cube.vertex(s) != fam.localize_subset(x, s):
-            raise InputError(f"vertex identity fails at {s!r}")
-    return cube
+    _require_valid(x, fam)
+    return _build(x, fam, list(fam.labels()))
 
 
 def _build(x: SortedComplex, fam: LocalizationFamily, labels: list) -> PosetDiagram:
@@ -127,8 +126,8 @@ def _build(x: SortedComplex, fam: LocalizationFamily, labels: list) -> PosetDiag
     if len(labels) == 1:
         shape = subset_poset((first,), punctured=False)
         unit = canonical_unit(x, table)
-        return PosetDiagram(shape, {(): x, (first,): unit.target},
-                            {((), (first,)): unit}, check=False)
+        return PosetDiagram._trusted(shape, {(): x, (first,): unit.target},
+                                     {((), (first,)): unit})
     sub = _build(x, fam, labels[1:])
     loc = localize_diagram(sub, table)
     shape = subset_poset(labels, punctured=False)
@@ -144,7 +143,7 @@ def _build(x: SortedComplex, fam: LocalizationFamily, labels: list) -> PosetDiag
         b2 = canonical_subset(b + (first,))
         edges[(a, b)] = sub.edges[(a, b)]
         edges[(a2, b2)] = loc.edges[(a, b)]
-    return PosetDiagram(shape, verts, edges, check=True)
+    return PosetDiagram._trusted(shape, verts, edges)
 
 
 @dataclass
@@ -164,22 +163,16 @@ class ComparisonData:
 
 
 def comparison_map(x: SortedComplex, fam: LocalizationFamily):
-    """Assemble eta from the localization units through the limit cone."""
-    cube = build_fracture_cube(x, fam)
-    punct = punctured_restriction(cube)
-    hl = homotopy_limit(punct)
-    lx = e_localize(x, fam)
-    legs = {}
-    for s in punct.shape.elements:
-        leg = unit_of_tables(lx, fam.tables_for(s))
-        if leg.target != punct.vertex(s):
-            raise InputError(f"cone leg at {s!r} misses the cube vertex")
-        legs[s] = leg
-    eta = hl.cone_map(lx, legs)
-    data = ComparisonData(lx, hl.complex, eta,
-                          {i: legs[(i,)] for i in fam.labels()})
-    if not data.leg_compatibility(hl):
-        raise InputError("eta does not restrict to the localization units")
+    """eta: the corner map of the fracture cube of the joint localization.
+
+    Its legs are the cube's edges out of the corner, the composite
+    localization units.
+    """
+    _require_valid(x, fam)
+    cube = build_fracture_cube(e_localize(x, fam), fam)
+    eta, hl = corner_comparison_map(cube)
+    data = ComparisonData(cube.vertex(()), hl.complex, eta,
+                          {i: cube.hom((), (i,)) for i in fam.labels()})
     return data, hl
 
 
@@ -299,4 +292,4 @@ def completion_pair_square(x: SortedComplex, p: int, q: int) -> PosetDiagram:
     zero = SortedComplex.zero()
     verts = {(): total, (1,): xq, (2,): xp, (1, 2): zero}
     edges = {((), (1,)): proj_q, ((), (2,)): proj_p}
-    return PosetDiagram(shape, verts, edges, check=True)
+    return PosetDiagram._trusted(shape, verts, edges)

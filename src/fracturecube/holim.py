@@ -51,33 +51,49 @@ class PosetDiagram:
 
     __slots__ = ("shape", "vertices", "edges", "_hom_cache")
 
-    def __init__(self, shape: FinitePoset, vertices: dict, edges: dict,
+    def __init__(self, shape: FinitePoset, vertices: dict, edges: dict, *,
                  check: bool = True):
-        self.shape = shape
-        self.vertices = dict(vertices)
+        # the keyword only keeps callers of the old signature working: a
+        # diagram built here is always checked; the package's own
+        # builders go through _trusted
+        if check is not True:
+            raise TypeError("PosetDiagram always checks its input")
         for x in shape.elements:
-            if x not in self.vertices:
+            if x not in vertices:
                 raise InputError(f"missing vertex complex at {x!r}")
         covers = shape.covering_pairs()
         cover_set = set(covers)
         for (x, y) in edges:
             if (x, y) not in cover_set:
                 raise InputError(f"edge {x!r} -> {y!r} is not a covering pair")
+        for (x, y) in covers:
+            src, tgt = vertices[x], vertices[y]
+            e = edges.get((x, y))
+            if e is None:
+                if not (src.is_zero_complex() or tgt.is_zero_complex()):
+                    raise InputError(f"missing edge map {x!r} -> {y!r}")
+            elif e.source != src or e.target != tgt:
+                raise InputError(f"edge {x!r} -> {y!r} has wrong endpoints")
+        self._assign(shape, vertices, edges, covers)
+        self._check_functorial()
+
+    @classmethod
+    def _trusted(cls, shape: FinitePoset, vertices: dict, edges: dict) -> "PosetDiagram":
+        # fast path for diagrams that are functorial by construction
+        d = object.__new__(cls)
+        d._assign(shape, vertices, edges, shape.covering_pairs())
+        return d
+
+    def _assign(self, shape, vertices, edges, covers):
+        # edges in covering order; a missing edge at a zero vertex is zero
+        self.shape = shape
+        self.vertices = dict(vertices)
         self.edges = {}
         for (x, y) in covers:
             e = edges.get((x, y))
-            if e is None:
-                src, tgt = self.vertices[x], self.vertices[y]
-                if src.is_zero_complex() or tgt.is_zero_complex():
-                    e = ComplexMap.zero(src, tgt)
-                else:
-                    raise InputError(f"missing edge map {x!r} -> {y!r}")
-            if e.source != self.vertices[x] or e.target != self.vertices[y]:
-                raise InputError(f"edge {x!r} -> {y!r} has wrong endpoints")
-            self.edges[(x, y)] = e
+            self.edges[(x, y)] = e if e is not None else \
+                ComplexMap.zero(self.vertices[x], self.vertices[y])
         self._hom_cache = {}
-        if check:
-            self._check_functorial()
 
     def vertex(self, x) -> SortedComplex:
         return self.vertices[x]
@@ -127,7 +143,7 @@ class PosetDiagram:
         sub = self.shape.subposet(keep)
         verts = {x: self.vertices[x] for x in sub.elements}
         edges = {(x, y): self.hom(x, y) for (x, y) in sub.covering_pairs()}
-        return PosetDiagram(sub, verts, edges, check=False)
+        return PosetDiagram._trusted(sub, verts, edges)
 
     def sorts(self):
         out = set()
@@ -140,7 +156,7 @@ def localize_diagram(d: PosetDiagram, table: LocalizationTable) -> PosetDiagram:
     verts = {x: apply_localization(c, table) for x, c in d.vertices.items()}
     edges = {k: apply_localization_chain_map(e, table)
              for k, e in d.edges.items()}
-    return PosetDiagram(d.shape, verts, edges, check=False)
+    return PosetDiagram._trusted(d.shape, verts, edges)
 
 
 @dataclass
@@ -258,7 +274,7 @@ def _totalize(diagram: PosetDiagram, cells, top) -> HolimResult:
         if ti.module(n).is_empty() or ti.module(n - 1).is_empty():
             continue
         diffs[n] = _tot_differential(ti, n)
-    tot = SortedComplex(mods, diffs)
+    tot = SortedComplex._trusted(mods, diffs)
     projections = {}
     for x, idx in ti.base.items():
         vx = diagram.vertex(x)
@@ -268,7 +284,7 @@ def _totalize(diagram: PosetDiagram, cells, top) -> HolimResult:
             blocks = {(off + i, i): ExactMatrix.identity(r)
                       for i, (_, r) in enumerate(vx.module(n).summands)}
             maps[n] = SortedMap(tot.module(n), vx.module(n), blocks)
-        projections[x] = ComplexMap(tot, vx, maps)
+        projections[x] = ComplexMap._trusted(tot, vx, maps)
     # cube cells start at the singletons: a larger vertex S gets the leg
     # of its least label pushed along the diagram
     legs = {x: projections[x] if x in projections
@@ -414,7 +430,7 @@ def strict_limit(diagram: PosetDiagram) -> StrictLimitResult:
         big_d = ExactMatrix(bases[n - 1].rows, bases[n].rows, entries)
         sol = solve_in_span(bases[n - 1], big_d * bases[n])
         diffs[n] = SortedMap.from_dense(mods[n], mods[n - 1], sol)
-    lim = SortedComplex(mods, diffs)
+    lim = SortedComplex._trusted(mods, diffs)
     legs = {}
     for x in elems:
         vx = diagram.vertex(x)
@@ -423,10 +439,8 @@ def strict_limit(diagram: PosetDiagram) -> StrictLimitResult:
             xo, r = slices[(n, x)]
             proj = bases[n].submatrix(range(xo, xo + r), range(bases[n].cols))
             maps[n] = SortedMap.from_dense(lim.module(n), vx.module(n), proj)
-        legs[x] = ComplexMap(lim, vx, maps)
-    cone_data = ConeData(lim, legs, strict=True)
-    result = StrictLimitResult(lim, cone_data, bases)
-    return result
+        legs[x] = ComplexMap._trusted(lim, vx, maps)
+    return StrictLimitResult(lim, ConeData(lim, legs, strict=True), bases)
 
 
 # --- cubes -----------------------------------------------------------------------
@@ -450,17 +464,16 @@ def initial_corner_cube(x: SortedComplex, labels) -> PosetDiagram:
     shape = subset_poset(t, punctured=False)
     zero = SortedComplex.zero()
     verts = {s: (x if s == () else zero) for s in shape.elements}
-    return PosetDiagram(shape, verts, {}, check=False)
+    return PosetDiagram._trusted(shape, verts, {})
 
 
 def punctured_restriction(diagram: PosetDiagram) -> PosetDiagram:
-    labels = cube_labels(diagram, punctured=False)
+    cube_labels(diagram, punctured=False)
     return diagram.restrict([s for s in diagram.shape.elements if s != ()])
 
 
 def corner_comparison_map(diagram: PosetDiagram):
     """The canonical map from the initial vertex into the punctured limit."""
-    labels = cube_labels(diagram, punctured=False)
     punct = punctured_restriction(diagram)
     hl = homotopy_limit(punct)
     legs = {s: diagram.hom((), s) for s in punct.shape.elements}
@@ -513,8 +526,8 @@ def limit_extended_cube(punctured: PosetDiagram) -> PosetDiagram:
                 for i, (_, r) in enumerate(vm.summands):
                     blocks[(so + i, do + i)] = ExactMatrix.identity(r)
             maps[n] = SortedMap(verts[s].module(n), verts[s2].module(n), blocks)
-        edges[(s, s2)] = ComplexMap(verts[s], verts[s2], maps, check=False)
-    return PosetDiagram(full, verts, edges, check=True)
+        edges[(s, s2)] = ComplexMap._trusted(verts[s], verts[s2], maps)
+    return PosetDiagram._trusted(full, verts, edges)
 
 
 def vertex_projection(extended: PosetDiagram, punctured: PosetDiagram, s):
@@ -542,7 +555,7 @@ def tfib_direction_cube(diagram: PosetDiagram, t_prime) -> PosetDiagram:
         edges = {(a, b): diagram.hom(canonical_subset(a + s_prime),
                                      canonical_subset(b + s_prime))
                  for (a, b) in inner_shape.covering_pairs()}
-        return PosetDiagram(inner_shape, verts, edges, check=False)
+        return PosetDiagram._trusted(inner_shape, verts, edges)
 
     cubes = {sp: subcube(sp) for sp in outer_shape.elements}
     psis = {}
@@ -561,7 +574,7 @@ def tfib_direction_cube(diagram: PosetDiagram, t_prime) -> PosetDiagram:
         v = map_between_totalizations(
             tots[sp], tots[sp2], punct_comps)
         edges[(sp, sp2)] = hofib_map(psis[sp], psis[sp2], u, v)
-    return PosetDiagram(outer_shape, verts, edges, check=True)
+    return PosetDiagram._trusted(outer_shape, verts, edges)
 
 
 def total_fiber_iterated(diagram: PosetDiagram, t_prime) -> SortedComplex:
@@ -580,7 +593,7 @@ def _shift_diagram(diagram: PosetDiagram, t) -> PosetDiagram:
     edges = {(a, b): diagram.hom(canonical_subset(a + (t,)),
                                  canonical_subset(b + (t,)))
              for (a, b) in shape.covering_pairs()}
-    return PosetDiagram(shape, verts, edges, check=False)
+    return PosetDiagram._trusted(shape, verts, edges)
 
 
 def _restrict_away(diagram: PosetDiagram, t) -> PosetDiagram:
@@ -640,12 +653,12 @@ def strict_total_fiber(diagram: PosetDiagram):
             continue
         sol = solve_in_span(bases[n - 1], corner.diff(n).to_dense() * bases[n])
         diffs[n] = SortedMap.from_dense(mods[n], mods[n - 1], sol)
-    fib = SortedComplex(mods, diffs)
+    fib = SortedComplex._trusted(mods, diffs)
     inc_maps = {}
     for n in fib.modules:
         inc_maps[n] = SortedMap.from_dense(fib.module(n), corner.module(n),
                                            bases[n])
-    inclusion = ComplexMap(fib, corner, inc_maps)
+    inclusion = ComplexMap._trusted(fib, corner, inc_maps)
     return fib, inclusion
 
 

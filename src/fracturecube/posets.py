@@ -78,14 +78,12 @@ class FinitePoset:
 
     def covering_pairs(self):
         """Pairs (x, y) with x < y and nothing strictly between."""
+        # y covers x when it is above x but not above anything above x
+        strict_up = [u - {i} for i, u in enumerate(self._up)]
         out = []
-        for x in self.elements:
-            for y in self.elements:
-                if not self.lt(x, y):
-                    continue
-                if any(self.lt(x, z) and self.lt(z, y) for z in self.elements):
-                    continue
-                out.append((x, y))
+        for i, above in enumerate(strict_up):
+            covers = above.difference(*(strict_up[j] for j in above))
+            out.extend((self.elements[i], self.elements[j]) for j in sorted(covers))
         return out
 
     def maximum(self):

@@ -37,7 +37,7 @@ from .exact_linalg import (
     ExactMatrix,
     InputError,
     _is_probable_prime,
-    _rank_mod,
+    _rank_fp,
     integer_homology,
     kernel_basis,
     p_part,
@@ -355,20 +355,24 @@ class SortedComplex:
     __slots__ = ("modules", "diffs")
 
     def __init__(self, modules: dict, diffs: dict):
-        self.modules = {n: m for n, m in modules.items() if not m.is_empty()}
-        clean = {}
+        self._assign(modules, diffs)
         for n, d in diffs.items():
-            src = self.modules.get(n, EMPTY_MODULE)
-            tgt = self.modules.get(n - 1, EMPTY_MODULE)
-            if d.source != src or d.target != tgt:
+            if d.source != self.module(n) or d.target != self.module(n - 1):
                 raise InputError(f"differential at degree {n} has wrong shape")
-            if not d.is_zero():
-                clean[n] = d
-        self.diffs = clean
-        for n in list(clean):
-            if n + 1 in clean:
-                if not clean[n].compose(clean[n + 1]).is_zero():
-                    raise InputError(f"d^2 != 0 at degree {n + 1}")
+        for n, d in self.diffs.items():
+            if n + 1 in self.diffs and not d.compose(self.diffs[n + 1]).is_zero():
+                raise InputError(f"d^2 != 0 at degree {n + 1}")
+
+    @classmethod
+    def _trusted(cls, modules: dict, diffs: dict) -> "SortedComplex":
+        # fast path for complexes that are valid by construction
+        c = object.__new__(cls)
+        c._assign(modules, diffs)
+        return c
+
+    def _assign(self, modules, diffs):
+        self.modules = {n: m for n, m in modules.items() if not m.is_empty()}
+        self.diffs = {n: d for n, d in diffs.items() if not d.is_zero()}
 
     @classmethod
     def zero(cls) -> "SortedComplex":
@@ -459,23 +463,29 @@ class ComplexMap:
 
     __slots__ = ("source", "target", "maps")
 
-    def __init__(self, source: SortedComplex, target: SortedComplex,
-                 maps: dict, check: bool = True):
-        self.source = source
-        self.target = target
-        clean = {}
+    def __init__(self, source: SortedComplex, target: SortedComplex, maps: dict):
+        self._assign(source, target, maps)
         for n, f in maps.items():
             if f.source != source.module(n) or f.target != target.module(n):
                 raise InputError(f"component at degree {n} has wrong shape")
-            if not f.is_zero():
-                clean[n] = f
-        self.maps = clean
-        if check:
-            for n in set(self.maps) | set(source.diffs):
-                left = target.diff(n).compose(self.map_at(n))
-                right = self.map_at(n - 1).compose(source.diff(n))
-                if left != right:
-                    raise InputError(f"not a chain map at degree {n}")
+        for n in set(self.maps) | set(source.diffs):
+            left = target.diff(n).compose(self.map_at(n))
+            right = self.map_at(n - 1).compose(source.diff(n))
+            if left != right:
+                raise InputError(f"not a chain map at degree {n}")
+
+    @classmethod
+    def _trusted(cls, source: SortedComplex, target: SortedComplex,
+                 maps: dict) -> "ComplexMap":
+        # fast path for chain maps that are valid by construction
+        f = object.__new__(cls)
+        f._assign(source, target, maps)
+        return f
+
+    def _assign(self, source, target, maps):
+        self.source = source
+        self.target = target
+        self.maps = {n: f for n, f in maps.items() if not f.is_zero()}
 
     def map_at(self, n: int) -> SortedMap:
         f = self.maps.get(n)
@@ -485,12 +495,11 @@ class ComplexMap:
 
     @classmethod
     def identity(cls, c: SortedComplex) -> "ComplexMap":
-        return cls(c, c, {n: SortedMap.identity(m) for n, m in c.modules.items()},
-                   check=False)
+        return cls._trusted(c, c, {n: SortedMap.identity(m) for n, m in c.modules.items()})
 
     @classmethod
     def zero(cls, source, target) -> "ComplexMap":
-        return cls(source, target, {}, check=False)
+        return cls._trusted(source, target, {})
 
     def compose(self, other: "ComplexMap") -> "ComplexMap":
         """self after other."""
@@ -499,19 +508,18 @@ class ComplexMap:
         maps = {}
         for n in other.maps:
             maps[n] = self.map_at(n).compose(other.maps[n])
-        return ComplexMap(other.source, self.target, maps, check=False)
+        return ComplexMap._trusted(other.source, self.target, maps)
 
     def __add__(self, other):
         if self.source != other.source or self.target != other.target:
             raise InputError("complex map sum mismatch")
         degs = set(self.maps) | set(other.maps)
-        return ComplexMap(self.source, self.target,
-                          {n: self.map_at(n) + other.map_at(n) for n in degs},
-                          check=False)
+        return ComplexMap._trusted(self.source, self.target,
+                                   {n: self.map_at(n) + other.map_at(n) for n in degs})
 
     def __neg__(self):
-        return ComplexMap(self.source, self.target,
-                          {n: -f for n, f in self.maps.items()}, check=False)
+        return ComplexMap._trusted(self.source, self.target,
+                                   {n: -f for n, f in self.maps.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -536,12 +544,12 @@ def shift(c: SortedComplex, k: int) -> SortedComplex:
     mods = {n + k: m for n, m in c.modules.items()}
     diffs = {n + k: (d if sign == 1 else d.scale(-1))
              for n, d in c.diffs.items()}
-    return SortedComplex(mods, diffs)
+    return SortedComplex._trusted(mods, diffs)
 
 
 def shift_map(f: ComplexMap, k: int) -> ComplexMap:
-    return ComplexMap(shift(f.source, k), shift(f.target, k),
-                      {n + k: m for n, m in f.maps.items()}, check=False)
+    return ComplexMap._trusted(shift(f.source, k), shift(f.target, k),
+                               {n + k: m for n, m in f.maps.items()})
 
 
 def direct_sum(c: SortedComplex, d: SortedComplex) -> SortedComplex:
@@ -552,7 +560,7 @@ def direct_sum(c: SortedComplex, d: SortedComplex) -> SortedComplex:
         diffs[n] = stack_maps(
             [c.module(n), d.module(n)], [c.module(n - 1), d.module(n - 1)],
             {(0, 0): c.diff(n), (1, 1): d.diff(n)})
-    return SortedComplex(mods, diffs)
+    return SortedComplex._trusted(mods, diffs)
 
 
 def sum_inclusions(c: SortedComplex, d: SortedComplex):
@@ -572,7 +580,7 @@ def sum_inclusions(c: SortedComplex, d: SortedComplex):
                 maps[n] = stack_maps(parts, [pm], {(idx, 0): SortedMap.identity(pm)})
         src = piece if into else total
         tgt = total if into else piece
-        return ComplexMap(src, tgt, maps, check=False)
+        return ComplexMap._trusted(src, tgt, maps)
 
     return (total,
             part_map(c, d, True, True), part_map(d, c, False, True),
@@ -595,7 +603,7 @@ def cone(f: ComplexMap) -> SortedComplex:
             [c.module(n - 1), d.module(n)],
             [c.module(n - 2), d.module(n - 1)],
             grid)
-    return SortedComplex(mods, diffs)
+    return SortedComplex._trusted(mods, diffs)
 
 
 def cone_map(f: ComplexMap, g: ComplexMap,
@@ -610,7 +618,7 @@ def cone_map(f: ComplexMap, g: ComplexMap,
             [f.source.module(n - 1), f.target.module(n)],
             [g.source.module(n - 1), g.target.module(n)],
             {(0, 0): u.map_at(n - 1), (1, 1): v.map_at(n)})
-    return ComplexMap(cf, cg, maps, check=False)
+    return ComplexMap._trusted(cf, cg, maps)
 
 
 def hofib(f: ComplexMap) -> SortedComplex:
@@ -630,7 +638,7 @@ def hofib_projection(f: ComplexMap) -> ComplexMap:
         maps[n] = stack_maps(
             [src_part, f.target.module(n + 1)], [src_part],
             {(0, 0): SortedMap.identity(src_part)})
-    return ComplexMap(fib, f.source, maps, check=False)
+    return ComplexMap._trusted(fib, f.source, maps)
 
 
 # --- localization tables ----------------------------------------------------------
@@ -700,6 +708,13 @@ def composite_kills_all(second: LocalizationTable, first: LocalizationTable,
                for s in all_sorts(primes))
 
 
+def _localize_module(m: SortedModule, table: LocalizationTable):
+    """The summand indices a table keeps, and the localized module."""
+    kept = [i for i, (s, _) in enumerate(m.summands)
+            if table.apply_sort(s).kind != "Zero"]
+    return kept, SortedModule([(table.apply_sort(m.sort(i)), m.rank(i)) for i in kept])
+
+
 def apply_localization(c: SortedComplex, table: LocalizationTable) -> SortedComplex:
     """Tensor a complex along a sort table.
 
@@ -708,40 +723,14 @@ def apply_localization(c: SortedComplex, table: LocalizationTable) -> SortedComp
     from a killed summand into a survivor cannot exist (no canonical sort
     map would allow it), which is what makes the drop exact.
     """
-    keep: dict[int, list[int]] = {}
-    mods = {}
-    for n, m in c.modules.items():
-        kept = [i for i, (s, _) in enumerate(m.summands)
-                if table.apply_sort(s).kind != "Zero"]
-        keep[n] = kept
-        mods[n] = SortedModule([(table.apply_sort(m.sort(i)), m.rank(i))
-                                for i in kept])
-    diffs = {}
-    for n, d in c.diffs.items():
-        src_keep = keep.get(n, [])
-        tgt_keep = keep.get(n - 1, [])
-        src_pos = {old: new for new, old in enumerate(src_keep)}
-        tgt_pos = {old: new for new, old in enumerate(tgt_keep)}
-        blocks = {}
-        for (i, j), m in d.blocks.items():
-            if i in src_pos and j in tgt_pos:
-                blocks[(src_pos[i], tgt_pos[j])] = m
-            elif i not in src_pos and j in tgt_pos:
-                raise InputError("localization produced an inadmissible block")
-        diffs[n] = SortedMap(mods.get(n, EMPTY_MODULE),
-                             mods.get(n - 1, EMPTY_MODULE), blocks)
-    return SortedComplex(mods, diffs)
+    return SortedComplex._trusted(
+        {n: _localize_module(m, table)[1] for n, m in c.modules.items()},
+        {n: apply_localization_map(d, table) for n, d in c.diffs.items()})
 
 
 def apply_localization_map(f: SortedMap, table: LocalizationTable) -> SortedMap:
-    def localize_module(m):
-        kept = [i for i, (s, _) in enumerate(m.summands)
-                if table.apply_sort(s).kind != "Zero"]
-        mod = SortedModule([(table.apply_sort(m.sort(i)), m.rank(i)) for i in kept])
-        return kept, mod
-
-    skeep, smod = localize_module(f.source)
-    tkeep, tmod = localize_module(f.target)
+    skeep, smod = _localize_module(f.source, table)
+    tkeep, tmod = _localize_module(f.target, table)
     spos = {old: new for new, old in enumerate(skeep)}
     tpos = {old: new for new, old in enumerate(tkeep)}
     blocks = {}
@@ -752,11 +741,10 @@ def apply_localization_map(f: SortedMap, table: LocalizationTable) -> SortedMap:
 
 
 def apply_localization_chain_map(f: ComplexMap, table: LocalizationTable) -> ComplexMap:
-    return ComplexMap(apply_localization(f.source, table),
-                      apply_localization(f.target, table),
-                      {n: apply_localization_map(m, table)
-                       for n, m in f.maps.items()},
-                      check=False)
+    return ComplexMap._trusted(apply_localization(f.source, table),
+                               apply_localization(f.target, table),
+                               {n: apply_localization_map(m, table)
+                                for n, m in f.maps.items()})
 
 
 def canonical_unit(c: SortedComplex, table: LocalizationTable) -> ComplexMap:
@@ -764,17 +752,11 @@ def canonical_unit(c: SortedComplex, table: LocalizationTable) -> ComplexMap:
     loc = apply_localization(c, table)
     maps = {}
     for n, m in c.modules.items():
-        kept = [i for i, (s, _) in enumerate(m.summands)
-                if table.apply_sort(s).kind != "Zero"]
-        blocks = {}
-        for new, old in enumerate(kept):
-            src_sort = m.sort(old)
-            tgt_sort = table.apply_sort(src_sort)
-            if not sort_map_exists(src_sort, tgt_sort):
-                raise InputError(f"unit would need missing map {src_sort} -> {tgt_sort}")
-            blocks[(old, new)] = ExactMatrix.identity(m.rank(old))
-        maps[n] = SortedMap(m, loc.module(n), blocks)
-    return ComplexMap(c, loc, maps)
+        kept, _ = _localize_module(m, table)
+        maps[n] = SortedMap(m, loc.module(n),
+                            {(old, new): ExactMatrix.identity(m.rank(old))
+                             for new, old in enumerate(kept)})
+    return ComplexMap._trusted(c, loc, maps)
 
 
 def apply_tables(c: SortedComplex, tables) -> SortedComplex:
@@ -875,12 +857,8 @@ def _modp_check(c: SortedComplex, p: int) -> ResidueCheck:
     ranks = {}
     for n in c.diffs:
         sub = _sub_dense(c.diffs[n], keep.get(n, []), keep.get(n - 1, []))
-        rows = [[0] * sub.cols for _ in range(sub.rows)]
-        for (i, j), v in sub.items():
-            if v.denominator % p == 0:
-                raise InputError(f"denominator {v.denominator} not invertible mod {p}")
-            rows[i][j] = (v.numerator * pow(v.denominator, -1, p)) % p
-        ranks[n] = _rank_mod(rows, p)
+        # not rank_over_field, whose calls count the exact rational fallback
+        ranks[n] = _rank_fp(sub, p)
     defects = _field_exactness_defects(dims, ranks)
     return ResidueCheck("mod-p", p, not defects, tuple(defects))
 

@@ -108,7 +108,7 @@ def _upset_cube(shape, labels, corner, x: SortedComplex):
     for (a, b) in shape.covering_pairs():
         if set(corner) <= set(a):
             edges[(a, b)] = ComplexMap.identity(x)
-    return PosetDiagram(shape, verts, edges, check=False)
+    return PosetDiagram._trusted(shape, verts, edges)
 
 
 def _scalar_cube(shape, labels, x: SortedComplex, scalars: dict):
@@ -119,10 +119,10 @@ def _scalar_cube(shape, labels, x: SortedComplex, scalars: dict):
     for (a, b) in shape.covering_pairs():
         (new,) = set(b) - set(a)
         k = scalars[new]
-        edges[(a, b)] = ComplexMap(
+        edges[(a, b)] = ComplexMap._trusted(
             x, x, {n: SortedMap.identity(m).scale(k)
-                   for n, m in x.modules.items()}, check=False)
-    return PosetDiagram(shape, verts, edges, check=False)
+                   for n, m in x.modules.items()})
+    return PosetDiagram._trusted(shape, verts, edges)
 
 
 def _collapse_cube(rng, shape, labels, t, base, target):
@@ -142,7 +142,7 @@ def _collapse_cube(rng, shape, labels, t, base, target):
         b2 = tuple(sorted(b + (t,)))
         edges[(a, b)] = base.edges[(a, b)]
         edges[(a2, b2)] = ComplexMap.identity(target)
-    return PosetDiagram(shape, verts, edges, check=False)
+    return PosetDiagram._trusted(shape, verts, edges)
 
 
 def _direct_sum_map(f: ComplexMap, g: ComplexMap) -> ComplexMap:
@@ -154,14 +154,14 @@ def _direct_sum_map(f: ComplexMap, g: ComplexMap) -> ComplexMap:
             [f.source.module(n), g.source.module(n)],
             [f.target.module(n), g.target.module(n)],
             {(0, 0): f.map_at(n), (1, 1): g.map_at(n)})
-    return ComplexMap(src, tgt, maps, check=False)
+    return ComplexMap._trusted(src, tgt, maps)
 
 
 def cube_direct_sum(d1, d2):
     from fracturecube.holim import PosetDiagram
     verts = {s: direct_sum(d1.vertex(s), d2.vertex(s)) for s in d1.shape.elements}
     edges = {k: _direct_sum_map(d1.edges[k], d2.edges[k]) for k in d1.edges}
-    return PosetDiagram(d1.shape, verts, edges, check=False)
+    return PosetDiagram._trusted(d1.shape, verts, edges)
 
 
 def _conjugate_cube(d, rng):
@@ -200,8 +200,8 @@ def _conjugate_cube(d, rng):
                 * ix.get(n, ExactMatrix.zeros(0, 0))
             maps[n] = SortedMap.from_dense(verts[x].module(n),
                                            verts[y].module(n), dense)
-        edges[(x, y)] = ComplexMap(verts[x], verts[y], maps, check=False)
-    return PosetDiagram(d.shape, verts, edges, check=True)
+        edges[(x, y)] = ComplexMap._trusted(verts[x], verts[y], maps)
+    return PosetDiagram(d.shape, verts, edges)
 
 
 def random_cube(rng: random.Random, labels, sort: Sort = Z, deg_lo: int = 0,

@@ -383,3 +383,46 @@ def test_malformed_glue_report(tmp_path, damage, where):
     code, _, err = cli("cat", "glue", str(path))
     assert code == 2
     assert err.startswith(f"schema error: {where}:")
+
+
+def _sphere_stack_doc(tmp_path):
+    # Z -1-> Z -1-> Z: each differential is fine, their composite is not
+    block = {"source": 0, "target": 0,
+             "matrix": {"rows": 1, "cols": 1, "entries": [["1"]]}}
+    payload = {"modules": {str(n): [["Z", 1]] for n in range(3)},
+               "differentials": {"1": {"blocks": [block]}, "2": {"blocks": [block]}}}
+    path = tmp_path / "d2.json"
+    path.write_text(json.dumps({"version": "fracture/1", "kind": "complex",
+                                "payload": payload}), encoding="utf-8")
+    return str(path)
+
+
+def _half_chain_map_doc(tmp_path):
+    # an arrow on Z -2-> Z whose component in degree 1 is missing
+    c = SortedComplex.two_term(Z, ExactMatrix.from_rows([[2]]))
+    edge = ComplexMap._trusted(c, c, {0: ComplexMap.identity(c).maps[0]})
+    d = PosetDiagram._trusted(subset_poset((1,)), {(): c, (1,): c},
+                              {((), (1,)): edge})
+    return write_doc(tmp_path, "arrow.json", "diagram", d)
+
+
+def _scale_edge(src, tgt, k):
+    def damage(payload):
+        for e in payload["edges"]:
+            if (e["from"], e["to"]) == (src, tgt):
+                e["components"]["0"]["blocks"][0]["matrix"]["entries"] = [[str(k)]]
+    return damage
+
+
+@pytest.mark.parametrize("argv, make, where, message", [
+    (["homology"], _sphere_stack_doc, "$.payload", "d^2 != 0"),
+    (["holim"], _half_chain_map_doc, "$.payload.edges[0].components",
+     "not a chain map"),
+    (["tfib"], lambda tmp: _square_doc(tmp, _scale_edge("1", "1,2", 2)),
+     "$.payload", "path composites"),
+])
+def test_invalid_document_is_an_input_error(tmp_path, argv, make, where, message):
+    # objects decoded from a document pass the public constructors' checks
+    code, out, err = cli(*argv, make(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"schema error: {where}:") and message in err

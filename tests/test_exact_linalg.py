@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from fracturecube.exact_linalg import (
     AbelianInvariants,
+    _cleared_int_rows,
     ExactMatrix,
     InputError,
     integer_homology_at,
@@ -160,6 +162,25 @@ class TestRank:
             rank += 1
         assert rank_over_field(m, "Q") == rank
         assert rank_lower_bound(m) <= rank
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 5), st.integers(0, 5), st.data())
+    def test_cleared_rows_against_dense_oracle(self, rows, cols, data):
+        cells = data.draw(st.lists(
+            st.tuples(st.integers(-9, 9), st.sampled_from((1, 1, 2, 3, 4, 6))),
+            min_size=rows * cols, max_size=rows * cols))
+        grid = [[Fraction(*cells[i * cols + j]) for j in range(cols)]
+                for i in range(rows)]
+        # oracle: each dense row times the lcm of its denominators
+        want = []
+        for row in grid:
+            mult = 1
+            for v in row:
+                mult = mult * v.denominator // gcd(mult, v.denominator)
+            want.append([int(v * mult) for v in row])
+        assert _cleared_int_rows(ExactMatrix(rows, cols, {
+            (i, j): v for i, row in enumerate(grid) for j, v in enumerate(row)})) == want
 
 
 class TestKernelAndSolve:

@@ -43,6 +43,18 @@ class TestFinitePoset:
         p = subset_poset((1, 2), punctured=True)
         assert set(p.covering_pairs()) == {((1,), (1, 2)), ((2,), (1, 2))}
 
+    def test_covering_pairs_against_definition(self):
+        posets = [subset_poset(range(1, n + 1), punctured=punct)
+                  for n in range(6) for punct in (False, True) if n or not punct]
+        posets += [antichain(3), subset_poset((1, 2)).product(subset_poset((3,))),
+                   FinitePoset("abcd", [("a", "c"), ("b", "c"), ("a", "d")])]
+        for p in posets:
+            # oracle: x < y with no z strictly between, in element order
+            want = [(x, y) for x in p.elements for y in p.elements
+                    if p.lt(x, y) and not any(p.lt(x, z) and p.lt(z, y)
+                                              for z in p.elements)]
+            assert p.covering_pairs() == want
+
 
 class TestSubsetPoset:
     def test_empty_label_set(self):

@@ -1,0 +1,213 @@
+"""Objects the package builds without checks must pass the public checks.
+
+Builders whose output is valid by construction skip the constructor
+checks (d^2 = 0, the chain-map identity, functoriality). Each test here
+runs such builders on seeded inputs and sends every output back through
+the public constructor, which re-derives all of those invariants.
+"""
+
+import random
+
+import pytest
+
+from fracturecube.exact_linalg import ExactMatrix, InputError
+from fracturecube.fracture import (
+    LocalizationFamily,
+    build_fracture_cube,
+    comparison_map,
+    completion_pair_square,
+    e_localize,
+)
+from fracturecube.holim import (
+    PosetDiagram,
+    _shift_diagram,
+    homotopy_limit,
+    initial_corner_cube,
+    limit_extended_cube,
+    localize_diagram,
+    map_between_totalizations,
+    nerve_limit,
+    punctured_restriction,
+    strict_limit,
+    strict_total_fiber,
+    tfib_direction_cube,
+)
+from fracturecube.posets import subset_poset
+from fracturecube.sorted_complex import (
+    LOCALIZE,
+    RATIONALIZE,
+    ComplexMap,
+    SortedComplex,
+    SortedMap,
+    Z,
+    ZLOC,
+    apply_localization,
+    apply_localization_chain_map,
+    canonical_unit,
+    complete,
+    cone,
+    cone_map,
+    direct_sum,
+    hofib,
+    hofib_map,
+    hofib_projection,
+    shift,
+    shift_map,
+    sum_inclusions,
+    unit_of_tables,
+)
+
+from genutil import random_chain_map, random_complex, random_cube
+
+TABLES = (RATIONALIZE, LOCALIZE, complete(2), complete(3))
+
+
+def recheck_complex(c: SortedComplex):
+    assert SortedComplex(c.modules, c.diffs) == c
+
+
+def recheck_map(f: ComplexMap):
+    recheck_complex(f.source)
+    recheck_complex(f.target)
+    assert ComplexMap(f.source, f.target, f.maps) == f
+
+
+def recheck_diagram(d: PosetDiagram):
+    for c in d.vertices.values():
+        recheck_complex(c)
+    for e in d.edges.values():
+        recheck_map(e)
+    again = PosetDiagram(d.shape, d.vertices, d.edges)
+    assert again.edges == d.edges
+
+
+def seeded_maps(seed, count=6):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        a = random_complex(rng, deg_hi=3, max_rank=3)
+        b = random_complex(rng, deg_hi=3, max_rank=3)
+        out.append((rng, random_chain_map(rng, a, b)))
+    return out
+
+
+def seeded_cubes(seed, labels, count=3, sort=Z):
+    rng = random.Random(seed)
+    return [random_cube(rng, labels, sort=sort) for _ in range(count)]
+
+
+class TestSortedComplexBuilders:
+    def test_shift_cone_sum(self):
+        for rng, f in seeded_maps(1):
+            for k in (-1, 1, 2):
+                recheck_complex(shift(f.source, k))
+                recheck_map(shift_map(f, k))
+            recheck_complex(cone(f))
+            recheck_complex(hofib(f))
+            recheck_map(hofib_projection(f))
+            recheck_complex(direct_sum(f.source, f.target))
+            _, *parts = sum_inclusions(f.source, f.target)
+            for part in parts:
+                recheck_map(part)
+
+    def test_map_algebra(self):
+        for rng, f in seeded_maps(2):
+            g = random_chain_map(rng, f.source, f.target)
+            for h in (f + g, f - g, -f, ComplexMap.identity(f.source),
+                      ComplexMap.zero(f.source, f.target),
+                      ComplexMap.identity(f.target).compose(f)):
+                recheck_map(h)
+
+    def test_cone_map_of_a_square(self):
+        for rng, f in seeded_maps(3):
+            # the square (f, f) over identities commutes strictly
+            u, v = ComplexMap.identity(f.source), ComplexMap.identity(f.target)
+            recheck_map(cone_map(f, f, u, v))
+            recheck_map(hofib_map(f, f, u, v))
+
+    def test_localizations_and_units(self):
+        for rng, f in seeded_maps(4):
+            for table in TABLES:
+                recheck_complex(apply_localization(f.source, table))
+                recheck_map(apply_localization_chain_map(f, table))
+                recheck_map(canonical_unit(f.source, table))
+
+
+class TestHolimBuilders:
+    def test_totalizations(self):
+        for d in seeded_cubes(5, (1, 2)):
+            punct = punctured_restriction(d)
+            recheck_diagram(punct)
+            for hl in (homotopy_limit(punct), nerve_limit(d)):
+                recheck_complex(hl.complex)
+                for leg in hl.cone.legs.values():
+                    recheck_map(leg)
+            hl = homotopy_limit(punct)
+            recheck_map(map_between_totalizations(
+                hl, hl, {s: ComplexMap.identity(punct.vertex(s))
+                         for s in punct.shape.elements}))
+
+    def test_strict_limits(self):
+        for d in seeded_cubes(6, (1, 2)):
+            lim = strict_limit(d)
+            recheck_complex(lim.complex)
+            for leg in lim.cone.legs.values():
+                recheck_map(leg)
+            fib, inclusion = strict_total_fiber(d)
+            recheck_complex(fib)
+            recheck_map(inclusion)
+
+    def test_cube_builders(self):
+        for d in seeded_cubes(7, (1, 2, 3), count=2, sort=ZLOC):
+            for tp in ((), (1,), (2, 3), (1, 2, 3)):
+                recheck_diagram(tfib_direction_cube(d, tp))
+            punct = punctured_restriction(d)
+            recheck_diagram(limit_extended_cube(punct))
+            recheck_diagram(_shift_diagram(punct, 2))
+            for table in TABLES:
+                recheck_diagram(localize_diagram(d, table))
+        x = random_complex(random.Random(8), deg_hi=2)
+        recheck_diagram(initial_corner_cube(x, (1, 2)))
+
+
+class TestFractureBuilders:
+    @pytest.mark.parametrize("primes", [(), (2,), (2, 3), (2, 3, 5)])
+    def test_fracture_cube_and_comparison(self, primes):
+        fam = LocalizationFamily(primes)
+        rng = random.Random(9 + len(primes))
+        for _ in range(3):
+            x = random_complex(rng, deg_hi=3, max_rank=4)
+            cube = build_fracture_cube(x, fam)
+            recheck_diagram(cube)
+            # the vertex at S is the ordered composite localization at S
+            for s in cube.shape.elements:
+                assert cube.vertex(s) == fam.localize_subset(x, s)
+            data, hl = comparison_map(x, fam)
+            recheck_map(data.eta)
+            assert data.source == e_localize(x, fam)
+            assert data.leg_compatibility(hl)
+            for i, leg in data.legs.items():
+                assert leg == unit_of_tables(data.source, fam.tables_for((i,)))
+
+    def test_completion_pair_square(self):
+        x = random_complex(random.Random(13), deg_hi=2)
+        recheck_diagram(completion_pair_square(x, 2, 3))
+
+
+class TestPublicConstructorsReject:
+    # d^2 != 0, path composites and stray edges: test_sorted_complex and
+    # test_holim
+    def test_not_a_chain_map(self):
+        c = SortedComplex.two_term(Z, ExactMatrix.from_rows([[2]]))
+        half = {0: SortedMap.identity(c.module(0))}
+        with pytest.raises(InputError, match="not a chain map"):
+            ComplexMap(c, c, half)
+
+    def test_check_false_is_gone(self):
+        z = SortedComplex.single(Z)
+        shape = subset_poset((1,))
+        edges = {((), (1,)): ComplexMap.identity(z)}
+        with pytest.raises(TypeError):
+            PosetDiagram(shape, {(): z, (1,): z}, edges, check=False)
+        with pytest.raises(TypeError):
+            ComplexMap(z, z, {}, check=False)

@@ -217,76 +217,45 @@ def _int_rows(m: ExactMatrix):
     return out
 
 
-def _snf_transforms(a):
-    """Diagonalize an integer matrix in place by unimodular row/column ops.
+def _eye(n: int):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
-    Returns (u, uinv, d, v, vinv) as lists of int lists with
-    original = u * d * v and uinv * original * vinv = d.
+
+def _smith(a, rows: int, cols: int) -> None:
+    """Bring the leading rows x cols block of an integer row list to Smith form.
+
+    Works in place by unimodular operations. Row operations act on whole
+    rows and column operations on whole columns, while pivot search and
+    the divisibility fix read only the block. So columns appended to the
+    leading rows record the row operations and rows appended below record
+    the column operations: an identity appended on the right ends as uinv,
+    one appended below ends as vinv, and uinv * m * vinv = d.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    d = [row[:] for row in a]
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    uinv = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-    vinv = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
     def swap_rows(i, j):
-        if i == j:
-            return
-        d[i], d[j] = d[j], d[i]
-        uinv[i], uinv[j] = uinv[j], uinv[i]
-        for r in range(rows):
-            u[r][i], u[r][j] = u[r][j], u[r][i]
+        a[i], a[j] = a[j], a[i]
 
     def swap_cols(i, j):
-        if i == j:
-            return
-        for r in range(rows):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(cols):
-            vinv[r][i], vinv[r][j] = vinv[r][j], vinv[r][i]
-        v[i], v[j] = v[j], v[i]
+        if i != j:
+            for row in a:
+                row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, c):
         # row_dst += c * row_src
-        if c == 0:
-            return
-        drow = d[dst]
-        srow = d[src]
-        for k in range(cols):
-            drow[k] += c * srow[k]
-        irow = uinv[dst]
-        jrow = uinv[src]
-        for k in range(rows):
-            irow[k] += c * jrow[k]
-        for r in range(rows):
-            u[r][src] -= c * u[r][dst]
+        if c:
+            a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
 
     def add_col(src, dst, c):
         # col_dst += c * col_src
-        if c == 0:
-            return
-        for r in range(rows):
-            d[r][dst] += c * d[r][src]
-        for r in range(cols):
-            vinv[r][dst] += c * vinv[r][src]
-        vs = v[src]
-        vd = v[dst]
-        for k in range(cols):
-            vs[k] -= c * vd[k]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        uinv[i] = [-x for x in uinv[i]]
-        for r in range(rows):
-            u[r][i] = -u[r][i]
+        if c:
+            for row in a:
+                row[dst] += c * row[src]
 
     def find_pivot(t):
         best = None
         best_val = None
         for i in range(t, rows):
-            row = d[i]
+            row = a[i]
             for j in range(t, cols):
                 x = row[j]
                 if x != 0:
@@ -310,19 +279,17 @@ def _snf_transforms(a):
             # clear column t below the pivot
             again = False
             for i in range(t + 1, rows):
-                if d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
-                    add_row(t, i, -q)
-                    if d[i][t] != 0:
+                if a[i][t] != 0:
+                    add_row(t, i, -(a[i][t] // a[t][t]))
+                    if a[i][t] != 0:
                         swap_rows(i, t)
                         again = True
             if again:
                 continue
             for j in range(t + 1, cols):
-                if d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    add_col(t, j, -q)
-                    if d[t][j] != 0:
+                if a[t][j] != 0:
+                    add_col(t, j, -(a[t][j] // a[t][t]))
+                    if a[t][j] != 0:
                         swap_cols(j, t)
                         again = True
             if again:
@@ -330,9 +297,9 @@ def _snf_transforms(a):
             # pivot now alone in its row and column; enforce divisibility
             fix = None
             for i in range(t + 1, rows):
-                row = d[i]
+                row = a[i]
                 for j in range(t + 1, cols):
-                    if row[j] % d[t][t] != 0:
+                    if row[j] % a[t][t] != 0:
                         fix = i
                         break
                 if fix is not None:
@@ -340,10 +307,9 @@ def _snf_transforms(a):
             if fix is None:
                 break
             add_row(fix, t, 1)
-        if d[t][t] < 0:
-            negate_row(t)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
         t += 1
-    return u, uinv, d, v, vinv
 
 
 def smith_normal_form(m: ExactMatrix):
@@ -352,18 +318,39 @@ def smith_normal_form(m: ExactMatrix):
     u and v are unimodular, d is diagonal with nonnegative entries
     d1 | d2 | ... Raises InputError on non-integral input.
     """
-    a = _int_rows(m)
-    u, _, d, v, _ = _snf_transforms(a)
-    return (ExactMatrix.from_rows(u) if u else ExactMatrix(0, 0),
-            ExactMatrix.from_rows(d) if d else ExactMatrix(0, m.cols),
-            ExactMatrix.from_rows(v) if v else ExactMatrix(m.rows and 0, m.cols))
+    a = [row + e for row, e in zip(_int_rows(m), _eye(m.rows))] + _eye(m.cols)
+    _smith(a, m.rows, m.cols)
+    d = ExactMatrix(m.rows, m.cols,
+                    {(i, i): a[i][i] for i in range(min(m.rows, m.cols))})
+    return _inverse([row[m.cols:] for row in a[:m.rows]]), d, _inverse(a[m.rows:])
+
+
+def _inverse(rows) -> ExactMatrix:
+    """Inverse of an invertible square integer row list, by Gauss-Jordan over Q.
+
+    Not by solve_in_span: the Smith transforms of a dense integer matrix
+    can carry entries of a thousand digits, and a second Smith elimination
+    grows them further, orders of magnitude slower than this.
+    """
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for t in range(n):
+        p = next(i for i in range(t, n) if a[i][t])
+        a[t], a[p] = a[p], a[t]
+        pivot = a[t][t]
+        a[t] = [x / pivot for x in a[t]]
+        for i in range(n):
+            if i != t and a[i][t]:
+                c = a[i][t]
+                a[i] = [x - c * y for x, y in zip(a[i], a[t])]
+    return ExactMatrix(n, n, {(i, j): a[i][n + j] for i in range(n) for j in range(n)})
 
 
 def snf_diagonal(m: ExactMatrix) -> list[int]:
     a = _int_rows(m)
-    _, _, d, _, _ = _snf_transforms(a)
-    n = min(m.rows, m.cols)
-    return [d[i][i] for i in range(n)]
+    _smith(a, m.rows, m.cols)
+    return [a[i][i] for i in range(min(m.rows, m.cols))]
 
 
 def kernel_basis(m: ExactMatrix) -> ExactMatrix:
@@ -372,20 +359,14 @@ def kernel_basis(m: ExactMatrix) -> ExactMatrix:
     The basis spans a saturated sublattice, so it also gives the kernel
     over any localization of Z and over Q.
     """
-    a = _int_rows(m)
-    if m.cols == 0:
-        return ExactMatrix(0, 0)
-    if m.rows == 0:
-        return ExactMatrix.identity(m.cols)
-    _, _, d, _, vinv = _snf_transforms(a)
-    ker_cols = [j for j in range(m.cols)
-                if j >= min(m.rows, m.cols) or d[j][j] == 0]
-    entries = {}
-    for jj, j in enumerate(ker_cols):
-        for i in range(m.cols):
-            if vinv[i][j]:
-                entries[(i, jj)] = Fraction(vinv[i][j])
-    return ExactMatrix(m.cols, len(ker_cols), entries)
+    a = _int_rows(m) + _eye(m.cols)
+    _smith(a, m.rows, m.cols)
+    n = min(m.rows, m.cols)
+    ker_cols = [j for j in range(m.cols) if j >= n or a[j][j] == 0]
+    vinv = a[m.rows:]
+    return ExactMatrix(m.cols, len(ker_cols),
+                       {(i, jj): vinv[i][j] for jj, j in enumerate(ker_cols)
+                        for i in range(m.cols) if vinv[i][j]})
 
 
 def solve_in_span(k: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -396,31 +377,24 @@ def solve_in_span(k: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """
     if k.rows != b.rows:
         raise InputError("shape mismatch in solve_in_span")
-    a = _int_rows(k)
-    if k.cols == 0:
-        if not b.is_zero():
-            raise InputError("inconsistent system: zero span, nonzero target")
-        return ExactMatrix(0, b.cols)
-    if not a:
-        return ExactMatrix(k.cols, b.cols)
-    _, uinv, d, _, vinv = _snf_transforms(a)
-    uinv_m = ExactMatrix.from_rows(uinv)
-    rhs = uinv_m * b
+    # b rides along on the right, cleared of its denominators
+    scale = lcm(*b.denominators())
+    rhs = [[0] * b.cols for _ in range(b.rows)]
+    for (i, j), v in b.items():
+        rhs[i][j] = v.numerator * (scale // v.denominator)
+    a = [row + r for row, r in zip(_int_rows(k), rhs)] + _eye(k.cols)
+    _smith(a, k.rows, k.cols)
     n = min(k.rows, k.cols)
-    y_entries = {}
+    y = {}
     for i in range(k.rows):
-        di = d[i][i] if i < n else 0
-        for j in range(b.cols):
-            val = rhs.entry(i, j)
+        di = a[i][i] if i < n else 0
+        for j, val in enumerate(a[i][k.cols:]):
+            if val == 0:
+                continue
             if di == 0:
-                if val != 0:
-                    raise InputError("target outside column span")
-            elif val != 0:
-                y_entries[(i, j)] = val / di
-    y = ExactMatrix(k.cols, b.cols,
-                    {(i, j): v for (i, j), v in y_entries.items() if i < k.cols})
-    vinv_m = ExactMatrix.from_rows(vinv)
-    return vinv_m * y
+                raise InputError("target outside column span")
+            y[(i, j)] = Fraction(val, di * scale)
+    return ExactMatrix.from_rows(a[k.rows:]) * ExactMatrix(k.cols, b.cols, y)
 
 
 # --- rank computations --------------------------------------------------------

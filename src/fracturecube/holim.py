@@ -49,7 +49,7 @@ from .sorted_complex import (
 class PosetDiagram:
     """Functor from a finite poset to sorted complexes, strict on the nose."""
 
-    __slots__ = ("shape", "vertices", "edges", "_hom_cache")
+    __slots__ = ("shape", "vertices", "edges", "_successors", "_hom_cache")
 
     def __init__(self, shape: FinitePoset, vertices: dict, edges: dict, *,
                  check: bool = True):
@@ -89,17 +89,16 @@ class PosetDiagram:
         self.shape = shape
         self.vertices = dict(vertices)
         self.edges = {}
+        self._successors = {x: [] for x in shape.elements}
         for (x, y) in covers:
             e = edges.get((x, y))
             self.edges[(x, y)] = e if e is not None else \
                 ComplexMap.zero(self.vertices[x], self.vertices[y])
+            self._successors[x].append(y)
         self._hom_cache = {}
 
     def vertex(self, x) -> SortedComplex:
         return self.vertices[x]
-
-    def _successors(self, x):
-        return [y for (a, y) in self.edges if a == x]
 
     def hom(self, x, y) -> ComplexMap:
         """The composite map along any covering path from x to y."""
@@ -112,7 +111,7 @@ class PosetDiagram:
             out = ComplexMap.identity(self.vertices[x])
         else:
             out = None
-            for z in self._successors(x):
+            for z in self._successors[x]:
                 if not self.shape.leq(z, y):
                     continue
                 out = self.hom(z, y).compose(self.edges[(x, z)])
@@ -130,7 +129,7 @@ class PosetDiagram:
                 if not self.shape.lt(x, y):
                     continue
                 candidates = [self.hom(z, y).compose(self.edges[(x, z)])
-                              for z in self._successors(x)
+                              for z in self._successors[x]
                               if self.shape.leq(z, y)]
                 first = candidates[0]
                 for other in candidates[1:]:

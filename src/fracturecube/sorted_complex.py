@@ -808,10 +808,6 @@ def _require_p_local(c: SortedComplex, primes):
                     f"degree {n} summand {i} uses prime {s.prime} outside P")
 
 
-def _keep_indices(m: SortedModule, predicate):
-    return [i for i in range(len(m.summands)) if predicate(m.sort(i))]
-
-
 def _sub_dense(d: SortedMap, src_keep, tgt_keep) -> ExactMatrix:
     spos = {old: new for new, old in enumerate(src_keep)}
     tpos = {old: new for new, old in enumerate(tgt_keep)}
@@ -848,21 +844,6 @@ def _field_exactness_defects(dims: dict, ranks: dict):
     return out
 
 
-def _modp_check(c: SortedComplex, p: int) -> ResidueCheck:
-    def survives(s: Sort) -> bool:
-        return s.kind == "ZlocP" or (s.kind == "Zp" and s.prime == p)
-
-    keep = {n: _keep_indices(m, survives) for n, m in c.modules.items()}
-    dims = {n: sum(c.module(n).rank(i) for i in keep[n]) for n in c.modules}
-    ranks = {}
-    for n in c.diffs:
-        sub = _sub_dense(c.diffs[n], keep.get(n, []), keep.get(n - 1, []))
-        # not rank_over_field, whose calls count the exact rational fallback
-        ranks[n] = _rank_fp(sub, p)
-    defects = _field_exactness_defects(dims, ranks)
-    return ResidueCheck("mod-p", p, not defects, tuple(defects))
-
-
 def _rational_exactness(dims: dict, mats: dict):
     """Exact rational exactness: certified fast bound, exact fallback."""
     ranks = {n: rank_lower_bound(m) for n, m in mats.items()}
@@ -873,35 +854,14 @@ def _rational_exactness(dims: dict, mats: dict):
     return tuple(_field_exactness_defects(dims, ranks))
 
 
-def _rational_checks(c: SortedComplex, primes):
-    rationalized_kind = {}
-    for n, m in c.modules.items():
-        for i, (s, _) in enumerate(m.summands):
-            if s.kind in ("ZlocP", "Q"):
-                rationalized_kind[(n, i)] = Q
-            else:
-                rationalized_kind[(n, i)] = Qp(s.prime)
-    checks = []
-    for p in primes:
-        def survives(n, i):
-            return rationalized_kind[(n, i)] == Qp(p)
-
-        keep = {n: [i for i in range(len(m.summands)) if survives(n, i)]
-                for n, m in c.modules.items()}
-        dims = {n: sum(c.module(n).rank(i) for i in keep[n]) for n in c.modules}
-        mats = {n: _sub_dense(d, keep.get(n, []), keep.get(n - 1, []))
-                for n, d in c.diffs.items()}
-        defects = _rational_exactness(dims, mats)
-        checks.append(ResidueCheck("rational-completed", p, not defects, defects))
-    keep = {n: [i for i in range(len(m.summands))
-                if rationalized_kind[(n, i)] == Q]
+def _residue(c: SortedComplex, survives):
+    """Dimensions and differentials of the summands whose sort survives."""
+    keep = {n: [i for i in range(len(m.summands)) if survives(m.sort(i))]
             for n, m in c.modules.items()}
     dims = {n: sum(c.module(n).rank(i) for i in keep[n]) for n in c.modules}
     mats = {n: _sub_dense(d, keep.get(n, []), keep.get(n - 1, []))
             for n, d in c.diffs.items()}
-    defects = _rational_exactness(dims, mats)
-    checks.append(ResidueCheck("rational", None, not defects, defects))
-    return checks
+    return dims, mats
 
 
 def is_acyclic(c: SortedComplex, primes) -> AcyclicityReport:
@@ -910,8 +870,19 @@ def is_acyclic(c: SortedComplex, primes) -> AcyclicityReport:
     _require_p_local(c, primes)
     checks = []
     for p in primes:
-        checks.append(_modp_check(c, p))
-    checks.extend(_rational_checks(c, primes))
+        dims, mats = _residue(
+            c, lambda s: s.kind == "ZlocP" or (s.kind == "Zp" and s.prime == p))
+        # not rank_over_field, whose calls count the exact rational fallback
+        defects = _field_exactness_defects(
+            dims, {n: _rank_fp(m, p) for n, m in mats.items()})
+        checks.append(ResidueCheck("mod-p", p, not defects, tuple(defects)))
+    # over Q the ZlocP and Q summands survive, over Qp the Zp and Qp ones
+    for p in primes:
+        defects = _rational_exactness(*_residue(
+            c, lambda s: s.kind in ("Zp", "Qp") and s.prime == p))
+        checks.append(ResidueCheck("rational-completed", p, not defects, defects))
+    defects = _rational_exactness(*_residue(c, lambda s: s.kind in ("ZlocP", "Q")))
+    checks.append(ResidueCheck("rational", None, not defects, defects))
     return AcyclicityReport(all(ch.passed for ch in checks), tuple(checks))
 
 

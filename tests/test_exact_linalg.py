@@ -38,6 +38,16 @@ def det(m: ExactMatrix) -> Fraction:
     return total
 
 
+def int_matrices(rows, cols, bound):
+    return st.lists(st.integers(-bound, bound), min_size=rows * cols,
+                    max_size=rows * cols).map(lambda vals: ExactMatrix(
+                        rows, cols, {(i, j): vals[i * cols + j]
+                                     for i in range(rows) for j in range(cols)}))
+
+
+shapes = st.tuples(st.integers(0, 8), st.integers(0, 8))
+
+
 def diag_of(m: ExactMatrix):
     return [m.entry(i, i) for i in range(min(m.rows, m.cols))]
 
@@ -91,12 +101,11 @@ class TestSmithNormalForm:
             smith_normal_form(ExactMatrix.from_rows([[Fraction(1, 2)]]))
 
     @settings(max_examples=120, deadline=None)
-    @given(st.integers(1, 8), st.integers(1, 8), st.data())
+    @given(st.integers(0, 8), st.integers(0, 8), st.data())
     def test_random_decomposition(self, rows, cols, data):
-        vals = data.draw(st.lists(st.integers(-20, 20),
-                                  min_size=rows * cols, max_size=rows * cols))
-        m = ExactMatrix.from_rows([vals[i * cols:(i + 1) * cols] for i in range(rows)])
+        m = data.draw(int_matrices(rows, cols, 20))
         u, d, v = smith_normal_form(m)
+        assert (u.rows, u.cols, v.rows, v.cols) == (rows, rows, cols, cols)
         assert u * d * v == m
         assert abs(det(u)) == 1
         assert abs(det(v)) == 1
@@ -208,6 +217,41 @@ class TestKernelAndSolve:
         b = ExactMatrix.from_rows([[0], [1]])
         with pytest.raises(InputError):
             solve_in_span(k, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(shapes.flatmap(lambda s: int_matrices(*s, 6)))
+    def test_kernel_oracle(self, m):
+        k = kernel_basis(m)
+        assert k.rows == m.cols
+        assert k.cols == m.cols - rank_over_field(m, "Q")
+        assert (m * k).is_zero()
+        # saturated: the columns span a direct summand of Z^cols
+        assert all(x == 1 for x in snf_diagonal(k))
+
+    @settings(max_examples=150, deadline=None)
+    @given(shapes.flatmap(lambda s: st.tuples(
+        int_matrices(*s, 6),
+        st.integers(0, 3).flatmap(lambda n: int_matrices(s[1], n, 4)))))
+    def test_solve_oracle(self, mx):
+        k, x0 = mx
+        b = k * x0
+        x = solve_in_span(k, b)
+        assert (x.rows, x.cols) == (k.cols, b.cols)
+        assert k * x == b
+        assert x.is_integral()
+        half = solve_in_span(k, b.scale(Fraction(1, 2)))
+        assert k * half == b.scale(Fraction(1, 2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(shapes.flatmap(lambda s: int_matrices(*s, 6)))
+    def test_solve_rejects_target_outside_span(self, k):
+        # a nonzero w with k^T w = 0 is orthogonal to the column span, so
+        # outside it; a zero row appended below k makes sure one exists
+        if rank_over_field(k, "Q") == k.rows:
+            k = ExactMatrix.block([[k], [ExactMatrix.zeros(1, k.cols)]])
+        w = kernel_basis(k.transpose()).column(0)
+        with pytest.raises(InputError):
+            solve_in_span(k, w)
 
 
 class TestHomology:

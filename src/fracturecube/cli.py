@@ -340,12 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = build_parser()
+
+
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

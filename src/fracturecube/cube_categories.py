@@ -24,8 +24,8 @@ from .sorted_complex import (
     ComplexMap,
     LocalizationTable,
     SortedComplex,
-    SortedMap,
     _localize_module,
+    _map_from_pieces,
     apply_localization,
     apply_localization_chain_map,
     apply_tables,
@@ -66,11 +66,9 @@ def trace_unit(base: SortedComplex, fam: LocalizationFamily, small, large) -> Co
     maps = {}
     for n, m in tgt.modules.items():
         src_pos = {orig: i for i, orig in enumerate(tr_s.get(n, ()))}
-        blocks = {}
-        for j, orig in enumerate(tr_t[n]):
-            i = src_pos[orig]
-            blocks[(i, j)] = ExactMatrix.identity(src.module(n).rank(i))
-        maps[n] = SortedMap(src.module(n), tgt.module(n), blocks)
+        maps[n] = _map_from_pieces(src.module(n), m, [
+            (m.offset(j), src.module(n).offset(src_pos[orig]), ExactMatrix.identity(m.rank(j)))
+            for j, orig in enumerate(tr_t[n])])
     return ComplexMap(src, tgt, maps)
 
 

@@ -75,26 +75,24 @@ class ExactMatrix:
         return cls(rows, cols)
 
     @classmethod
-    def block(cls, layout) -> "ExactMatrix":
-        """Assemble from a grid of matrices; each grid row/column must agree in size."""
-        if not layout or not layout[0]:
-            return cls(0, 0)
-        row_heights = [r[0].rows for r in layout]
-        col_widths = [m.cols for m in layout[0]]
-        entries = {}
-        roff = 0
-        for bi, brow in enumerate(layout):
-            if len(brow) != len(col_widths):
-                raise InputError("ragged block layout")
-            coff = 0
-            for bj, m in enumerate(brow):
-                if m.rows != row_heights[bi] or m.cols != col_widths[bj]:
-                    raise InputError("block size mismatch")
-                for (i, j), v in m._d.items():
-                    entries[(roff + i, coff + j)] = v
-                coff += m.cols
-            roff += brow[0].rows
-        return cls(sum(row_heights), sum(col_widths), entries)
+    def _trusted(cls, rows: int, cols: int, d: dict) -> "ExactMatrix":
+        # fast path for entries that are nonzero Fractions inside the shape
+        m = object.__new__(cls)
+        m.rows, m.cols, m._d = rows, cols, d
+        return m
+
+    @classmethod
+    def assemble(cls, rows: int, cols: int, pieces) -> "ExactMatrix":
+        """Sum of (row offset, column offset, matrix) pieces placed in a rows x cols matrix."""
+        d = {}
+        for ro, co, m in pieces:
+            if ro < 0 or co < 0 or ro + m.rows > rows or co + m.cols > cols:
+                raise InputError(f"{m.rows}x{m.cols} piece at ({ro},{co}) "
+                                 f"outside {rows}x{cols}")
+            for (i, j), v in m._d.items():
+                key = (ro + i, co + j)
+                d[key] = d[key] + v if key in d else v
+        return cls._trusted(rows, cols, {k: v for k, v in d.items() if v})
 
     def entry(self, i: int, j: int) -> Fraction:
         return self._d.get((i, j), Fraction(0))
@@ -122,13 +120,15 @@ class ExactMatrix:
         return {v.denominator for v in self._d.values()}
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.cols, self.rows,
-                           {(j, i): v for (i, j), v in self._d.items()})
+        return ExactMatrix._trusted(self.cols, self.rows,
+                                    {(j, i): v for (i, j), v in self._d.items()})
 
     def scale(self, c) -> "ExactMatrix":
         c = _frac(c)
-        return ExactMatrix(self.rows, self.cols,
-                           {k: c * v for k, v in self._d.items()})
+        if not c:
+            return ExactMatrix._trusted(self.rows, self.cols, {})
+        return ExactMatrix._trusted(self.rows, self.cols,
+                                    {k: c * v for k, v in self._d.items()})
 
     def __neg__(self) -> "ExactMatrix":
         return self.scale(-1)
@@ -136,10 +136,7 @@ class ExactMatrix:
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise InputError("shape mismatch in add")
-        d = dict(self._d)
-        for k, v in other._d.items():
-            d[k] = d.get(k, Fraction(0)) + v
-        return ExactMatrix(self.rows, self.cols, d)
+        return ExactMatrix.assemble(self.rows, self.cols, ((0, 0, self), (0, 0, other)))
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self + (-other)
@@ -154,8 +151,9 @@ class ExactMatrix:
         for (i, j), a in self._d.items():
             for k, b in by_row.get(j, ()):
                 key = (i, k)
-                acc[key] = acc.get(key, Fraction(0)) + a * b
-        return ExactMatrix(self.rows, other.cols, acc)
+                acc[key] = acc.get(key, 0) + a * b
+        return ExactMatrix._trusted(self.rows, other.cols,
+                                    {k: v for k, v in acc.items() if v})
 
     def submatrix(self, row_idx, col_idx) -> "ExactMatrix":
         rmap = {r: i for i, r in enumerate(row_idx)}
@@ -164,7 +162,7 @@ class ExactMatrix:
         for (i, j), v in self._d.items():
             if i in rmap and j in cmap:
                 entries[(rmap[i], cmap[j])] = v
-        return ExactMatrix(len(row_idx), len(col_idx), entries)
+        return ExactMatrix._trusted(len(row_idx), len(col_idx), entries)
 
     def column(self, j: int) -> "ExactMatrix":
         return self.submatrix(range(self.rows), [j])

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .exact_linalg import InputError, _is_probable_prime
 from .holim import (
-    HolimResult,
     PosetDiagram,
     corner_comparison_map,
     is_cartesian,
@@ -154,12 +153,6 @@ class ComparisonData:
     limit: SortedComplex
     eta: ComplexMap
     legs: dict  # family index -> ComplexMap into the index's localization
-
-    def leg_compatibility(self, holim_result: HolimResult) -> bool:
-        for i, leg in self.legs.items():
-            if holim_result.cone.legs[(i,)].compose(self.eta) != leg:
-                return False
-        return True
 
 
 def comparison_map(x: SortedComplex, fam: LocalizationFamily):

@@ -34,6 +34,7 @@ from .sorted_complex import (
     SortedComplex,
     SortedMap,
     SortedModule,
+    _map_from_pieces,
     apply_localization,
     apply_localization_chain_map,
     chain_map_group,
@@ -201,14 +202,16 @@ class _TotIndex:
             for n in self.value(c).modules:
                 degs.add(n - k)
         self.degrees = sorted(degs)
-        # summand offset of each cell inside the degree-n module
+        # basis offset of each cell inside the degree-n module
         self.offsets = {}
         self.modules = {}
         for n in self.degrees:
-            summands = []
+            summands, off = [], 0
             for idx, (k, c) in enumerate(self.cells):
-                self.offsets[(n, idx)] = len(summands)
-                summands.extend(self.value(c).module(n + k).summands)
+                m = self.value(c).module(n + k)
+                self.offsets[(n, idx)] = off
+                off += m.total_rank
+                summands.extend(m.summands)
             self.modules[n] = SortedModule(summands)
 
     def value(self, cell) -> SortedComplex:
@@ -219,26 +222,26 @@ class _TotIndex:
 
 
 def _tot_differential(ti: _TotIndex, n: int) -> SortedMap:
-    blocks: dict = {}
-
-    def add_block(so, to, piece):
-        for (i, j), m in piece.blocks.items():
-            key = (so + i, to + j)
-            blocks[key] = blocks[key] + m if key in blocks else m
-
+    pieces = []
     for idx, (k, c) in enumerate(ti.cells):
         # inner differential with sign (-1)^k
-        d = ti.value(c).diff(n + k)
+        d = ti.value(c).diff(n + k).matrix
         to = ti.offsets[(n - 1, idx)]
-        add_block(ti.offsets[(n, idx)], to, d if k % 2 == 0 else d.scale(-1))
+        pieces.append((to, ti.offsets[(n, idx)], d if k % 2 == 0 else d.scale(-1)))
         # cofaces: above level zero, the face without position i enters
         # with sign (-1)^i along the map between the two tops
         for i in range(k + 1 if k else 0):
             face = c[:i] + c[i + 1:]
-            edge = ti.diagram.hom(ti.top(face), ti.top(c)).map_at(n - 1 + k)
-            add_block(ti.offsets[(n, ti.cell_pos[face])], to,
-                      edge if i % 2 == 0 else edge.scale(-1))
-    return SortedMap(ti.module(n), ti.module(n - 1), blocks)
+            edge = ti.diagram.hom(ti.top(face), ti.top(c)).map_at(n - 1 + k).matrix
+            pieces.append((to, ti.offsets[(n, ti.cell_pos[face])],
+                           edge if i % 2 == 0 else edge.scale(-1)))
+    return _map_from_pieces(ti.module(n), ti.module(n - 1), pieces)
+
+
+def _require_legs(apex: SortedComplex, legs: dict, diagram: PosetDiagram, keys):
+    for x in keys:
+        if legs[x].source != apex or legs[x].target != diagram.vertex(x):
+            raise InputError(f"leg at {x!r} has wrong endpoints")
 
 
 @dataclass
@@ -254,14 +257,13 @@ class HolimResult:
         lands in the level-zero cells and chain-map-ness is verified.
         """
         ti = self._index
+        _require_legs(apex, legs, ti.diagram, ti.base)
         maps = {}
-        for n in self.complex.modules:
-            blocks = {}
-            for x, idx in ti.base.items():
-                off = ti.offsets[(n, idx)]
-                for (i, j), m in legs[x].map_at(n).blocks.items():
-                    blocks[(i, off + j)] = m
-            maps[n] = SortedMap(apex.module(n), self.complex.module(n), blocks)
+        for n, m in self.complex.modules.items():
+            dense = ExactMatrix.assemble(m.total_rank, apex.module(n).total_rank, [
+                (ti.offsets[(n, idx)], 0, legs[x].map_at(n).matrix)
+                for x, idx in ti.base.items()])
+            maps[n] = SortedMap.from_dense(apex.module(n), m, dense)
         return ComplexMap(apex, self.complex, maps)
 
 
@@ -277,12 +279,9 @@ def _totalize(diagram: PosetDiagram, cells, top) -> HolimResult:
     projections = {}
     for x, idx in ti.base.items():
         vx = diagram.vertex(x)
-        maps = {}
-        for n in vx.modules:
-            off = ti.offsets[(n, idx)]
-            blocks = {(off + i, i): ExactMatrix.identity(r)
-                      for i, (_, r) in enumerate(vx.module(n).summands)}
-            maps[n] = SortedMap(tot.module(n), vx.module(n), blocks)
+        maps = {n: _map_from_pieces(tot.module(n), vx.module(n), [
+            (0, ti.offsets[(n, idx)], ExactMatrix.identity(vx.module(n).total_rank))])
+            for n in vx.modules}
         projections[x] = ComplexMap._trusted(tot, vx, maps)
     # cube cells start at the singletons: a larger vertex S gets the leg
     # of its least label pushed along the diagram
@@ -335,19 +334,20 @@ def map_between_totalizations(src: HolimResult, dst: HolimResult,
     sti, dti = src._index, dst._index
     if sti.cells != dti.cells:
         raise InputError("totalizations have different cells")
+    for x in {sti.top(c) for _, c in sti.cells}:
+        f = components[x]
+        if f.source != sti.diagram.vertex(x) or f.target != dti.diagram.vertex(x):
+            raise InputError(f"component at {x!r} has wrong endpoints")
     maps = {}
-    degs = set(src.complex.modules) | set(dst.complex.modules)
-    for n in degs:
-        blocks = {}
+    for n in set(src.complex.modules) | set(dst.complex.modules):
+        pieces = []
         for idx, (k, c) in enumerate(sti.cells):
             comp = components[sti.top(c)].map_at(n + k)
-            if comp.is_zero():
-                continue
-            so = sti.offsets[(n, idx)]
-            do = dti.offsets[(n, idx)]
-            for (i, j), m in comp.blocks.items():
-                blocks[(so + i, do + j)] = m
-        maps[n] = SortedMap(src.complex.module(n), dst.complex.module(n), blocks)
+            if not comp.is_zero():
+                pieces.append((dti.offsets[(n, idx)], sti.offsets[(n, idx)], comp.matrix))
+        s_mod, d_mod = src.complex.module(n), dst.complex.module(n)
+        maps[n] = SortedMap.from_dense(s_mod, d_mod, ExactMatrix.assemble(
+            d_mod.total_rank, s_mod.total_rank, pieces))
     return ComplexMap(src.complex, dst.complex, maps)
 
 
@@ -362,13 +362,15 @@ class StrictLimitResult:
     def factor_cone(self, apex: SortedComplex, legs: dict,
                     diagram: PosetDiagram) -> ComplexMap:
         """The unique strict factorization of a strict cone through the limit."""
+        _require_legs(apex, legs, diagram, diagram.shape.elements)
         maps = {}
         for n in apex.modules:
-            stacked = []
+            pieces, off = [], 0
             for x in diagram.shape.elements:
-                stacked.append(legs[x].map_at(n).to_dense())
-            amb = ExactMatrix.block([[m] for m in stacked]) if stacked else \
-                ExactMatrix.zeros(0, apex.module(n).total_rank)
+                m = legs[x].map_at(n).matrix
+                pieces.append((off, 0, m))
+                off += m.rows
+            amb = ExactMatrix.assemble(off, apex.module(n).total_rank, pieces)
             k = self._bases.get(n, ExactMatrix.zeros(amb.rows, 0))
             x = solve_in_span(k, amb)
             maps[n] = SortedMap.from_dense(apex.module(n),
@@ -386,7 +388,6 @@ def strict_limit(diagram: PosetDiagram) -> StrictLimitResult:
     sort = uniform_sort(*diagram.vertices.values())
     elems = diagram.shape.elements
     degs = sorted({n for c in diagram.vertices.values() for n in c.modules})
-    covers = list(diagram.edges)
     slices = {}
     bases = {}
     mods = {}
@@ -396,39 +397,26 @@ def strict_limit(diagram: PosetDiagram) -> StrictLimitResult:
             r = diagram.vertex(x).module(n).total_rank
             slices[(n, x)] = (off, r)
             off += r
-        total = off
-        rows = []
-        row_off = 0
-        entries = {}
-        for (x, y) in covers:
-            e = diagram.edges[(x, y)].map_at(n).to_dense()
-            tgt_rank = diagram.vertex(y).module(n).total_rank
-            xo, _ = slices[(n, x)]
-            yo, _ = slices[(n, y)]
-            for (i, j), v in e.items():
-                entries[(row_off + i, xo + j)] = v
-            for i in range(tgt_rank):
-                entries[(row_off + i, yo + i)] = \
-                    entries.get((row_off + i, yo + i), 0) - 1
-            row_off += tgt_rank
-        constraint = ExactMatrix(row_off, total, entries)
-        k = kernel_basis(constraint) if total else ExactMatrix.zeros(0, 0)
+        # one block row per edge x -> y: e(v_x) - v_y = 0
+        pieces, row_off = [], 0
+        for (x, y), e in diagram.edges.items():
+            yo, r = slices[(n, y)]
+            pieces += [(row_off, slices[(n, x)][0], e.map_at(n).matrix),
+                       (row_off, yo, ExactMatrix.identity(r).scale(-1))]
+            row_off += r
+        constraint = ExactMatrix.assemble(row_off, off, pieces)
+        k = kernel_basis(constraint) if off else ExactMatrix.zeros(0, 0)
         bases[n] = k
         mods[n] = SortedModule([(sort, k.cols)]) if k.cols and sort else EMPTY_MODULE
     diffs = {}
     for n in degs:
         if n - 1 not in bases or bases[n].cols == 0 or bases[n - 1].cols == 0:
             continue
-        entries = {}
-        for x in elems:
-            d = diagram.vertex(x).diff(n).to_dense()
-            so, _ = slices[(n, x)]
-            to, _ = slices[(n - 1, x)]
-            for (i, j), v in d.items():
-                entries[(to + i, so + j)] = v
-        big_d = ExactMatrix(bases[n - 1].rows, bases[n].rows, entries)
+        big_d = ExactMatrix.assemble(bases[n - 1].rows, bases[n].rows, [
+            (slices[(n - 1, x)][0], slices[(n, x)][0], diagram.vertex(x).diff(n).matrix)
+            for x in elems])
         sol = solve_in_span(bases[n - 1], big_d * bases[n])
-        diffs[n] = SortedMap.from_dense(mods[n], mods[n - 1], sol)
+        diffs[n] = SortedMap._trusted(mods[n], mods[n - 1], sol)
     lim = SortedComplex._trusted(mods, diffs)
     legs = {}
     for x in elems:
@@ -437,7 +425,7 @@ def strict_limit(diagram: PosetDiagram) -> StrictLimitResult:
         for n in lim.modules:
             xo, r = slices[(n, x)]
             proj = bases[n].submatrix(range(xo, xo + r), range(bases[n].cols))
-            maps[n] = SortedMap.from_dense(lim.module(n), vx.module(n), proj)
+            maps[n] = SortedMap._trusted(lim.module(n), vx.module(n), proj)
         legs[x] = ComplexMap._trusted(lim, vx, maps)
     return StrictLimitResult(lim, ConeData(lim, legs, strict=True), bases)
 
@@ -513,18 +501,12 @@ def limit_extended_cube(punctured: PosetDiagram) -> PosetDiagram:
         dti = results[s2]._index
         maps = {}
         for n in set(verts[s].modules) | set(verts[s2].modules):
-            blocks = {}
             # identity on every chain surviving the restriction
-            for idx, (k, c) in enumerate(dti.cells):
-                src_idx = sti.cell_pos[c]
-                so = sti.offsets.get((n, src_idx))
-                do = dti.offsets.get((n, idx))
-                if so is None or do is None:
-                    continue
-                vm = dti.value(c).module(n + k)
-                for i, (_, r) in enumerate(vm.summands):
-                    blocks[(so + i, do + i)] = ExactMatrix.identity(r)
-            maps[n] = SortedMap(verts[s].module(n), verts[s2].module(n), blocks)
+            pieces = [(dti.offsets[(n, idx)], sti.offsets[(n, sti.cell_pos[c])],
+                       ExactMatrix.identity(dti.value(c).module(n + k).total_rank))
+                      for idx, (k, c) in enumerate(dti.cells)
+                      if (n, idx) in dti.offsets and (n, sti.cell_pos[c]) in sti.offsets]
+            maps[n] = _map_from_pieces(verts[s].module(n), verts[s2].module(n), pieces)
         edges[(s, s2)] = ComplexMap._trusted(verts[s], verts[s2], maps)
     return PosetDiagram._trusted(full, verts, edges)
 
@@ -628,37 +610,21 @@ def punctured_limit_recursive(diagram: PosetDiagram, t) -> SortedComplex:
 # --- the adjunction between corner inclusion and strict total fiber ------------------
 
 def strict_total_fiber(diagram: PosetDiagram):
-    """Kernel complex of the map to the strict punctured limit, with inclusion."""
+    """Kernel complex of the map to the strict punctured limit, with inclusion.
+
+    It is the strict limit of X(()) -> X((i,)) <- 0 over every label i,
+    and the inclusion is the limit's leg at ().
+    """
     labels = cube_labels(diagram, punctured=False)
-    corner = diagram.vertex(())
-    sort = uniform_sort(*diagram.vertices.values())
     singles = [(x,) for x in labels]
-    degs = sorted(corner.modules)
-    bases = {}
-    mods = {}
-    for n in degs:
-        stacked = [diagram.hom((), s).map_at(n).to_dense() for s in singles]
-        stacked = [m for m in stacked if m.rows]
-        amb = (ExactMatrix.block([[m] for m in stacked]) if stacked
-               else ExactMatrix.zeros(0, corner.module(n).total_rank))
-        k = kernel_basis(amb)
-        bases[n] = k
-        mods[n] = SortedModule([(sort, k.cols)]) if k.cols else EMPTY_MODULE
-    diffs = {}
-    for n in degs:
-        if bases.get(n) is None or bases.get(n - 1) is None:
-            continue
-        if bases[n].cols == 0 or bases[n - 1].cols == 0:
-            continue
-        sol = solve_in_span(bases[n - 1], corner.diff(n).to_dense() * bases[n])
-        diffs[n] = SortedMap.from_dense(mods[n], mods[n - 1], sol)
-    fib = SortedComplex._trusted(mods, diffs)
-    inc_maps = {}
-    for n in fib.modules:
-        inc_maps[n] = SortedMap.from_dense(fib.module(n), corner.module(n),
-                                           bases[n])
-    inclusion = ComplexMap._trusted(fib, corner, inc_maps)
-    return fib, inclusion
+    zeros = [("0", x) for x in labels]
+    shape = FinitePoset([()] + singles + zeros,
+                        [((), s) for s in singles] + list(zip(zeros, singles)))
+    verts = {z: SortedComplex.zero() for z in zeros}
+    verts.update({s: diagram.vertex(s) for s in [()] + singles})
+    lim = strict_limit(PosetDiagram._trusted(
+        shape, verts, {((), s): diagram.hom((), s) for s in singles}))
+    return lim.complex, lim.cone.legs[()]
 
 
 def adjunction_check(x: SortedComplex, diagram: PosetDiagram, primes) -> bool:
@@ -678,7 +644,7 @@ def adjunction_check(x: SortedComplex, diagram: PosetDiagram, primes) -> bool:
     amb_index_b = {pos: i for i, pos in enumerate(side_b.positions)}
     entries = {}
     for ai, (n, r, c) in enumerate(side_a.positions):
-        inc = inclusion.map_at(n).to_dense()
+        inc = inclusion.map_at(n).matrix
         for (rr, r2), v in inc.items():
             if r2 != r:
                 continue

@@ -159,11 +159,8 @@ def _module_from_json(d, path) -> SortedModule:
 
 
 def _sorted_map_to_json(m: SortedMap) -> dict:
-    blocks = []
-    for (i, j) in sorted(m.blocks):
-        blocks.append({"source": i, "target": j,
-                       "matrix": matrix_to_json(m.blocks[(i, j)])})
-    return {"blocks": blocks}
+    return {"blocks": [{"source": i, "target": j, "matrix": matrix_to_json(b)}
+                       for (i, j), b in m.blocks().items()]}
 
 
 def _sorted_map_from_json(d, source, target, path) -> SortedMap:
@@ -174,6 +171,8 @@ def _sorted_map_from_json(d, source, target, path) -> SortedMap:
         _only_keys(b, ("source", "target", "matrix"), (), bpath)
         i = _expect(b["source"], int, f"{bpath}.source")
         j = _expect(b["target"], int, f"{bpath}.target")
+        if (i, j) in blocks:
+            raise SchemaError(bpath, f"repeated block ({i},{j})")
         blocks[(i, j)] = matrix_from_json(b["matrix"], f"{bpath}.matrix")
     try:
         return SortedMap(source, target, blocks)

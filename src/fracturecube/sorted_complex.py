@@ -28,6 +28,7 @@ so verdicts are exact either way.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -163,6 +164,15 @@ class SortedModule:
     def offset(self, i: int) -> int:
         return self._offsets[i]
 
+    def summand_at(self, k: int) -> int:
+        """Index of the summand holding basis vector k."""
+        return bisect_right(self._offsets, k) - 1
+
+    def basis(self, keep) -> list:
+        """Basis indices of the summands listed in keep, in that order."""
+        return [k for i in keep for k in range(self._offsets[i],
+                                                self._offsets[i] + self.rank(i))]
+
     def sort(self, i: int) -> Sort:
         return self.summands[i][0]
 
@@ -198,96 +208,84 @@ EMPTY_MODULE = SortedModule()
 
 
 class SortedMap:
-    """Block matrix along canonical sort maps.
+    """Map of sorted modules: one sparse matrix over the total ranks.
 
-    Blocks are keyed (source summand index, target summand index); a
-    missing block is zero. A nonzero block is only legal when the
-    canonical map between the two sorts exists.
+    `matrix` has shape target.total_rank x source.total_rank. The
+    summands cut it into blocks keyed (source summand index, target
+    summand index); a nonzero block is only legal when the canonical map
+    between the two sorts exists.
     """
 
-    __slots__ = ("source", "target", "blocks")
+    __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source: SortedModule, target: SortedModule, blocks=None):
-        self.source = source
-        self.target = target
-        b = {}
-        for (i, j), m in (blocks or {}).items():
+        blocks = blocks or {}
+        for (i, j), m in blocks.items():
             if not (0 <= i < len(source.summands) and 0 <= j < len(target.summands)):
                 raise InputError(f"block key ({i},{j}) out of range")
             if m.rows != target.rank(j) or m.cols != source.rank(i):
                 raise InputError(f"block ({i},{j}) has shape {m.rows}x{m.cols}, "
                                  f"want {target.rank(j)}x{source.rank(i)}")
-            if m.is_zero():
-                continue
-            if not sort_map_exists(source.sort(i), target.sort(j)):
-                raise InputError(
-                    f"no canonical sort map {source.sort(i)} -> {target.sort(j)}")
-            b[(i, j)] = m
-        self.blocks = b
+            if not m.is_zero():
+                _require_sort_map(source.sort(i), target.sort(j))
+        self._assign(source, target, ExactMatrix.assemble(
+            target.total_rank, source.total_rank,
+            [(target.offset(j), source.offset(i), m) for (i, j), m in blocks.items()]))
+
+    @classmethod
+    def _trusted(cls, source: SortedModule, target: SortedModule,
+                 matrix: ExactMatrix) -> "SortedMap":
+        # fast path for maps that are legal by construction
+        f = object.__new__(cls)
+        f._assign(source, target, matrix)
+        return f
+
+    def _assign(self, source, target, matrix):
+        self.source = source
+        self.target = target
+        self.matrix = matrix
 
     @classmethod
     def zero(cls, source, target) -> "SortedMap":
-        return cls(source, target)
+        return cls._trusted(source, target,
+                            ExactMatrix.zeros(target.total_rank, source.total_rank))
 
     @classmethod
     def identity(cls, module: SortedModule) -> "SortedMap":
-        return cls(module, module,
-                   {(i, i): ExactMatrix.identity(r)
-                    for i, (_, r) in enumerate(module.summands)})
+        return cls._trusted(module, module, ExactMatrix.identity(module.total_rank))
 
     @classmethod
     def from_dense(cls, source, target, dense: ExactMatrix) -> "SortedMap":
         if dense.rows != target.total_rank or dense.cols != source.total_rank:
             raise InputError("dense matrix shape mismatch")
-        blocks = {}
-        for i, (_, rs) in enumerate(source.summands):
-            for j, (_, rt) in enumerate(target.summands):
-                sub = dense.submatrix(
-                    range(target.offset(j), target.offset(j) + rt),
-                    range(source.offset(i), source.offset(i) + rs))
-                if not sub.is_zero():
-                    blocks[(i, j)] = sub
-        return cls(source, target, blocks)
+        f = cls._trusted(source, target, dense)
+        for i, j in f.blocks():
+            _require_sort_map(source.sort(i), target.sort(j))
+        return f
 
-    def to_dense(self) -> ExactMatrix:
-        entries = {}
-        for (i, j), m in self.blocks.items():
-            ro = self.target.offset(j)
-            co = self.source.offset(i)
-            for (r, c), v in m.items():
-                entries[(ro + r, co + c)] = v
-        return ExactMatrix(self.target.total_rank, self.source.total_rank, entries)
-
-    def block(self, i: int, j: int) -> ExactMatrix:
-        m = self.blocks.get((i, j))
-        if m is None:
-            return ExactMatrix.zeros(self.target.rank(j), self.source.rank(i))
-        return m
+    def blocks(self) -> dict:
+        """The nonzero blocks keyed (source, target), in that order."""
+        src, tgt = self.source, self.target
+        parts: dict = {}
+        for (r, c), v in self.matrix.items():
+            i, j = src.summand_at(c), tgt.summand_at(r)
+            parts.setdefault((i, j), {})[(r - tgt.offset(j), c - src.offset(i))] = v
+        return {(i, j): ExactMatrix._trusted(tgt.rank(j), src.rank(i), parts[(i, j)])
+                for (i, j) in sorted(parts)}
 
     def is_zero(self) -> bool:
-        return not self.blocks
+        return self.matrix.is_zero()
 
     def compose(self, other: "SortedMap") -> "SortedMap":
         """self after other."""
         if other.target != self.source:
             raise InputError("composition shape mismatch")
-        acc: dict = {}
-        for (i, j), m1 in other.blocks.items():
-            for (j2, k), m2 in self.blocks.items():
-                if j2 != j:
-                    continue
-                key = (i, k)
-                prod = m2 * m1
-                acc[key] = acc[key] + prod if key in acc else prod
-        return SortedMap(other.source, self.target, acc)
+        return SortedMap._trusted(other.source, self.target, self.matrix * other.matrix)
 
     def __add__(self, other: "SortedMap") -> "SortedMap":
         if self.source != other.source or self.target != other.target:
             raise InputError("sum shape mismatch")
-        acc = dict(self.blocks)
-        for k, m in other.blocks.items():
-            acc[k] = acc[k] + m if k in acc else m
-        return SortedMap(self.source, self.target, acc)
+        return SortedMap._trusted(self.source, self.target, self.matrix + other.matrix)
 
     def __neg__(self) -> "SortedMap":
         return self.scale(-1)
@@ -296,12 +294,11 @@ class SortedMap:
         return self + (-other)
 
     def scale(self, c) -> "SortedMap":
-        return SortedMap(self.source, self.target,
-                         {k: m.scale(c) for k, m in self.blocks.items()})
+        return SortedMap._trusted(self.source, self.target, self.matrix.scale(c))
 
     def admissibility_violations(self, primes=None):
         out = []
-        for (i, j), m in self.blocks.items():
+        for (i, j), m in self.blocks().items():
             tgt = self.target.sort(j)
             for den in m.denominators():
                 msg = _denominator_violation(den, tgt, primes)
@@ -314,37 +311,23 @@ class SortedMap:
         if not isinstance(other, SortedMap):
             return NotImplemented
         return (self.source == other.source and self.target == other.target
-                and self.blocks == other.blocks)
+                and self.matrix == other.matrix)
 
     __hash__ = None
 
     def __repr__(self):
-        return f"SortedMap({self.source!r} -> {self.target!r}, {len(self.blocks)} blocks)"
+        return f"SortedMap({self.source!r} -> {self.target!r}, nnz={self.matrix.nnz})"
 
 
-def stack_maps(sources, targets, grid) -> SortedMap:
-    """Assemble a block map from a grid keyed (source part, target part)."""
-    src = SortedModule.concat(*sources)
-    tgt = SortedModule.concat(*targets)
-    soff = []
-    acc = 0
-    for s in sources:
-        soff.append(acc)
-        acc += len(s.summands)
-    toff = []
-    acc = 0
-    for t in targets:
-        toff.append(acc)
-        acc += len(t.summands)
-    blocks = {}
-    for (bi, bj), m in grid.items():
-        if m is None or m.is_zero():
-            continue
-        if m.source != sources[bi] or m.target != targets[bj]:
-            raise InputError("grid block has wrong source or target")
-        for (i, j), mat in m.blocks.items():
-            blocks[(soff[bi] + i, toff[bj] + j)] = mat
-    return SortedMap(src, tgt, blocks)
+def _require_sort_map(src: Sort, tgt: Sort):
+    if not sort_map_exists(src, tgt):
+        raise InputError(f"no canonical sort map {src} -> {tgt}")
+
+
+def _map_from_pieces(source: SortedModule, target: SortedModule, pieces) -> SortedMap:
+    """Trusted map whose matrix sums (row offset, column offset, matrix) pieces."""
+    return SortedMap._trusted(source, target, ExactMatrix.assemble(
+        target.total_rank, source.total_rank, pieces))
 
 
 # --- complexes -----------------------------------------------------------------
@@ -555,12 +538,15 @@ def shift_map(f: ComplexMap, k: int) -> ComplexMap:
 def direct_sum(c: SortedComplex, d: SortedComplex) -> SortedComplex:
     degs = set(c.modules) | set(d.modules)
     mods = {n: SortedModule.concat(c.module(n), d.module(n)) for n in degs}
-    diffs = {}
-    for n in set(c.diffs) | set(d.diffs):
-        diffs[n] = stack_maps(
-            [c.module(n), d.module(n)], [c.module(n - 1), d.module(n - 1)],
-            {(0, 0): c.diff(n), (1, 1): d.diff(n)})
+    diffs = {n: _block_diagonal(c.diff(n), d.diff(n)) for n in set(c.diffs) | set(d.diffs)}
     return SortedComplex._trusted(mods, diffs)
+
+
+def _block_diagonal(f: SortedMap, g: SortedMap) -> SortedMap:
+    """f + g from source(f) + source(g) to target(f) + target(g)."""
+    return _map_from_pieces(
+        SortedModule.concat(f.source, g.source), SortedModule.concat(f.target, g.target),
+        [(0, 0, f.matrix), (f.target.total_rank, f.source.total_rank, g.matrix)])
 
 
 def sum_inclusions(c: SortedComplex, d: SortedComplex):
@@ -571,13 +557,12 @@ def sum_inclusions(c: SortedComplex, d: SortedComplex):
         maps = {}
         for n in piece.modules:
             pm = piece.module(n)
-            om = other.module(n)
-            parts = [pm, om] if first else [om, pm]
-            idx = 0 if first else 1
+            off = 0 if first else other.module(n).total_rank
+            one = ExactMatrix.identity(pm.total_rank)
             if into:
-                maps[n] = stack_maps([pm], parts, {(0, idx): SortedMap.identity(pm)})
+                maps[n] = _map_from_pieces(pm, total.module(n), [(off, 0, one)])
             else:
-                maps[n] = stack_maps(parts, [pm], {(idx, 0): SortedMap.identity(pm)})
+                maps[n] = _map_from_pieces(total.module(n), pm, [(0, off, one)])
         src = piece if into else total
         tgt = total if into else piece
         return ComplexMap._trusted(src, tgt, maps)
@@ -594,15 +579,11 @@ def cone(f: ComplexMap) -> SortedComplex:
     mods = {n: SortedModule.concat(c.module(n - 1), d.module(n)) for n in degs}
     diffs = {}
     for n in degs:
-        grid = {
-            (0, 0): c.diff(n - 1).scale(-1),
-            (0, 1): f.map_at(n - 1),
-            (1, 1): d.diff(n),
-        }
-        diffs[n] = stack_maps(
-            [c.module(n - 1), d.module(n)],
-            [c.module(n - 2), d.module(n - 1)],
-            grid)
+        below, here = c.module(n - 2).total_rank, c.module(n - 1).total_rank
+        diffs[n] = _map_from_pieces(mods[n], mods.get(n - 1, EMPTY_MODULE), [
+            (0, 0, c.diff(n - 1).matrix.scale(-1)),
+            (below, 0, f.map_at(n - 1).matrix),
+            (below, here, d.diff(n).matrix)])
     return SortedComplex._trusted(mods, diffs)
 
 
@@ -612,12 +593,7 @@ def cone_map(f: ComplexMap, g: ComplexMap,
     if v.compose(f) != g.compose(u):
         raise InputError("square does not commute")
     cf, cg = cone(f), cone(g)
-    maps = {}
-    for n in cf.modules:
-        maps[n] = stack_maps(
-            [f.source.module(n - 1), f.target.module(n)],
-            [g.source.module(n - 1), g.target.module(n)],
-            {(0, 0): u.map_at(n - 1), (1, 1): v.map_at(n)})
+    maps = {n: _block_diagonal(u.map_at(n - 1), v.map_at(n)) for n in cf.modules}
     return ComplexMap._trusted(cf, cg, maps)
 
 
@@ -632,12 +608,8 @@ def hofib_map(f, g, u, v) -> ComplexMap:
 def hofib_projection(f: ComplexMap) -> ComplexMap:
     """Canonical chain map hofib(f) -> source(f)."""
     fib = hofib(f)
-    maps = {}
-    for n in fib.modules:
-        src_part = f.source.module(n)
-        maps[n] = stack_maps(
-            [src_part, f.target.module(n + 1)], [src_part],
-            {(0, 0): SortedMap.identity(src_part)})
+    maps = {n: _map_from_pieces(fib.module(n), f.source.module(n), [
+        (0, 0, ExactMatrix.identity(f.source.module(n).total_rank))]) for n in fib.modules}
     return ComplexMap._trusted(fib, f.source, maps)
 
 
@@ -731,13 +703,8 @@ def apply_localization(c: SortedComplex, table: LocalizationTable) -> SortedComp
 def apply_localization_map(f: SortedMap, table: LocalizationTable) -> SortedMap:
     skeep, smod = _localize_module(f.source, table)
     tkeep, tmod = _localize_module(f.target, table)
-    spos = {old: new for new, old in enumerate(skeep)}
-    tpos = {old: new for new, old in enumerate(tkeep)}
-    blocks = {}
-    for (i, j), m in f.blocks.items():
-        if i in spos and j in tpos:
-            blocks[(spos[i], tpos[j])] = m
-    return SortedMap(smod, tmod, blocks)
+    return SortedMap._trusted(smod, tmod, f.matrix.submatrix(
+        f.target.basis(tkeep), f.source.basis(skeep)))
 
 
 def apply_localization_chain_map(f: ComplexMap, table: LocalizationTable) -> ComplexMap:
@@ -752,10 +719,9 @@ def canonical_unit(c: SortedComplex, table: LocalizationTable) -> ComplexMap:
     loc = apply_localization(c, table)
     maps = {}
     for n, m in c.modules.items():
-        kept, _ = _localize_module(m, table)
-        maps[n] = SortedMap(m, loc.module(n),
-                            {(old, new): ExactMatrix.identity(m.rank(old))
-                             for new, old in enumerate(kept)})
+        kept = m.basis(_localize_module(m, table)[0])
+        maps[n] = SortedMap._trusted(m, loc.module(n), ExactMatrix._trusted(
+            len(kept), m.total_rank, {(r, k): Fraction(1) for r, k in enumerate(kept)}))
     return ComplexMap._trusted(c, loc, maps)
 
 
@@ -763,16 +729,6 @@ def apply_tables(c: SortedComplex, tables) -> SortedComplex:
     for t in tables:
         c = apply_localization(c, t)
     return c
-
-
-def unit_of_tables(c: SortedComplex, tables) -> ComplexMap:
-    total = ComplexMap.identity(c)
-    cur = c
-    for t in tables:
-        u = canonical_unit(cur, t)
-        total = u.compose(total)
-        cur = u.target
-    return total
 
 
 # --- acyclicity ------------------------------------------------------------------
@@ -808,31 +764,6 @@ def _require_p_local(c: SortedComplex, primes):
                     f"degree {n} summand {i} uses prime {s.prime} outside P")
 
 
-def _sub_dense(d: SortedMap, src_keep, tgt_keep) -> ExactMatrix:
-    spos = {old: new for new, old in enumerate(src_keep)}
-    tpos = {old: new for new, old in enumerate(tgt_keep)}
-    soff = []
-    acc = 0
-    for i in src_keep:
-        soff.append(acc)
-        acc += d.source.rank(i)
-    scols = acc
-    toff = []
-    acc = 0
-    for j in tgt_keep:
-        toff.append(acc)
-        acc += d.target.rank(j)
-    trows = acc
-    entries = {}
-    for (i, j), m in d.blocks.items():
-        if i in spos and j in tpos:
-            ro = toff[tpos[j]]
-            co = soff[spos[i]]
-            for (r, c), v in m.items():
-                entries[(ro + r, co + c)] = v
-    return ExactMatrix(trows, scols, entries)
-
-
 def _field_exactness_defects(dims: dict, ranks: dict):
     out = []
     for n in sorted(dims):
@@ -859,7 +790,8 @@ def _residue(c: SortedComplex, survives):
     keep = {n: [i for i in range(len(m.summands)) if survives(m.sort(i))]
             for n, m in c.modules.items()}
     dims = {n: sum(c.module(n).rank(i) for i in keep[n]) for n in c.modules}
-    mats = {n: _sub_dense(d, keep.get(n, []), keep.get(n - 1, []))
+    mats = {n: d.matrix.submatrix(d.target.basis(keep.get(n - 1, [])),
+                                  d.source.basis(keep[n]))
             for n, d in c.diffs.items()}
     return dims, mats
 
@@ -910,7 +842,7 @@ def homology_p_local(c: SortedComplex, primes=None) -> dict[int, AbelianInvarian
                 raise InputError(f"homology over ZlocP needs Z-like sorts, got {s}")
     dense = {}
     for n in c.diffs:
-        d = c.diffs[n].to_dense()
+        d = c.diffs[n].matrix
         mult = 1
         for _, v in d.items():
             den = v.denominator
@@ -973,10 +905,10 @@ class ChainMapGroup:
                 per_degree.setdefault(n, {})[(r, c)] = v
         maps = {}
         for n, entries in per_degree.items():
-            dense = ExactMatrix(self.target.module(n).total_rank,
-                                self.source.module(n).total_rank, entries)
-            maps[n] = SortedMap.from_dense(self.source.module(n),
-                                           self.target.module(n), dense)
+            maps[n] = SortedMap._trusted(
+                self.source.module(n), self.target.module(n), ExactMatrix._trusted(
+                    self.target.module(n).total_rank, self.source.module(n).total_rank,
+                    entries))
         return ComplexMap(self.source, self.target, maps)
 
 
@@ -1021,13 +953,13 @@ def chain_map_group(a: SortedComplex, b: SortedComplex,
 
     degs = sorted(set(a.modules) | set(b.modules))
     for n in degs:
-        left = b.diff(n).to_dense()
-        right = a.diff(n).to_dense()
+        left = b.diff(n).matrix
+        right = a.diff(n).matrix
         add_rows(n, left, right,
                  b.module(n - 1).total_rank, a.module(n).total_rank)
     for g in postcompose_zero:
         for n in sorted(set(a.modules) & set(b.modules)):
-            gd = g.map_at(n).to_dense()
+            gd = g.map_at(n).matrix
             for r in range(g.target.module(n).total_rank):
                 for c in range(a.module(n).total_rank):
                     row = {}

@@ -10,10 +10,10 @@ from fracturecube.sorted_complex import (
     SortedMap,
     ComplexMap,
     Z,
+    canonical_unit,
     chain_map_group,
     direct_sum,
     hofib,
-    stack_maps,
 )
 
 
@@ -36,7 +36,7 @@ def _permuted(c: SortedComplex, rng: random.Random) -> SortedComplex:
         mods[n] = SortedModule([(sort, m.total_rank)])
     diffs = {}
     for n, d in c.diffs.items():
-        dense = perms[n - 1] * d.to_dense() * perms[n].transpose()
+        dense = perms[n - 1] * d.matrix * perms[n].transpose()
         diffs[n] = SortedMap.from_dense(mods[n], mods[n - 1], dense)
     return SortedComplex(mods, diffs)
 
@@ -150,10 +150,11 @@ def _direct_sum_map(f: ComplexMap, g: ComplexMap) -> ComplexMap:
     tgt = direct_sum(f.target, g.target)
     maps = {}
     for n in set(src.modules) | set(tgt.modules):
-        maps[n] = stack_maps(
-            [f.source.module(n), g.source.module(n)],
-            [f.target.module(n), g.target.module(n)],
-            {(0, 0): f.map_at(n), (1, 1): g.map_at(n)})
+        fn, gn = f.map_at(n), g.map_at(n)
+        dense = ExactMatrix.assemble(
+            tgt.module(n).total_rank, src.module(n).total_rank,
+            [(0, 0, fn.matrix), (fn.target.total_rank, fn.source.total_rank, gn.matrix)])
+        maps[n] = SortedMap.from_dense(src.module(n), tgt.module(n), dense)
     return ComplexMap._trusted(src, tgt, maps)
 
 
@@ -184,7 +185,7 @@ def _conjugate_cube(d, rng):
                 for n, m in c.modules.items()}
         diffs = {}
         for n, dmap in c.diffs.items():
-            dense = perms[n - 1] * dmap.to_dense() * inv[n]
+            dense = perms[n - 1] * dmap.matrix * inv[n]
             diffs[n] = SortedMap.from_dense(mods[n], mods[n - 1], dense)
         return SortedComplex(mods, diffs), perms, inv
 
@@ -196,7 +197,7 @@ def _conjugate_cube(d, rng):
         cy, py, iy = scrambled[y]
         maps = {}
         for n in set(e.maps):
-            dense = py.get(n, ExactMatrix.zeros(0, 0)) * e.map_at(n).to_dense() \
+            dense = py.get(n, ExactMatrix.zeros(0, 0)) * e.map_at(n).matrix \
                 * ix.get(n, ExactMatrix.zeros(0, 0))
             maps[n] = SortedMap.from_dense(verts[x].module(n),
                                            verts[y].module(n), dense)
@@ -246,3 +247,58 @@ def nerve_total_fiber(d):
     punct = punctured_restriction(d)
     legs = {s: d.hom((), s) for s in punct.shape.elements}
     return hofib(nerve_limit(punct).cone_map(d.vertex(()), legs))
+
+
+# --- reference composites ----------------------------------------------------------
+
+def unit_of_tables(c: SortedComplex, tables) -> ComplexMap:
+    """The composite of the localization units along a list of tables."""
+    total = ComplexMap.identity(c)
+    cur = c
+    for t in tables:
+        u = canonical_unit(cur, t)
+        total = u.compose(total)
+        cur = u.target
+    return total
+
+
+def leg_compatibility(data, holim_result) -> bool:
+    """Whether each comparison leg factors as the limit leg after eta."""
+    for i, leg in data.legs.items():
+        if holim_result.cone.legs[(i,)].compose(data.eta) != leg:
+            return False
+    return True
+
+
+# --- block-wise oracles for the flat sorted map ---------------------------------------
+
+def blockwise_compose(g_blocks: dict, f_blocks: dict) -> dict:
+    """Blocks of g after f, one block pair at a time."""
+    acc = {}
+    for (i, j), m1 in f_blocks.items():
+        for (j2, k), m2 in g_blocks.items():
+            if j2 == j:
+                acc[(i, k)] = acc[(i, k)] + m2 * m1 if (i, k) in acc else m2 * m1
+    return acc
+
+
+def blockwise_sum(f_blocks: dict, g_blocks: dict) -> dict:
+    acc = dict(f_blocks)
+    for key, m in g_blocks.items():
+        acc[key] = acc[key] + m if key in acc else m
+    return acc
+
+
+def blockwise_scale(f_blocks: dict, c) -> dict:
+    return {key: m.scale(c) for key, m in f_blocks.items()}
+
+
+def dense_assemble(rows: int, cols: int, pieces) -> ExactMatrix:
+    """Sum of placed pieces, accumulated entry by entry in a list of lists."""
+    out = [[0] * cols for _ in range(rows)]
+    for ro, co, m in pieces:
+        for i, row in enumerate(m.to_rows()):
+            for j, v in enumerate(row):
+                out[ro + i][co + j] += v
+    return ExactMatrix(rows, cols, {(i, j): v for i, row in enumerate(out)
+                                    for j, v in enumerate(row)})

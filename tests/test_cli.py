@@ -426,3 +426,24 @@ def test_invalid_document_is_an_input_error(tmp_path, argv, make, where, message
     code, out, err = cli(*argv, make(tmp_path))
     assert code == 2 and out == ""
     assert err.startswith(f"schema error: {where}:") and message in err
+
+
+def _two_blocks_doc(tmp_path, first, second):
+    # d_1: Z -> Z listed twice on the block pair (0,0)
+    blocks = [{"source": 0, "target": 0,
+               "matrix": {"rows": 1, "cols": 1, "entries": [[k]]}} for k in (first, second)]
+    payload = {"modules": {"0": [["Z", 1]], "1": [["Z", 1]]},
+               "differentials": {"1": {"blocks": blocks}}}
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({"version": "fracture/1", "kind": "complex",
+                                "payload": payload}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("first, second", [("2", "0"), ("0", "2"), ("2", "2")])
+def test_repeated_block_is_a_schema_error(tmp_path, first, second):
+    # keeping either copy would make the homology depend on block order
+    code, out, err = cli("homology", _two_blocks_doc(tmp_path, first, second))
+    assert code == 2 and out == ""
+    assert err.startswith("schema error: $.payload.differentials.1.blocks[1]:")
+    assert "repeated block (0,0)" in err

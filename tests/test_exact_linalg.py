@@ -57,10 +57,14 @@ class TestExactMatrix:
         a = ExactMatrix.from_rows([[1, 2], [3, 4]])
         b = ExactMatrix.from_rows([[0, 1], [1, 0]])
         assert a * b == ExactMatrix.from_rows([[2, 1], [4, 3]])
-        blk = ExactMatrix.block([[a, ExactMatrix.zeros(2, 1)],
-                                 [ExactMatrix.zeros(1, 2), ExactMatrix.identity(1)]])
+        blk = ExactMatrix.assemble(3, 3, [(0, 0, a), (2, 2, ExactMatrix.identity(1))])
         assert blk.rows == 3 and blk.cols == 3
         assert blk.entry(2, 2) == 1
+        # overlapping pieces add up, and entries that cancel are dropped
+        both = ExactMatrix.assemble(2, 3, [(0, 0, a), (0, 1, b), (0, 0, -a)])
+        assert both == ExactMatrix.from_rows([[0, 0, 1], [0, 1, 0]]) and both.nnz == 2
+        with pytest.raises(InputError):
+            ExactMatrix.assemble(2, 2, [(1, 0, a)])
 
     def test_fraction_entries_stay_canonical(self):
         m = ExactMatrix.from_rows([[Fraction(2, 4)]])
@@ -248,7 +252,7 @@ class TestKernelAndSolve:
         # a nonzero w with k^T w = 0 is orthogonal to the column span, so
         # outside it; a zero row appended below k makes sure one exists
         if rank_over_field(k, "Q") == k.rows:
-            k = ExactMatrix.block([[k], [ExactMatrix.zeros(1, k.cols)]])
+            k = ExactMatrix.assemble(k.rows + 1, k.cols, [(0, 0, k)])
         w = kernel_basis(k.transpose()).column(0)
         with pytest.raises(InputError):
             solve_in_span(k, w)

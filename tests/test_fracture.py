@@ -28,7 +28,7 @@ from fracturecube.sorted_complex import (
     is_quasi_iso,
 )
 
-from genutil import random_complex
+from genutil import leg_compatibility, random_complex
 
 
 def moore(k):
@@ -138,7 +138,7 @@ class TestComparison:
         fam = LocalizationFamily((2,))
         data, hl = comparison_map(SortedComplex.single(Z), fam)
         assert data.source == SortedComplex.single(ZLOC)
-        assert data.leg_compatibility(hl)
+        assert leg_compatibility(data, hl)
         assert {s.tag() for s in data.limit.sorts()} == {"Zp:2", "Qp:2", "Q"}
 
 

@@ -20,7 +20,6 @@ from fracturecube.sorted_complex import (
     homology_p_local,
     is_acyclic,
     is_quasi_iso,
-    unit_of_tables,
 )
 from fracturecube.fracture import (
     LocalizationFamily,
@@ -35,6 +34,7 @@ from fracturecube.holim import (
     initial_corner_cube,
     is_cartesian,
     limit_extended_cube,
+    map_between_totalizations,
     nerve_limit,
     punctured_limit_recursive,
     punctured_restriction,
@@ -45,7 +45,7 @@ from fracturecube.holim import (
     vertex_projection,
 )
 
-from genutil import nerve_total_fiber, random_complex, random_cube
+from genutil import nerve_total_fiber, random_complex, random_cube, unit_of_tables
 
 PRIMES = (2, 3)
 
@@ -233,6 +233,34 @@ class TestStrictLimit:
             hl = homotopy_limit(d)
             assert homology_p_local(lim.complex, PRIMES) == \
                 homology_p_local(hl.complex, PRIMES)
+
+
+class TestCallerDataChecked:
+    """Maps assembled from caller legs and components check their endpoints."""
+
+    def setup_method(self):
+        z = sphere()
+        self.z = z
+        self.d = cospan_diagram(z, z, z, scalar_map(z, 1), scalar_map(z, 2))
+        two = SortedComplex.single(Z, 2)
+        # a nonzero map from the wrong apex: Z^2 -> Z
+        self.wrong = ComplexMap(two, z, {0: SortedMap(two.module(0), z.module(0), {
+            (0, 0): ExactMatrix.from_rows([[1, 1]])})})
+
+    def test_cone_legs(self):
+        legs = {x: self.wrong for x in self.d.shape.elements}
+        with pytest.raises(InputError, match="wrong endpoints"):
+            homotopy_limit(self.d).cone_map(self.z, legs)
+        with pytest.raises(InputError, match="wrong endpoints"):
+            strict_limit(self.d).factor_cone(self.z, legs, self.d)
+
+    def test_totalization_components(self):
+        hl = homotopy_limit(self.d)
+        comps = {x: ComplexMap.identity(self.z) for x in self.d.shape.elements}
+        assert map_between_totalizations(hl, hl, comps) == ComplexMap.identity(hl.complex)
+        comps[(1, 2)] = self.wrong
+        with pytest.raises(InputError, match="wrong endpoints"):
+            map_between_totalizations(hl, hl, comps)
 
 
 class TestInitialCornerCube:

@@ -1,12 +1,14 @@
 """Objects the package builds without checks must pass the public checks.
 
 Builders whose output is valid by construction skip the constructor
-checks (d^2 = 0, the chain-map identity, functoriality). Each test here
-runs such builders on seeded inputs and sends every output back through
-the public constructor, which re-derives all of those invariants.
+checks (d^2 = 0, the chain-map identity, functoriality, block shapes and
+sort maps, exact nonzero entries). Each test here runs such builders on
+seeded inputs and sends every output back through the public
+constructor, which re-derives all of those invariants.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -54,21 +56,44 @@ from fracturecube.sorted_complex import (
     shift,
     shift_map,
     sum_inclusions,
-    unit_of_tables,
 )
 
-from genutil import random_chain_map, random_complex, random_cube
+from genutil import (
+    leg_compatibility,
+    random_chain_map,
+    random_complex,
+    random_cube,
+    unit_of_tables,
+)
 
 TABLES = (RATIONALIZE, LOCALIZE, complete(2), complete(3))
 
 
+def recheck_matrix(m: ExactMatrix):
+    # the public constructor drops zeros and converts to Fraction
+    again = ExactMatrix(m.rows, m.cols, dict(m.items()))
+    assert again == m
+    assert all(type(v) is Fraction for _, v in m.items())
+
+
+def recheck_sorted_map(f: SortedMap):
+    recheck_matrix(f.matrix)
+    assert (f.matrix.rows, f.matrix.cols) == (f.target.total_rank, f.source.total_rank)
+    assert SortedMap(f.source, f.target, f.blocks()) == f
+    assert SortedMap.from_dense(f.source, f.target, f.matrix) == f
+
+
 def recheck_complex(c: SortedComplex):
+    for d in c.diffs.values():
+        recheck_sorted_map(d)
     assert SortedComplex(c.modules, c.diffs) == c
 
 
 def recheck_map(f: ComplexMap):
     recheck_complex(f.source)
     recheck_complex(f.target)
+    for m in f.maps.values():
+        recheck_sorted_map(m)
     assert ComplexMap(f.source, f.target, f.maps) == f
 
 
@@ -94,6 +119,32 @@ def seeded_maps(seed, count=6):
 def seeded_cubes(seed, labels, count=3, sort=Z):
     rng = random.Random(seed)
     return [random_cube(rng, labels, sort=sort) for _ in range(count)]
+
+
+class TestMatrixBuilders:
+    def test_matrix_operations(self):
+        rng = random.Random(14)
+        for _ in range(30):
+            r, k, c = (rng.randint(0, 4) for _ in range(3))
+            a, b, e = (ExactMatrix(x, y, {(i, j): Fraction(rng.randint(-2, 2),
+                                                            rng.randint(1, 3))
+                                          for i in range(x) for j in range(y)})
+                       for x, y in ((r, k), (k, c), (r, k)))
+            rows = [i for i in range(r) if rng.random() < 0.6]
+            pieces = [(0, 0, a), (1, k, b), (0, 0, -a)]
+            for m in (a * b, a + e, a - e, a - a, a.scale(0), a.scale(Fraction(-3, 2)),
+                      a.transpose(), a.submatrix(rows, range(k)),
+                      ExactMatrix.assemble(max(r, k + 1), k + c, pieces)):
+                recheck_matrix(m)
+
+    def test_sorted_map_algebra(self):
+        for rng, f in seeded_maps(15):
+            g = random_chain_map(rng, f.source, f.target)
+            for n, m in f.maps.items():
+                for h in (m + g.map_at(n), m - m, m.scale(2), -m,
+                          SortedMap.identity(m.target).compose(m),
+                          SortedMap.zero(m.source, m.target)):
+                    recheck_sorted_map(h)
 
 
 class TestSortedComplexBuilders:
@@ -185,7 +236,7 @@ class TestFractureBuilders:
             data, hl = comparison_map(x, fam)
             recheck_map(data.eta)
             assert data.source == e_localize(x, fam)
-            assert data.leg_compatibility(hl)
+            assert leg_compatibility(data, hl)
             for i, leg in data.legs.items():
                 assert leg == unit_of_tables(data.source, fam.tables_for((i,)))
 

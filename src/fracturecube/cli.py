@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 from .cube_categories import (
     anchored_supersets,
@@ -20,7 +21,7 @@ from .cube_categories import (
     split_fracture_object,
     validate_fracture_object,
 )
-from .exact_linalg import ExactMatrix, InputError, snf_diagonal
+from .exact_linalg import ExactMatrix, InputError, _require_primes, snf_diagonal
 from .fracture import LocalizationFamily, build_fracture_cube, verify_fracture
 from .holim import PosetDiagram, homotopy_limit, total_fiber
 from .posets import certify_initial, pcubelim_index_map, subset_poset
@@ -90,6 +91,8 @@ def _homology_label(c, primes) -> str:
 def emit_dot(diagram: PosetDiagram, with_homology: bool = False,
              primes=()) -> str:
     """Deterministic DOT rendering of a diagram, nodes in subset order."""
+    if with_homology:
+        _require_primes(primes)
     lines = ["digraph cube {", "  rankdir=LR;"]
     names = {}
     for i, s in enumerate(diagram.shape.elements):
@@ -215,6 +218,7 @@ def _cmd_cat_roundtrip(args, out):
         ok = roundtrip_check(obj, fam)
     elif kind == "complex":
         fam = LocalizationFamily(_parse_primes(args.primes))
+        check_dimension(fam.size)
         ok = roundtrip_check(obj, fam)
     else:
         raise SchemaError("$.kind", "roundtrip expects a complex or a "
@@ -347,7 +351,9 @@ def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = _PARSER.parse_args(argv)
+        # argparse writes usage and help to sys.stderr and sys.stdout
+        with redirect_stdout(out), redirect_stderr(err):
+            args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

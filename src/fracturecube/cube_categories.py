@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .exact_linalg import ExactMatrix, InputError
 from .fracture import LocalizationFamily, build_fracture_cube, is_e_local
-from .holim import PosetDiagram, homotopy_limit, punctured_restriction
+from .holim import PosetDiagram, cube_totalization, homotopy_limit, punctured_restriction
 from .posets import FinitePoset, PosetMap, canonical_subset, subset_poset
 from .sorted_complex import (
     ComplexMap,
@@ -30,6 +30,7 @@ from .sorted_complex import (
     apply_localization_chain_map,
     apply_tables,
     canonical_unit,
+    is_acyclic,
     is_quasi_iso,
 )
 
@@ -229,12 +230,15 @@ def fracture_limit(g: FractureObject) -> SortedComplex:
     return hl.complex
 
 
-def fracture_diagram(x: SortedComplex, fam: LocalizationFamily) -> FractureObject:
-    """Restrict the inductive localization cube of a local complex."""
+def _local_fracture_cube(x: SortedComplex, fam: LocalizationFamily) -> PosetDiagram:
     if not is_e_local(x, fam):
         raise InputError("input complex is not local for the family")
-    cube = build_fracture_cube(x, fam)
-    obj = FractureObject(punctured_restriction(cube), fam)
+    return build_fracture_cube(x, fam)
+
+
+def fracture_diagram(x: SortedComplex, fam: LocalizationFamily) -> FractureObject:
+    """Restrict the inductive localization cube of a local complex."""
+    obj = FractureObject(punctured_restriction(_local_fracture_cube(x, fam)), fam)
     bad = validate_fracture_object(obj)
     if bad:
         raise InputError(f"internal error: produced invalid object: {bad[0]}")
@@ -244,20 +248,16 @@ def fracture_diagram(x: SortedComplex, fam: LocalizationFamily) -> FractureObjec
 def roundtrip_check(obj, fam: LocalizationFamily) -> bool:
     """Verify the limit and diagram functors invert each other on an object.
 
-    For a complex, rebuild the diagram and compare its limit with the
-    input along the canonical map. For a diagram, take the limit and
-    compare the rebuilt diagram vertex by vertex along the localized
-    projection legs.
+    For a complex, the cone of the canonical map into the limit, its
+    fracture cube totalized with the corner in level -1, must be acyclic.
+    For a diagram, take the limit and compare the rebuilt diagram vertex
+    by vertex along the localized projection legs.
     """
     if isinstance(obj, SortedComplex):
-        g = fracture_diagram(obj, fam)
-        hl = homotopy_limit(g.diagram)
-        legs = {s: trace_unit(obj, fam, (), s) for s in g.diagram.shape.elements}
-        eta = hl.cone_map(obj, legs)
-        return is_quasi_iso(eta, fam.primes).acyclic
+        cube = _local_fracture_cube(obj, fam)
+        return is_acyclic(cube_totalization(cube).complex, fam.primes).acyclic
     if isinstance(obj, FractureObject):
         hl = homotopy_limit(obj.diagram)
-        limit = hl.complex
         for s in obj.diagram.shape.elements:
             top = max(s)
             comparison = localize_chain_map_tables(

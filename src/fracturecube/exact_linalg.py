@@ -487,10 +487,8 @@ def rank_over_field(m: ExactMatrix, field) -> int:
     if field == "Q":
         return _rank_bareiss(_cleared_int_rows(m))
     if isinstance(field, tuple) and field[0] == "Fp":
-        p = field[1]
-        if not _is_probable_prime(p):
-            raise InputError(f"{p} is not prime")
-        return _rank_fp(m, p)
+        _require_primes(field[1:])
+        return _rank_fp(m, field[1])
     raise InputError(f"unknown field spec {field!r}")
 
 
@@ -537,6 +535,12 @@ def _is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _require_primes(primes):
+    for p in primes:
+        if not _is_probable_prime(p):
+            raise InputError(f"{p} is not prime")
 
 
 # --- homology -----------------------------------------------------------------

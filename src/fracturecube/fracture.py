@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact_linalg import InputError, _is_probable_prime
+from .exact_linalg import InputError, _require_primes
 from .holim import (
     PosetDiagram,
-    corner_comparison_map,
+    cube_totalization,
+    homotopy_limit,
     is_cartesian,
     limit_extended_cube,
     localize_diagram,
@@ -57,9 +58,7 @@ class LocalizationFamily:
         ps = tuple(self.primes)
         if list(ps) != sorted(set(ps)):
             raise InputError("primes must be strictly increasing and distinct")
-        for p in ps:
-            if not _is_probable_prime(p):
-                raise InputError(f"{p} is not prime")
+        _require_primes(ps)
         for j in range(1, self.size + 1):
             for i in range(1, j):
                 if not composite_kills_all(self.table(j), self.table(i), ps):
@@ -163,7 +162,9 @@ def comparison_map(x: SortedComplex, fam: LocalizationFamily):
     """
     _require_valid(x, fam)
     cube = build_fracture_cube(e_localize(x, fam), fam)
-    eta, hl = corner_comparison_map(cube)
+    punct = punctured_restriction(cube)
+    hl = homotopy_limit(punct)
+    eta = hl.cone_map(cube.vertex(()), {s: cube.hom((), s) for s in punct.shape.elements})
     data = ComparisonData(cube.vertex(()), hl.complex, eta,
                           {i: cube.hom((), (i,)) for i in fam.labels()})
     return data, hl
@@ -182,17 +183,18 @@ class FractureReport:
 def verify_fracture(x: SortedComplex, fam: LocalizationFamily) -> FractureReport:
     """Check that the joint localization is the punctured-cube limit.
 
-    The input must be a complex of free raw-Z modules so that the cone
-    of the comparison map is P-locally sorted, where the residue
-    verifier is complete.
+    The cone of the comparison map, the fracture cube totalized with its
+    corner in level -1, must be acyclic. Raw-Z input makes that cone
+    P-locally sorted, where the residue verifier is complete.
     """
     for s in x.sorts():
         if s.kind != "Z":
             raise InputError("verify_fracture expects raw Z sorts; "
                              f"found {s}")
-    data, _ = comparison_map(x, fam)
-    rep = is_quasi_iso(data.eta, fam.primes)
-    limit_hom = homology_p_local(data.source, fam.primes) if rep.acyclic else {}
+    _require_valid(x, fam)
+    cube = build_fracture_cube(e_localize(x, fam), fam)
+    rep = is_acyclic(cube_totalization(cube).complex, fam.primes)
+    limit_hom = homology_p_local(cube.vertex(()), fam.primes) if rep.acyclic else {}
     return FractureReport(rep.acyclic, rep.checks, limit_hom)
 
 

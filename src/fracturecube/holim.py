@@ -13,6 +13,10 @@ Every other shape is totalized over the strict chains of its nerve. The
 punctured-cube recursion in one direction t is a single homotopy
 pullback of two such totalizations and the vertex at {t}.
 
+A full cube is totalized the same way with the empty corner in level
+-1: the cone of the corner map into the punctured limit, summand for
+summand, so its shift by -1 is the total fiber.
+
 Diagrams are strictly functorial: every path composite between two
 elements must agree as matrices. Limit cones built by totalization have
 projection legs that commute with the diagram edges up to homotopy
@@ -24,6 +28,7 @@ which restricts strictly and stays a diagram on the nose.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exact_linalg import ExactMatrix, InputError, kernel_basis, solve_in_span
 from .posets import FinitePoset, canonical_subset, subset_poset
@@ -40,8 +45,9 @@ from .sorted_complex import (
     chain_map_group,
     comparison_is_isomorphism,
     hofib,
-    hofib_map,
     is_acyclic,
+    shift,
+    shift_map,
     sum_inclusions,
     uniform_sort,
 )
@@ -187,7 +193,8 @@ class _TotIndex:
     A cell is a tuple of shape elements at level len(cell) - 1 carrying
     the diagram's value at its top vertex; dropping position i gives its
     i-th face. Nerve cells are the strict chains (top: the last element),
-    cube cells the vertices of a punctured cube (top: the subset itself).
+    cube cells the vertices of a cube (top: the subset itself), the empty
+    vertex of a full cube in level -1.
     """
 
     def __init__(self, diagram: PosetDiagram, cells, top):
@@ -228,10 +235,12 @@ def _tot_differential(ti: _TotIndex, n: int) -> SortedMap:
         d = ti.value(c).diff(n + k).matrix
         to = ti.offsets[(n - 1, idx)]
         pieces.append((to, ti.offsets[(n, idx)], d if k % 2 == 0 else d.scale(-1)))
-        # cofaces: above level zero, the face without position i enters
+        # cofaces: the face without position i enters if it is a cell,
         # with sign (-1)^i along the map between the two tops
-        for i in range(k + 1 if k else 0):
+        for i in range(k + 1):
             face = c[:i] + c[i + 1:]
+            if face not in ti.cell_pos:
+                continue
             edge = ti.diagram.hom(ti.top(face), ti.top(c)).map_at(n - 1 + k).matrix
             pieces.append((to, ti.offsets[(n, ti.cell_pos[face])],
                            edge if i % 2 == 0 else edge.scale(-1)))
@@ -247,24 +256,41 @@ def _require_legs(apex: SortedComplex, legs: dict, diagram: PosetDiagram, keys):
 @dataclass
 class HolimResult:
     complex: SortedComplex
-    cone: ConeData
     _index: _TotIndex
+
+    @cached_property
+    def cone(self) -> ConeData:
+        """Projections onto the level-zero cells, as a homotopy-level cone.
+
+        A larger cube vertex S gets the leg of its least label pushed
+        along the diagram. A full cube's totalization has no cone.
+        """
+        ti, tot = self._index, self.complex
+        projections = {}
+        for x, idx in ti.base.items():
+            vx = ti.diagram.vertex(x)
+            maps = {n: _map_from_pieces(tot.module(n), vx.module(n), [
+                (0, ti.offsets[(n, idx)], ExactMatrix.identity(vx.module(n).total_rank))])
+                for n in vx.modules}
+            projections[x] = ComplexMap._trusted(tot, vx, maps)
+        legs = {x: projections[x] if x in projections
+                else ti.diagram.hom(x[:1], x).compose(projections[x[:1]])
+                for x in ti.diagram.shape.elements}
+        return ConeData(tot, legs, strict=False)
 
     def cone_map(self, apex: SortedComplex, legs: dict) -> ComplexMap:
         """Canonical comparison from a strict cone into the totalization.
 
         The legs must commute strictly with the diagram edges; the map
-        lands in the level-zero cells and chain-map-ness is verified.
+        lands in the level-zero cells. Only the endpoints of the legs are
+        checked.
         """
         ti = self._index
         _require_legs(apex, legs, ti.diagram, ti.base)
-        maps = {}
-        for n, m in self.complex.modules.items():
-            dense = ExactMatrix.assemble(m.total_rank, apex.module(n).total_rank, [
-                (ti.offsets[(n, idx)], 0, legs[x].map_at(n).matrix)
-                for x, idx in ti.base.items()])
-            maps[n] = SortedMap.from_dense(apex.module(n), m, dense)
-        return ComplexMap(apex, self.complex, maps)
+        maps = {n: _map_from_pieces(apex.module(n), m, [
+            (ti.offsets[(n, idx)], 0, legs[x].map_at(n).matrix)
+            for x, idx in ti.base.items()]) for n, m in self.complex.modules.items()}
+        return ComplexMap._trusted(apex, self.complex, maps)
 
 
 def _totalize(diagram: PosetDiagram, cells, top) -> HolimResult:
@@ -275,20 +301,7 @@ def _totalize(diagram: PosetDiagram, cells, top) -> HolimResult:
         if ti.module(n).is_empty() or ti.module(n - 1).is_empty():
             continue
         diffs[n] = _tot_differential(ti, n)
-    tot = SortedComplex._trusted(mods, diffs)
-    projections = {}
-    for x, idx in ti.base.items():
-        vx = diagram.vertex(x)
-        maps = {n: _map_from_pieces(tot.module(n), vx.module(n), [
-            (0, ti.offsets[(n, idx)], ExactMatrix.identity(vx.module(n).total_rank))])
-            for n in vx.modules}
-        projections[x] = ComplexMap._trusted(tot, vx, maps)
-    # cube cells start at the singletons: a larger vertex S gets the leg
-    # of its least label pushed along the diagram
-    legs = {x: projections[x] if x in projections
-            else diagram.hom(x[:1], x).compose(projections[x[:1]])
-            for x in diagram.shape.elements}
-    return HolimResult(tot, ConeData(tot, legs, strict=False), ti)
+    return HolimResult(SortedComplex._trusted(mods, diffs), ti)
 
 
 def nerve_limit(diagram: PosetDiagram) -> HolimResult:
@@ -454,29 +467,36 @@ def initial_corner_cube(x: SortedComplex, labels) -> PosetDiagram:
     return PosetDiagram._trusted(shape, verts, {})
 
 
+def _face(diagram: PosetDiagram, fixed, free, punctured: bool = False) -> PosetDiagram:
+    """The face S -> diagram(S + fixed) over the subsets S of free."""
+    shape = subset_poset(free, punctured=punctured)
+    verts = {s: diagram.vertex(canonical_subset(s + fixed)) for s in shape.elements}
+    edges = {(a, b): diagram.hom(canonical_subset(a + fixed), canonical_subset(b + fixed))
+             for (a, b) in shape.covering_pairs()}
+    return PosetDiagram._trusted(shape, verts, edges)
+
+
 def punctured_restriction(diagram: PosetDiagram) -> PosetDiagram:
+    return _face(diagram, (), cube_labels(diagram, punctured=False), punctured=True)
+
+
+def cube_totalization(diagram: PosetDiagram) -> HolimResult:
+    """Totalization of a full cube over all its vertices, S in level |S| - 1.
+
+    This is the cone of the corner map into the punctured limit.
+    """
     cube_labels(diagram, punctured=False)
-    return diagram.restrict([s for s in diagram.shape.elements if s != ()])
-
-
-def corner_comparison_map(diagram: PosetDiagram):
-    """The canonical map from the initial vertex into the punctured limit."""
-    punct = punctured_restriction(diagram)
-    hl = homotopy_limit(punct)
-    legs = {s: diagram.hom((), s) for s in punct.shape.elements}
-    psi = hl.cone_map(diagram.vertex(()), legs)
-    return psi, hl
+    return _totalize(diagram, diagram.shape.elements, lambda s: s)
 
 
 def total_fiber(diagram: PosetDiagram) -> SortedComplex:
     """Fiber of the map from the initial vertex to the punctured limit."""
-    psi, _ = corner_comparison_map(diagram)
-    return hofib(psi)
+    return shift(cube_totalization(diagram).complex, -1)
 
 
 def is_cartesian(diagram: PosetDiagram, primes) -> bool:
     """A cube in this stable model is Cartesian iff its total fiber is acyclic."""
-    return is_acyclic(total_fiber(diagram), primes).acyclic
+    return is_acyclic(cube_totalization(diagram).complex, primes).acyclic
 
 
 def limit_extended_cube(punctured: PosetDiagram) -> PosetDiagram:
@@ -528,33 +548,14 @@ def tfib_direction_cube(diagram: PosetDiagram, t_prime) -> PosetDiagram:
         raise InputError("direction set is not a subset of the cube labels")
     rest = tuple(x for x in labels if x not in t_prime)
     outer_shape = subset_poset(t_prime, punctured=False)
-    inner_shape = subset_poset(rest, punctured=False)
-
-    def subcube(s_prime) -> PosetDiagram:
-        verts = {s: diagram.vertex(canonical_subset(s + s_prime))
-                 for s in inner_shape.elements}
-        edges = {(a, b): diagram.hom(canonical_subset(a + s_prime),
-                                     canonical_subset(b + s_prime))
-                 for (a, b) in inner_shape.covering_pairs()}
-        return PosetDiagram._trusted(inner_shape, verts, edges)
-
-    cubes = {sp: subcube(sp) for sp in outer_shape.elements}
-    psis = {}
-    tots = {}
-    for sp in outer_shape.elements:
-        psi, hl = corner_comparison_map(cubes[sp])
-        psis[sp] = psi
-        tots[sp] = hl
-    verts = {sp: hofib(psis[sp]) for sp in outer_shape.elements}
+    tots = {sp: cube_totalization(_face(diagram, sp, rest)) for sp in outer_shape.elements}
+    verts = {sp: shift(tot.complex, -1) for sp, tot in tots.items()}
     edges = {}
     for (sp, sp2) in outer_shape.covering_pairs():
         comps = {s: diagram.hom(canonical_subset(s + sp), canonical_subset(s + sp2))
-                 for s in inner_shape.elements}
-        u = comps[()]
-        punct_comps = {s: comps[s] for s in inner_shape.elements if s != ()}
-        v = map_between_totalizations(
-            tots[sp], tots[sp2], punct_comps)
-        edges[(sp, sp2)] = hofib_map(psis[sp], psis[sp2], u, v)
+                 for s in subset_poset(rest).elements}
+        edges[(sp, sp2)] = shift_map(
+            map_between_totalizations(tots[sp], tots[sp2], comps), -1)
     return PosetDiagram._trusted(outer_shape, verts, edges)
 
 
@@ -564,24 +565,6 @@ def total_fiber_iterated(diagram: PosetDiagram, t_prime) -> SortedComplex:
 
 
 # --- recursive punctured limits ----------------------------------------------------
-
-def _shift_diagram(diagram: PosetDiagram, t) -> PosetDiagram:
-    """S maps to G({t} union S) on the punctured cube without t."""
-    labels = cube_labels(diagram, punctured=True)
-    rest = tuple(x for x in labels if x != t)
-    shape = subset_poset(rest, punctured=True)
-    verts = {s: diagram.vertex(canonical_subset(s + (t,))) for s in shape.elements}
-    edges = {(a, b): diagram.hom(canonical_subset(a + (t,)),
-                                 canonical_subset(b + (t,)))
-             for (a, b) in shape.covering_pairs()}
-    return PosetDiagram._trusted(shape, verts, edges)
-
-
-def _restrict_away(diagram: PosetDiagram, t) -> PosetDiagram:
-    labels = cube_labels(diagram, punctured=True)
-    rest = tuple(x for x in labels if x != t)
-    return diagram.restrict(subset_poset(rest, punctured=True).elements)
-
 
 def punctured_limit_recursive(diagram: PosetDiagram, t) -> SortedComplex:
     """Punctured-cube limit as one homotopy pullback in the direction t.
@@ -595,7 +578,9 @@ def punctured_limit_recursive(diagram: PosetDiagram, t) -> SortedComplex:
         raise InputError("recursion needs at least two labels")
     if t not in labels:
         raise InputError(f"{t!r} is not a label of the cube")
-    a_diag, b_diag = _restrict_away(diagram, t), _shift_diagram(diagram, t)
+    rest = tuple(x for x in labels if x != t)
+    a_diag = _face(diagram, (), rest, punctured=True)
+    b_diag = _face(diagram, (t,), rest, punctured=True)
     a, b = homotopy_limit(a_diag), homotopy_limit(b_diag)
     c = diagram.vertex((t,))
     phi = map_between_totalizations(

@@ -7,6 +7,7 @@ tuples so that every enumeration in the package is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .exact_linalg import (
     AbelianInvariants,
@@ -222,10 +223,16 @@ def subset_poset(labels, punctured: bool = False,
 
     With punctured=True the empty set is left out. Subsets are encoded as
     sorted tuples; elements are listed by (size, lexicographic) order.
+    Posets are immutable, so each one is built once and shared.
     """
     base = canonical_subset(labels)
     if len(base) > max_size:
         raise InputError(f"label set of size {len(base)} exceeds cap {max_size}")
+    return _subset_poset(base, bool(punctured))
+
+
+@lru_cache(maxsize=64)
+def _subset_poset(base: tuple, punctured: bool) -> FinitePoset:
     subsets = [()]
     for x in base:
         subsets += [s + (x,) for s in subsets]

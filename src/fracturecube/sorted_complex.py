@@ -39,6 +39,7 @@ from .exact_linalg import (
     InputError,
     _is_probable_prime,
     _rank_fp,
+    _require_primes,
     integer_homology,
     kernel_basis,
     p_part,
@@ -538,15 +539,12 @@ def shift_map(f: ComplexMap, k: int) -> ComplexMap:
 def direct_sum(c: SortedComplex, d: SortedComplex) -> SortedComplex:
     degs = set(c.modules) | set(d.modules)
     mods = {n: SortedModule.concat(c.module(n), d.module(n)) for n in degs}
-    diffs = {n: _block_diagonal(c.diff(n), d.diff(n)) for n in set(c.diffs) | set(d.diffs)}
+    # block diagonal: the differentials of c and d side by side
+    diffs = {n: _map_from_pieces(mods[n], mods[n - 1], [
+        (0, 0, c.diff(n).matrix),
+        (c.module(n - 1).total_rank, c.module(n).total_rank, d.diff(n).matrix)])
+        for n in set(c.diffs) | set(d.diffs)}
     return SortedComplex._trusted(mods, diffs)
-
-
-def _block_diagonal(f: SortedMap, g: SortedMap) -> SortedMap:
-    """f + g from source(f) + source(g) to target(f) + target(g)."""
-    return _map_from_pieces(
-        SortedModule.concat(f.source, g.source), SortedModule.concat(f.target, g.target),
-        [(0, 0, f.matrix), (f.target.total_rank, f.source.total_rank, g.matrix)])
 
 
 def sum_inclusions(c: SortedComplex, d: SortedComplex):
@@ -587,30 +585,8 @@ def cone(f: ComplexMap) -> SortedComplex:
     return SortedComplex._trusted(mods, diffs)
 
 
-def cone_map(f: ComplexMap, g: ComplexMap,
-             u: ComplexMap, v: ComplexMap) -> ComplexMap:
-    """Induced map cone(f) -> cone(g) for a strictly commuting square v f = g u."""
-    if v.compose(f) != g.compose(u):
-        raise InputError("square does not commute")
-    cf, cg = cone(f), cone(g)
-    maps = {n: _block_diagonal(u.map_at(n - 1), v.map_at(n)) for n in cf.modules}
-    return ComplexMap._trusted(cf, cg, maps)
-
-
 def hofib(f: ComplexMap) -> SortedComplex:
     return shift(cone(f), -1)
-
-
-def hofib_map(f, g, u, v) -> ComplexMap:
-    return shift_map(cone_map(f, g, u, v), -1)
-
-
-def hofib_projection(f: ComplexMap) -> ComplexMap:
-    """Canonical chain map hofib(f) -> source(f)."""
-    fib = hofib(f)
-    maps = {n: _map_from_pieces(fib.module(n), f.source.module(n), [
-        (0, 0, ExactMatrix.identity(f.source.module(n).total_rank))]) for n in fib.modules}
-    return ComplexMap._trusted(fib, f.source, maps)
 
 
 # --- localization tables ----------------------------------------------------------
@@ -836,6 +812,7 @@ def homology_p_local(c: SortedComplex, primes=None) -> dict[int, AbelianInvarian
     With primes=None the matrices must be integral and the full integer
     invariants are returned.
     """
+    _require_primes(primes or ())
     for m in c.modules.values():
         for s, _ in m.summands:
             if s.kind not in ("Z", "ZlocP"):

@@ -1,9 +1,14 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fracturecube
 from fracturecube import serialize
 from fracturecube.cli import emit_dot, run
 from fracturecube.cube_categories import fracture_diagram
@@ -12,7 +17,7 @@ from fracturecube.fracture import LocalizationFamily, build_fracture_cube, e_loc
 from fracturecube.posets import subset_poset
 from fracturecube.serialize import SchemaError
 from fracturecube.holim import PosetDiagram
-from fracturecube.sorted_complex import ComplexMap, Q, SortedComplex, Z
+from fracturecube.sorted_complex import ZLOC, ComplexMap, Q, SortedComplex, Z
 
 from genutil import random_complex, random_cube
 
@@ -234,6 +239,51 @@ class TestErrors:
         code, _, err = cli("fracture", "build", path, "--primes", "2")
         assert code == 2
         assert "FRACTURE_MAX_T" in err
+
+    def test_roundtrip_of_a_complex_is_capped(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRACTURE_MAX_T", "1")
+        path = write_doc(tmp_path, "s.json", "complex", SortedComplex.single(ZLOC))
+        code, out, err = cli("cat", "roundtrip", path, "--primes", "2,3")
+        assert (code, out) == (2, "")
+        assert "cube dimension 3 exceeds FRACTURE_MAX_T=1" in err
+
+    @pytest.mark.parametrize("primes", ["0", "4", "2,4", "-2"])
+    def test_homology_rejects_non_primes(self, tmp_path, primes):
+        moore = SortedComplex.two_term(Z, ExactMatrix.from_rows([[2]]))
+        path = write_doc(tmp_path, "m.json", "complex", moore)
+        code, out, err = cli("homology", path, "--primes", primes)
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ") and "is not prime" in err
+
+    def test_homology_rejects_one_before_any_work(self, tmp_path):
+        # 1 divides every torsion coefficient forever; a subprocess bounds the wait
+        moore = SortedComplex.two_term(Z, ExactMatrix.from_rows([[2]]))
+        path = write_doc(tmp_path, "m.json", "complex", moore)
+        src = str(Path(fracturecube.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "fracturecube", "homology", path,
+                               "--primes", "1"], capture_output=True, text=True,
+                              env=env, timeout=30)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "input error: 1 is not prime\n"
+
+    def test_emit_dot_homology_rejects_non_primes(self, tmp_path):
+        cube = build_fracture_cube(SortedComplex.single(Z), LocalizationFamily((2,)))
+        path = write_doc(tmp_path, "cube.json", "diagram", cube)
+        code, out, err = cli("emit-dot", path, "--homology", "--primes", "4")
+        assert (code, out) == (2, "")
+        assert "4 is not prime" in err
+        # without --homology the primes are not read
+        assert cli("emit-dot", path, "--primes", "4")[0] == 0
+
+    def test_usage_goes_to_the_callers_streams(self):
+        code, out, err = cli("snf")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: fracturecube snf")
+        assert "the following arguments are required: input" in err
+        code, out, err = cli("--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: fracturecube") and "snf" in out
 
     def test_wrong_kind(self, tmp_path):
         path = write_doc(tmp_path, "m.json", "matrix", ExactMatrix.identity(1))

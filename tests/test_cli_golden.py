@@ -9,7 +9,6 @@ regenerate the file with
     PYTHONPATH=src python tests/test_cli_golden.py --write
 """
 
-import contextlib
 import hashlib
 import io
 import json
@@ -129,9 +128,7 @@ def run_cases(tmp: Path) -> dict:
     for name, argv, out_file in CASES:
         argv = [a.replace("{tmp}", str(tmp)) for a in argv]
         out, err = io.StringIO(), io.StringIO()
-        # argparse writes its usage errors to sys.stderr
-        with contextlib.redirect_stderr(err):
-            code = run(argv, out, err)
+        code = run(argv, out, err)
         path = tmp / out_file if out_file else None
         file_text = path.read_text(encoding="utf-8") if path and path.exists() else None
         results[name] = {

@@ -76,6 +76,15 @@ class TestSubsetPoset:
             subset_poset(range(13))
         subset_poset(range(13), max_size=13)
 
+    def test_shared_across_label_spellings(self):
+        p = subset_poset((1, 2, 3))
+        assert subset_poset([3, 1, 2]) is p and subset_poset([1, 2, 2, 3]) is p
+        assert subset_poset((1, 2, 3), punctured=True) != p
+        assert subset_poset((1, 2, 3), punctured=True).elements == p.elements[1:]
+        # the cap holds for a label set that is already built
+        with pytest.raises(InputError, match="exceeds cap"):
+            subset_poset((1, 2, 3), max_size=2)
+
 
 class TestOrderComplex:
     def test_point(self):

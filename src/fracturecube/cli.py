@@ -45,7 +45,7 @@ def _load(path: str, expected_kind=None):
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8 or an integer over 4300 digits
         raise SchemaError("$", f"invalid JSON in {path}: {exc}")
     return serialize.unwrap(doc, expected_kind)
 

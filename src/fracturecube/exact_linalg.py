@@ -1,7 +1,11 @@
 """Exact integer and rational matrix algebra.
 
-Everything is arbitrary precision: rationals are `fractions.Fraction`
-(lowest terms, positive denominator, for free), integers are Python ints.
+Everything is arbitrary precision. A matrix stores its nonzero entries
+as integer numerators over one positive common denominator, reduced so
+that no prime divides the denominator and all numerators; equal
+matrices thus have equal fields. Products and sums are integer
+arithmetic, and the eliminations read the numerators directly:
+`fractions.Fraction` appears only where entries enter or leave.
 Smith normal form pivots on the smallest nonzero absolute value with
 row-major tie breaking, so outputs are reproducible.
 
@@ -12,11 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
 _RANK_CERT_PRIME = 2147483629  # fixed 31-bit prime for the fast rank bound
+# Miller-Rabin on the twelve bases 2..37 decides primality exactly below
+# this bound (Sorenson and Webster); it is itself a strong pseudoprime
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_BOUND = 318665857834031151167461
 
 
 class InputError(ValueError):
@@ -24,25 +32,23 @@ class InputError(ValueError):
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (Fraction, int, str)):
         return Fraction(x)
     raise InputError(f"not an exact scalar: {x!r}")
 
 
 class ExactMatrix:
-    """Immutable sparse matrix of exact rationals."""
+    """Immutable sparse matrix of exact rationals.
 
-    __slots__ = ("rows", "cols", "_d")
+    `_n` maps (row, column) to a nonzero integer numerator and `den` is
+    the positive common denominator, with gcd(den, every numerator) = 1.
+    """
+
+    __slots__ = ("rows", "cols", "_n", "den")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
             raise InputError("negative matrix dimension")
-        self.rows = rows
-        self.cols = cols
         d = {}
         if entries:
             for (i, j), v in entries.items():
@@ -51,84 +57,96 @@ class ExactMatrix:
                     raise InputError(f"entry ({i},{j}) outside {rows}x{cols}")
                 if v != 0:
                     d[(i, j)] = v
-        self._d = d
+        # the lcm of reduced denominators leaves no common factor behind
+        den = lcm(*(v.denominator for v in d.values()))
+        self.rows, self.cols, self.den = rows, cols, den
+        self._n = {k: v.numerator * (den // v.denominator) for k, v in d.items()}
 
     @classmethod
     def from_rows(cls, data) -> "ExactMatrix":
         data = [list(r) for r in data]
         rows = len(data)
         cols = len(data[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(data):
-            if len(row) != cols:
-                raise InputError("ragged rows")
-            for j, v in enumerate(row):
-                entries[(i, j)] = _frac(v)
-        return cls(rows, cols, entries)
+        if any(len(row) != cols for row in data):
+            raise InputError("ragged rows")
+        return cls(rows, cols, {(i, j): v for i, row in enumerate(data)
+                                for j, v in enumerate(row)})
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
+        if n <= 0:
+            return cls.zeros(n, n)
+        return cls._trusted(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols)
+        if rows < 0 or cols < 0:
+            raise InputError("negative matrix dimension")
+        return cls._trusted(rows, cols, {})
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, d: dict) -> "ExactMatrix":
-        # fast path for entries that are nonzero Fractions inside the shape
+    def _trusted(cls, rows: int, cols: int, n: dict, den: int = 1) -> "ExactMatrix":
+        # fast path for nonzero int numerators inside the shape over den > 0
+        if den != 1:
+            g = gcd(den, *n.values())
+            if g != 1:
+                n = {k: v // g for k, v in n.items()}
+                den //= g
         m = object.__new__(cls)
-        m.rows, m.cols, m._d = rows, cols, d
+        m.rows, m.cols, m._n, m.den = rows, cols, n, den
         return m
 
     @classmethod
     def assemble(cls, rows: int, cols: int, pieces) -> "ExactMatrix":
         """Sum of (row offset, column offset, matrix) pieces placed in a rows x cols matrix."""
+        pieces = list(pieces)
+        den = lcm(*(m.den for _, _, m in pieces))
         d = {}
         for ro, co, m in pieces:
             if ro < 0 or co < 0 or ro + m.rows > rows or co + m.cols > cols:
                 raise InputError(f"{m.rows}x{m.cols} piece at ({ro},{co}) "
                                  f"outside {rows}x{cols}")
-            for (i, j), v in m._d.items():
+            s = den // m.den
+            for (i, j), v in m._n.items():
                 key = (ro + i, co + j)
+                v *= s
                 d[key] = d[key] + v if key in d else v
-        return cls._trusted(rows, cols, {k: v for k, v in d.items() if v})
+        return cls._trusted(rows, cols, {k: v for k, v in d.items() if v}, den)
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self._d.get((i, j), Fraction(0))
+        return Fraction(self._n.get((i, j), 0), self.den)
 
     def items(self):
-        return self._d.items()
+        return ((k, Fraction(v, self.den)) for k, v in self._n.items())
 
     def to_rows(self):
         out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self._d.items():
+        for (i, j), v in self.items():
             out[i][j] = v
         return out
 
     @property
     def nnz(self) -> int:
-        return len(self._d)
+        return len(self._n)
 
     def is_zero(self) -> bool:
-        return not self._d
+        return not self._n
 
     def is_integral(self) -> bool:
-        return all(v.denominator == 1 for v in self._d.values())
+        return self.den == 1
 
     def denominators(self):
-        return {v.denominator for v in self._d.values()}
+        return {self.den // gcd(self.den, v) for v in self._n.values()}
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix._trusted(self.cols, self.rows,
-                                    {(j, i): v for (i, j), v in self._d.items()})
+                                    {(j, i): v for (i, j), v in self._n.items()}, self.den)
 
     def scale(self, c) -> "ExactMatrix":
-        c = _frac(c)
-        if not c:
-            return ExactMatrix._trusted(self.rows, self.cols, {})
+        num, den = (c, 1) if isinstance(c, int) else _frac(c).as_integer_ratio()
         return ExactMatrix._trusted(self.rows, self.cols,
-                                    {k: c * v for k, v in self._d.items()})
+                                    {k: num * v for k, v in self._n.items()} if num else {},
+                                    self.den * den)
 
     def __neg__(self) -> "ExactMatrix":
         return self.scale(-1)
@@ -145,24 +163,25 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise InputError("shape mismatch in mul")
         by_row = {}
-        for (j, k), v in other._d.items():
+        for (j, k), v in other._n.items():
             by_row.setdefault(j, []).append((k, v))
         acc = {}
-        for (i, j), a in self._d.items():
+        for (i, j), a in self._n.items():
             for k, b in by_row.get(j, ()):
                 key = (i, k)
                 acc[key] = acc.get(key, 0) + a * b
         return ExactMatrix._trusted(self.rows, other.cols,
-                                    {k: v for k, v in acc.items() if v})
+                                    {k: v for k, v in acc.items() if v},
+                                    self.den * other.den)
 
     def submatrix(self, row_idx, col_idx) -> "ExactMatrix":
         rmap = {r: i for i, r in enumerate(row_idx)}
         cmap = {c: j for j, c in enumerate(col_idx)}
         entries = {}
-        for (i, j), v in self._d.items():
+        for (i, j), v in self._n.items():
             if i in rmap and j in cmap:
                 entries[(rmap[i], cmap[j])] = v
-        return ExactMatrix._trusted(len(row_idx), len(col_idx), entries)
+        return ExactMatrix._trusted(len(row_idx), len(col_idx), entries, self.den)
 
     def column(self, j: int) -> "ExactMatrix":
         return self.submatrix(range(self.rows), [j])
@@ -170,7 +189,8 @@ class ExactMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self._d) == (other.rows, other.cols, other._d)
+        return ((self.rows, self.cols, self.den, self._n)
+                == (other.rows, other.cols, other.den, other._n))
 
     __hash__ = None
 
@@ -206,13 +226,18 @@ class AbelianInvariants:
 
 # --- Smith normal form -------------------------------------------------------
 
-def _int_rows(m: ExactMatrix):
-    if not m.is_integral():
-        raise InputError("matrix has a non-integral entry")
+def _num_rows(m: ExactMatrix):
+    """Dense integer row list of den * m."""
     out = [[0] * m.cols for _ in range(m.rows)]
-    for (i, j), v in m.items():
-        out[i][j] = v.numerator
+    for (i, j), v in m._n.items():
+        out[i][j] = v
     return out
+
+
+def _int_rows(m: ExactMatrix):
+    if m.den != 1:
+        raise InputError("matrix has a non-integral entry")
+    return _num_rows(m)
 
 
 def _eye(n: int):
@@ -318,8 +343,8 @@ def smith_normal_form(m: ExactMatrix):
     """
     a = [row + e for row, e in zip(_int_rows(m), _eye(m.rows))] + _eye(m.cols)
     _smith(a, m.rows, m.cols)
-    d = ExactMatrix(m.rows, m.cols,
-                    {(i, i): a[i][i] for i in range(min(m.rows, m.cols))})
+    n = min(m.rows, m.cols)
+    d = ExactMatrix._trusted(m.rows, m.cols, {(i, i): a[i][i] for i in range(n) if a[i][i]})
     return _inverse([row[m.cols:] for row in a[:m.rows]]), d, _inverse(a[m.rows:])
 
 
@@ -362,9 +387,9 @@ def kernel_basis(m: ExactMatrix) -> ExactMatrix:
     n = min(m.rows, m.cols)
     ker_cols = [j for j in range(m.cols) if j >= n or a[j][j] == 0]
     vinv = a[m.rows:]
-    return ExactMatrix(m.cols, len(ker_cols),
-                       {(i, jj): vinv[i][j] for jj, j in enumerate(ker_cols)
-                        for i in range(m.cols) if vinv[i][j]})
+    return ExactMatrix._trusted(m.cols, len(ker_cols),
+                                {(i, jj): vinv[i][j] for jj, j in enumerate(ker_cols)
+                                 for i in range(m.cols) if vinv[i][j]})
 
 
 def solve_in_span(k: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -375,42 +400,22 @@ def solve_in_span(k: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """
     if k.rows != b.rows:
         raise InputError("shape mismatch in solve_in_span")
-    # b rides along on the right, cleared of its denominators
-    scale = lcm(*b.denominators())
-    rhs = [[0] * b.cols for _ in range(b.rows)]
-    for (i, j), v in b.items():
-        rhs[i][j] = v.numerator * (scale // v.denominator)
-    a = [row + r for row, r in zip(_int_rows(k), rhs)] + _eye(k.cols)
+    # b rides along on the right as its numerators, den * b
+    a = [row + r for row, r in zip(_int_rows(k), _num_rows(b))] + _eye(k.cols)
     _smith(a, k.rows, k.cols)
-    n = min(k.rows, k.cols)
-    y = {}
-    for i in range(k.rows):
-        di = a[i][i] if i < n else 0
-        for j, val in enumerate(a[i][k.cols:]):
-            if val == 0:
-                continue
-            if di == 0:
-                raise InputError("target outside column span")
-            y[(i, j)] = Fraction(val, di * scale)
-    return ExactMatrix.from_rows(a[k.rows:]) * ExactMatrix(k.cols, b.cols, y)
+    # y = diag(d)^-1 * (transformed numerators) / den, over lcm(d) * den
+    divs = [a[i][i] if i < k.cols else 0 for i in range(k.rows)]
+    if any(d == 0 and any(a[i][k.cols:]) for i, d in enumerate(divs)):
+        raise InputError("target outside column span")
+    mult = lcm(*(x for x in divs if x))
+    y = {(i, j): val * (mult // divs[i]) for i in range(k.rows)
+         for j, val in enumerate(a[i][k.cols:]) if val}
+    vinv = ExactMatrix._trusted(k.cols, k.cols, {
+        (i, j): x for i, row in enumerate(a[k.rows:]) for j, x in enumerate(row) if x})
+    return vinv * ExactMatrix._trusted(k.cols, b.cols, y, mult * b.den)
 
 
 # --- rank computations --------------------------------------------------------
-
-def _cleared_int_rows(m: ExactMatrix):
-    """Integer row list with each row scaled by the lcm of its denominators."""
-    by_row = [[] for _ in range(m.rows)]
-    for (i, j), v in m.items():
-        by_row[i].append((j, v))
-    out = []
-    for entries in by_row:
-        mult = lcm(*(v.denominator for _, v in entries))
-        row = [0] * m.cols
-        for j, v in entries:
-            row[j] = v.numerator * (mult // v.denominator)
-        out.append(row)
-    return out
-
 
 def _rank_mod(int_rows, p: int) -> int:
     if p >= 2**31:
@@ -485,7 +490,7 @@ def rank_over_field(m: ExactMatrix, field) -> int:
     Over F_p every entry denominator must be coprime to p.
     """
     if field == "Q":
-        return _rank_bareiss(_cleared_int_rows(m))
+        return _rank_bareiss(_num_rows(m))
     if isinstance(field, tuple) and field[0] == "Fp":
         _require_primes(field[1:])
         return _rank_fp(m, field[1])
@@ -493,14 +498,15 @@ def rank_over_field(m: ExactMatrix, field) -> int:
 
 
 def _rank_fp(m: ExactMatrix, p: int) -> int:
-    """Rank over F_p of a matrix whose denominators are all prime to p."""
-    rows = [[0] * m.cols for _ in range(m.rows)]
-    for (i, j), v in m.items():
-        if v.denominator % p == 0:
-            raise InputError(
-                f"denominator {v.denominator} not invertible mod {p} at ({i},{j})")
-        rows[i][j] = (v.numerator * pow(v.denominator, -1, p)) % p
-    return _rank_mod(rows, p)
+    """Rank over F_p of a matrix whose denominators are all prime to p.
+
+    den is then a unit mod p, so den * m has the same rank.
+    """
+    if m.den % p == 0:
+        (i, j), v = next((k, v) for k, v in m.items() if v.denominator % p == 0)
+        raise InputError(
+            f"denominator {v.denominator} not invertible mod {p} at ({i},{j})")
+    return _rank_mod(_num_rows(m), p)
 
 
 def rank_lower_bound(m: ExactMatrix) -> int:
@@ -509,14 +515,17 @@ def rank_lower_bound(m: ExactMatrix) -> int:
     Never exceeds the true rank; used to certify exactness cheaply, with
     rank_over_field(m, "Q") as the exact fallback.
     """
-    return _rank_mod(_cleared_int_rows(m), _RANK_CERT_PRIME)
+    return _rank_mod(_num_rows(m), _RANK_CERT_PRIME)
 
 
-def _is_probable_prime(n: int) -> bool:
+def _is_prime(n: int) -> bool:
+    """Exact primality below _PRIME_BOUND; at or above it, InputError."""
     if n < 2:
         return False
-    small = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-    for p in small:
+    if n >= _PRIME_BOUND:
+        raise InputError(f"{n} is not below {_PRIME_BOUND}, the bound under "
+                         "which primality is decided exactly")
+    for p in _PRIME_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -524,7 +533,7 @@ def _is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in small:
+    for a in _PRIME_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -539,7 +548,7 @@ def _is_probable_prime(n: int) -> bool:
 
 def _require_primes(primes):
     for p in primes:
-        if not _is_probable_prime(p):
+        if not _is_prime(p):
             raise InputError(f"{p} is not prime")
 
 

@@ -47,7 +47,6 @@ from .sorted_complex import (
     hofib,
     is_acyclic,
     shift,
-    shift_map,
     sum_inclusions,
     uniform_sort,
 )
@@ -554,8 +553,10 @@ def tfib_direction_cube(diagram: PosetDiagram, t_prime) -> PosetDiagram:
     for (sp, sp2) in outer_shape.covering_pairs():
         comps = {s: diagram.hom(canonical_subset(s + sp), canonical_subset(s + sp2))
                  for s in subset_poset(rest).elements}
-        edges[(sp, sp2)] = shift_map(
-            map_between_totalizations(tots[sp], tots[sp2], comps), -1)
+        # the shifted map over the vertices already shifted above
+        f = map_between_totalizations(tots[sp], tots[sp2], comps)
+        edges[(sp, sp2)] = ComplexMap._trusted(verts[sp], verts[sp2],
+                                               {n - 1: m for n, m in f.maps.items()})
     return PosetDiagram._trusted(outer_shape, verts, edges)
 
 

@@ -2,8 +2,9 @@
 
 All numbers that matter are exact: rationals travel as strings "a/b"
 (plain "a" for integers), subsets as comma-joined increasing integers,
-and every codec round-trips bit-exactly. Unknown fields are rejected
-with the JSON path of the offender.
+and every codec round-trips bit-exactly. A numerator or denominator has
+at most MAX_DIGITS digits, on the way in and on the way out. Unknown
+fields are rejected with the JSON path of the offender.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from .sorted_complex import (
 
 FORMAT_VERSION = "fracture/1"
 DEFAULT_MAX_T = 6
+MAX_DIGITS = 4300  # digits of a numerator or denominator in a document
+_DIGIT_CAP = 10 ** MAX_DIGITS
+_OVER_CAP = f"more than MAX_DIGITS={MAX_DIGITS} digits in a numerator or denominator"
 KINDS = ("complex", "diagram", "fracture-object", "poset", "report", "matrix")
 
 
@@ -70,15 +74,24 @@ def check_dimension(n: int):
 # --- scalars and labels -----------------------------------------------------------
 
 def rational_to_str(x: Fraction) -> str:
+    if max(abs(x.numerator), x.denominator) >= _DIGIT_CAP:
+        raise InputError(f"cannot write a rational with {_OVER_CAP}")
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def rational_from_str(s, path="$") -> Fraction:
     _expect(s, str, path)
+    # digits are counted before parsing, and the value after it ("1e5000")
+    if len(s) > MAX_DIGITS and any(sum(map(str.isdigit, part)) > MAX_DIGITS
+                                   for part in s.split("/")):
+        raise SchemaError(path, _OVER_CAP)
     try:
-        return Fraction(s)
+        x = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(path, f"bad rational {s!r}: {exc}") from None
+    if max(abs(x.numerator), x.denominator) >= _DIGIT_CAP:
+        raise SchemaError(path, _OVER_CAP)
+    return x
 
 
 def subset_to_str(s) -> str:
@@ -130,9 +143,8 @@ def matrix_from_json(d, path="$") -> ExactMatrix:
             raise SchemaError(f"{path}.entries[{i}]", f"expected {cols} columns")
         data.append([rational_from_str(v, f"{path}.entries[{i}][{j}]")
                      for j, v in enumerate(row)])
-    if rows == 0 or cols == 0:
-        return ExactMatrix.zeros(rows, cols)
-    return ExactMatrix.from_rows(data)
+    return ExactMatrix(rows, cols, {(i, j): v for i, row in enumerate(data)
+                                    for j, v in enumerate(row)})
 
 
 # --- complexes ----------------------------------------------------------------------

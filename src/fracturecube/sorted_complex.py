@@ -30,14 +30,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
 from .exact_linalg import (
     AbelianInvariants,
     ExactMatrix,
     InputError,
-    _is_probable_prime,
+    _is_prime,
     _rank_fp,
     _require_primes,
     integer_homology,
@@ -63,7 +61,7 @@ class Sort:
         if self.kind not in KINDS:
             raise InputError(f"unknown sort kind {self.kind!r}")
         if self.kind in ("Zp", "Qp"):
-            if self.prime is None or not _is_probable_prime(self.prime):
+            if self.prime is None or not _is_prime(self.prime):
                 raise InputError(f"completed sort needs a prime, got {self.prime!r}")
         elif self.prime is not None:
             raise InputError(f"sort {self.kind} takes no prime")
@@ -266,12 +264,12 @@ class SortedMap:
 
     def blocks(self) -> dict:
         """The nonzero blocks keyed (source, target), in that order."""
-        src, tgt = self.source, self.target
+        src, tgt, den = self.source, self.target, self.matrix.den
         parts: dict = {}
-        for (r, c), v in self.matrix.items():
+        for (r, c), v in self.matrix._n.items():
             i, j = src.summand_at(c), tgt.summand_at(r)
             parts.setdefault((i, j), {})[(r - tgt.offset(j), c - src.offset(i))] = v
-        return {(i, j): ExactMatrix._trusted(tgt.rank(j), src.rank(i), parts[(i, j)])
+        return {(i, j): ExactMatrix._trusted(tgt.rank(j), src.rank(i), parts[(i, j)], den)
                 for (i, j) in sorted(parts)}
 
     def is_zero(self) -> bool:
@@ -602,7 +600,7 @@ class LocalizationTable:
         if self.kind not in ("rationalize", "complete", "localize"):
             raise InputError(f"unknown table kind {self.kind!r}")
         if self.kind == "complete":
-            if self.prime is None or not _is_probable_prime(self.prime):
+            if self.prime is None or not _is_prime(self.prime):
                 raise InputError("completion table needs a prime")
         elif self.prime is not None:
             raise InputError(f"{self.kind} table takes no prime")
@@ -697,7 +695,7 @@ def canonical_unit(c: SortedComplex, table: LocalizationTable) -> ComplexMap:
     for n, m in c.modules.items():
         kept = m.basis(_localize_module(m, table)[0])
         maps[n] = SortedMap._trusted(m, loc.module(n), ExactMatrix._trusted(
-            len(kept), m.total_rank, {(r, k): Fraction(1) for r, k in enumerate(kept)}))
+            len(kept), m.total_rank, {(r, k): 1 for r, k in enumerate(kept)}))
     return ComplexMap._trusted(c, loc, maps)
 
 
@@ -804,9 +802,10 @@ def is_quasi_iso(f: ComplexMap, primes) -> AcyclicityReport:
 def homology_p_local(c: SortedComplex, primes=None) -> dict[int, AbelianInvariants]:
     """Homology invariants of a Z- or ZlocP-sorted complex over ZlocP.
 
-    Each differential is rescaled by the lcm of its denominators, a unit
-    of ZlocP, which gives an isomorphic integer complex. Each of its
-    differentials is reduced once to its Smith diagonal: H_n has free rank
+    Each differential is replaced by its integer numerators, that is
+    rescaled by its common denominator `den`, which must be a unit of
+    ZlocP (prime to P); this gives an isomorphic integer complex. Each of
+    its differentials is reduced once to its Smith diagonal: H_n has free rank
     dim C_n - rank d_n - rank d_{n+1}, and its torsion is the elementary
     divisors of d_{n+1} greater than 1, projected to the primes of P.
     With primes=None the matrices must be integral and the full integer
@@ -818,19 +817,14 @@ def homology_p_local(c: SortedComplex, primes=None) -> dict[int, AbelianInvarian
             if s.kind not in ("Z", "ZlocP"):
                 raise InputError(f"homology over ZlocP needs Z-like sorts, got {s}")
     dense = {}
-    for n in c.diffs:
-        d = c.diffs[n].matrix
-        mult = 1
-        for _, v in d.items():
-            den = v.denominator
-            if den != 1:
-                if primes is None:
-                    raise InputError("integer homology needs integral matrices")
-                for p in primes:
-                    if den % p == 0:
-                        raise InputError("denominator is not a unit of ZlocP")
-                mult = mult * den // gcd(mult, den)
-        dense[n] = d.scale(mult)
+    for n, f in c.diffs.items():
+        d = f.matrix
+        if d.den != 1:
+            if primes is None:
+                raise InputError("integer homology needs integral matrices")
+            if any(d.den % p == 0 for p in primes):
+                raise InputError("denominator is not a unit of ZlocP")
+        dense[n] = ExactMatrix._trusted(d.rows, d.cols, d._n)
     ranks = {n: m.total_rank for n, m in c.modules.items()}
     out = {}
     for n, inv in integer_homology(ranks, dense).items():
@@ -876,16 +870,15 @@ class ChainMapGroup:
     def element(self, coeffs) -> ComplexMap:
         vec = self.basis * ExactMatrix.from_rows([[c] for c in coeffs])
         per_degree = {}
-        for idx, (n, r, c) in enumerate(self.positions):
-            v = vec.entry(idx, 0)
-            if v:
-                per_degree.setdefault(n, {})[(r, c)] = v
+        for (idx, _), v in sorted(vec._n.items()):
+            n, r, c = self.positions[idx]
+            per_degree.setdefault(n, {})[(r, c)] = v
         maps = {}
         for n, entries in per_degree.items():
             maps[n] = SortedMap._trusted(
                 self.source.module(n), self.target.module(n), ExactMatrix._trusted(
                     self.target.module(n).total_rank, self.source.module(n).total_rank,
-                    entries))
+                    entries, vec.den))
         return ComplexMap(self.source, self.target, maps)
 
 
@@ -908,23 +901,26 @@ def chain_map_group(a: SortedComplex, b: SortedComplex,
                 positions.append((n, r, c))
     rows = []
 
-    def add_rows(n_src, left_dense, right_dense, n_tgt_rows, n_cols):
+    # constraints are cleared by the denominators of their matrices; this
+    # is harmless, since those are units of the sort ring (admissibility)
+    # or the sort ring is a field
+    def add_rows(n_src, left, right, n_tgt_rows, n_cols):
         # constraint: left * f_{n_src} - f_{n_src - 1} * right = 0
         for r in range(n_tgt_rows):
             for c in range(n_cols):
                 row = {}
-                for (rr, k), v in left_dense.items():
+                for (rr, k), v in left._n.items():
                     if rr != r:
                         continue
                     idx = pos_index.get((n_src, k, c))
                     if idx is not None:
-                        row[idx] = row.get(idx, Fraction(0)) + v
-                for (k, cc), v in right_dense.items():
+                        row[idx] = row.get(idx, 0) + v * right.den
+                for (k, cc), v in right._n.items():
                     if cc != c:
                         continue
                     idx = pos_index.get((n_src - 1, r, k))
                     if idx is not None:
-                        row[idx] = row.get(idx, Fraction(0)) - v
+                        row[idx] = row.get(idx, 0) - v * left.den
                 if row:
                     rows.append(row)
 
@@ -936,30 +932,12 @@ def chain_map_group(a: SortedComplex, b: SortedComplex,
                  b.module(n - 1).total_rank, a.module(n).total_rank)
     for g in postcompose_zero:
         for n in sorted(set(a.modules) & set(b.modules)):
-            gd = g.map_at(n).matrix
-            for r in range(g.target.module(n).total_rank):
-                for c in range(a.module(n).total_rank):
-                    row = {}
-                    for (rr, k), v in gd.items():
-                        if rr != r:
-                            continue
-                        idx = pos_index.get((n, k, c))
-                        if idx is not None:
-                            row[idx] = row.get(idx, Fraction(0)) + v
-                    if row:
-                        rows.append(row)
-    if not positions:
-        return ChainMapGroup(a, b, positions, ExactMatrix.zeros(0, 0))
-    # row clearing by denominators is harmless: the scalars are units
-    # of the sort ring (admissibility) or the sort ring is a field
-    entries = {}
-    for i, row in enumerate(rows):
-        mult = 1
-        for v in row.values():
-            mult = mult * v.denominator // gcd(mult, v.denominator)
-        for j, v in row.items():
-            entries[(i, j)] = v * mult
-    int_mat = ExactMatrix(len(rows), len(positions), entries)
+            # g f_n - f_{n-1} 0 = 0
+            zero = ExactMatrix.zeros(a.module(n - 1).total_rank, a.module(n).total_rank)
+            add_rows(n, g.map_at(n).matrix, zero,
+                     g.target.module(n).total_rank, a.module(n).total_rank)
+    int_mat = ExactMatrix._trusted(len(rows), len(positions), {
+        (i, j): v for i, row in enumerate(rows) for j, v in row.items() if v})
     basis = kernel_basis(int_mat)
     return ChainMapGroup(a, b, positions, basis)
 

@@ -1,6 +1,8 @@
 """Seeded generators shared by the unit and acceptance suites."""
 
 import random
+from fractions import Fraction
+from math import gcd
 
 from fracturecube.exact_linalg import ExactMatrix
 from fracturecube.sorted_complex import (
@@ -302,3 +304,62 @@ def dense_assemble(rows: int, cols: int, pieces) -> ExactMatrix:
                 out[ro + i][co + j] += v
     return ExactMatrix(rows, cols, {(i, j): v for i, row in enumerate(out)
                                     for j, v in enumerate(row)})
+
+
+# --- a Fraction-dict oracle for ExactMatrix ----------------------------------------------
+# An oracle matrix is (rows, cols, {(i, j): nonzero Fraction}), computed
+# entry by entry in Fraction arithmetic, independent of the numerator form.
+
+def frac_of(m: ExactMatrix):
+    return m.rows, m.cols, dict(m.items())
+
+
+def _nonzero(rows, cols, d):
+    return rows, cols, {k: Fraction(v) for k, v in d.items() if v}
+
+
+def frac_assemble(rows, cols, pieces):
+    out = {}
+    for ro, co, (_, _, d) in pieces:
+        for (i, j), v in d.items():
+            out[(ro + i, co + j)] = out.get((ro + i, co + j), 0) + v
+    return _nonzero(rows, cols, out)
+
+
+def frac_mul(a, b):
+    out = {}
+    for (i, j), x in a[2].items():
+        for (j2, k), y in b[2].items():
+            if j2 == j:
+                out[(i, k)] = out.get((i, k), 0) + x * y
+    return _nonzero(a[0], b[1], out)
+
+
+def frac_scale(a, c):
+    return _nonzero(a[0], a[1], {k: c * v for k, v in a[2].items()})
+
+
+def frac_add(a, b):
+    return frac_assemble(a[0], a[1], [(0, 0, a), (0, 0, b)])
+
+
+def frac_sub(a, b):
+    return frac_add(a, frac_scale(b, -1))
+
+
+def frac_transpose(a):
+    return a[1], a[0], {(j, i): v for (i, j), v in a[2].items()}
+
+
+def frac_submatrix(a, row_idx, col_idx):
+    return len(row_idx), len(col_idx), {
+        (ii, jj): a[2][(i, j)] for ii, i in enumerate(row_idx)
+        for jj, j in enumerate(col_idx) if (i, j) in a[2]}
+
+
+def assert_canonical(m: ExactMatrix):
+    """Nonzero int numerators inside the shape over a positive den, in lowest terms."""
+    assert type(m.den) is int and m.den >= 1
+    assert all(type(v) is int and v for v in m._n.values())
+    assert all(0 <= i < m.rows and 0 <= j < m.cols for i, j in m._n)
+    assert gcd(m.den, *m._n.values()) == 1

@@ -17,7 +17,7 @@ from fracturecube.fracture import LocalizationFamily, build_fracture_cube, e_loc
 from fracturecube.posets import subset_poset
 from fracturecube.serialize import SchemaError
 from fracturecube.holim import PosetDiagram
-from fracturecube.sorted_complex import ZLOC, ComplexMap, Q, SortedComplex, Z
+from fracturecube.sorted_complex import ZLOC, ComplexMap, Q, SortedComplex, SortedMap, Z
 
 from genutil import random_complex, random_cube
 
@@ -276,6 +276,14 @@ class TestErrors:
         # without --homology the primes are not read
         assert cli("emit-dot", path, "--primes", "4")[0] == 0
 
+    def test_homology_refuses_primes_past_the_exact_bound(self, tmp_path):
+        # a strong pseudoprime to the bases 2..37, so Miller-Rabin on them passes it
+        moore = SortedComplex.two_term(Z, ExactMatrix.from_rows([[2]]))
+        path = write_doc(tmp_path, "m.json", "complex", moore)
+        code, out, err = cli("homology", path, "--primes", "318665857834031151167461")
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ") and "decided exactly" in err
+
     def test_usage_goes_to_the_callers_streams(self):
         code, out, err = cli("snf")
         assert (code, out) == (2, "")
@@ -322,6 +330,59 @@ class TestErrors:
         code, _, err = cli("holim", str(path))
         assert code == 2
         assert "cube dimension 7 exceeds FRACTURE_MAX_T=6" in err
+
+
+def _matrix_doc(tmp_path, entry):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"version": "fracture/1", "kind": "matrix", "payload": {
+        "rows": 1, "cols": 1, "entries": [[entry]]}}), encoding="utf-8")
+    return str(path)
+
+
+class TestDigitCap:
+    def test_a_square_whose_nerve_composite_is_too_long(self, tmp_path):
+        # 3,001-digit edges: the full cube's nerve totalization holds their
+        # 6,001-digit composite and cannot be written, the total fiber can
+        big = 10 ** 3000 + 7
+        z = SortedComplex.single(Z)
+        edge = ComplexMap(z, z, {0: SortedMap(z.module(0), z.module(0),
+                                              {(0, 0): ExactMatrix.from_rows([[big]])})})
+        square = PosetDiagram(subset_poset((1, 2)), {s: z for s in subset_poset((1, 2)).elements},
+                              {e: edge for e in subset_poset((1, 2)).covering_pairs()})
+        path = write_doc(tmp_path, "square.json", "diagram", square)
+        code, out, err = cli("holim", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ") and "MAX_DIGITS=4300" in err
+        code, out, _ = cli("tfib", path)
+        assert code == 0 and str(big) in out
+
+    @pytest.mark.parametrize("entry", ["1" * 4301, "-" + "7" * 4301, "1/" + "3" * 4301,
+                                       "1e4300", "1e-4300"],
+                             ids=["numerator", "negative", "denominator", "exponent",
+                                  "negative-exponent"])
+    def test_entry_over_the_cap_is_a_schema_error(self, tmp_path, entry):
+        code, out, err = cli("snf", _matrix_doc(tmp_path, entry))
+        assert (code, out) == (2, "")
+        assert err.startswith("schema error: $.payload.entries[0][0]: ")
+        assert f"MAX_DIGITS={serialize.MAX_DIGITS}" in err and len(err) < 200
+
+    @pytest.mark.parametrize("raw", [
+        b'{"version": "fracture/1", "kind": "matrix", "payload": {"rows": '
+        + b"1" * 4301 + b', "cols": 1, "entries": []}}',
+        b'{"version": "fracture/1", "kind": "matrix", "payload": {"rows": 1, '
+        b'"cols": 1, "entries": [["\xff"]]}}'], ids=["long-integer", "bad-utf8"])
+    def test_undecodable_document_is_a_schema_error(self, tmp_path, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        code, out, err = cli("snf", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("schema error: $: invalid JSON in ")
+
+    def test_entry_at_the_cap_round_trips_through_snf(self, tmp_path):
+        entry = "9" * serialize.MAX_DIGITS
+        code, out, _ = cli("snf", _matrix_doc(tmp_path, "-" + entry))
+        assert code == 0
+        assert json.loads(out)["payload"]["entries"] == [[entry]]
 
 
 def _square_doc(tmp_path, damage):

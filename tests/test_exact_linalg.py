@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -7,9 +6,11 @@ from hypothesis import strategies as st
 
 from fracturecube.exact_linalg import (
     AbelianInvariants,
-    _cleared_int_rows,
     ExactMatrix,
     InputError,
+    _PRIME_BOUND,
+    _is_prime,
+    _require_primes,
     integer_homology_at,
     kernel_basis,
     rank_lower_bound,
@@ -17,6 +18,20 @@ from fracturecube.exact_linalg import (
     smith_normal_form,
     snf_diagonal,
     solve_in_span,
+)
+from fracturecube.fracture import LocalizationFamily
+from fracturecube.sorted_complex import Sort, complete
+
+from genutil import (
+    assert_canonical,
+    frac_add,
+    frac_assemble,
+    frac_mul,
+    frac_of,
+    frac_scale,
+    frac_sub,
+    frac_submatrix,
+    frac_transpose,
 )
 
 
@@ -46,6 +61,50 @@ def int_matrices(rows, cols, bound):
 
 
 shapes = st.tuples(st.integers(0, 8), st.integers(0, 8))
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 6)))
+
+
+@st.composite
+def frac_matrices(draw, rows, cols):
+    cells = draw(st.lists(st.one_of(st.just(0), small_fractions),
+                          min_size=rows * cols, max_size=rows * cols))
+    return ExactMatrix(rows, cols, {(i, j): cells[i * cols + j]
+                                    for i in range(rows) for j in range(cols)})
+
+
+@st.composite
+def matrix_step(draw, m):
+    """One operation on m: (the result, the same on the oracle form)."""
+    a = frac_of(m)
+    op = draw(st.sampled_from(("mul", "add", "sub", "scale_int", "scale_frac",
+                               "transpose", "submatrix", "assemble")))
+    if op == "mul":
+        other = draw(frac_matrices(m.cols, draw(st.integers(0, 4))))
+        return m * other, frac_mul(a, frac_of(other))
+    if op in ("add", "sub"):
+        other = draw(frac_matrices(m.rows, m.cols))
+        if op == "add":
+            return m + other, frac_add(a, frac_of(other))
+        return m - other, frac_sub(a, frac_of(other))
+    if op == "scale_int":
+        c = draw(st.integers(-4, 4))
+        return m.scale(c), frac_scale(a, c)
+    if op == "scale_frac":
+        c = draw(small_fractions)
+        return m.scale(c), frac_scale(a, c)
+    if op == "transpose":
+        return m.transpose(), frac_transpose(a)
+    if op == "submatrix":
+        rows = draw(st.lists(st.integers(0, m.rows - 1), unique=True)) if m.rows else []
+        cols = draw(st.lists(st.integers(0, m.cols - 1), unique=True)) if m.cols else []
+        return m.submatrix(rows, cols), frac_submatrix(a, rows, cols)
+    # overlapping pieces: m twice and a second matrix, in a larger frame
+    other = draw(frac_matrices(m.rows, m.cols))
+    ro, co = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    pieces = [(0, 0, m), (ro, co, other), (ro, co, m)]
+    shape = (m.rows + ro, m.cols + co)
+    return (ExactMatrix.assemble(*shape, pieces),
+            frac_assemble(*shape, [(x, y, frac_of(p)) for x, y, p in pieces]))
 
 
 def diag_of(m: ExactMatrix):
@@ -71,11 +130,42 @@ class TestExactMatrix:
         assert m.entry(0, 0) == Fraction(1, 2)
         assert m.entry(0, 0).denominator == 2
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 4), st.integers(0, 4), st.data())
+    def test_operation_chains_against_fraction_oracle(self, rows, cols, data):
+        m = data.draw(frac_matrices(rows, cols))
+        seen = [(m, frac_of(m))]
+        for _ in range(data.draw(st.integers(1, 6))):
+            m, want = data.draw(matrix_step(m))
+            assert_canonical(m)
+            assert frac_of(m) == want
+            assert m == ExactMatrix(*want)
+            # == agrees with the oracle's equality on every earlier matrix
+            for earlier, oracle in seen:
+                assert (m == earlier) == (want == oracle)
+            seen.append((m, want))
+
+    def test_canonical_form(self):
+        m = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [0, 2]])
+        assert m.den == 6 and m._n == {(0, 0): 3, (0, 1): 2, (1, 1): 12}
+        assert m.denominators() == {2, 3, 1}
+        assert not m.is_integral() and m.scale(6).is_integral()
+        # a sum that cancels its denominators comes back over 1
+        half = ExactMatrix.from_rows([[Fraction(1, 2)]])
+        assert (half + half).den == 1 and (half + half) == ExactMatrix.identity(1)
+        assert (half - half).den == 1 and (half - half).is_zero()
+        assert half.scale(Fraction(2, 3)) == ExactMatrix.from_rows([[Fraction(1, 3)]])
+
     def test_empty_shapes(self):
         z = ExactMatrix.zeros(0, 3)
         w = ExactMatrix.zeros(3, 0)
         assert (z * w.transpose().transpose()).rows == 0
         assert (w * z).rows == 3 and (w * z).cols == 3
+        assert ExactMatrix.identity(0) == ExactMatrix.zeros(0, 0)
+        for make in (lambda: ExactMatrix.zeros(-1, 2), lambda: ExactMatrix.zeros(2, -1),
+                     lambda: ExactMatrix.identity(-1), lambda: ExactMatrix(-1, 0)):
+            with pytest.raises(InputError, match="negative"):
+                make()
 
 
 class TestSmithNormalForm:
@@ -151,13 +241,8 @@ class TestRank:
         m = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
         assert rank_lower_bound(m) == rank_over_field(m, "Q") == 3
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 6), st.data())
-    def test_rational_rank_against_gaussian_oracle(self, rows, cols, data):
-        vals = data.draw(st.lists(st.integers(-9, 9),
-                                  min_size=rows * cols, max_size=rows * cols))
-        grid = [[Fraction(vals[i * cols + j]) for j in range(cols)]
-                for i in range(rows)]
+    @staticmethod
+    def assert_rank_against_gaussian_oracle(grid, rows, cols):
         m = ExactMatrix.from_rows(grid)
         # oracle: plain Gaussian elimination over Fraction
         work = [row[:] for row in grid]
@@ -176,24 +261,25 @@ class TestRank:
         assert rank_over_field(m, "Q") == rank
         assert rank_lower_bound(m) <= rank
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_rational_rank_against_gaussian_oracle(self, rows, cols, data):
+        vals = data.draw(st.lists(st.integers(-9, 9),
+                                  min_size=rows * cols, max_size=rows * cols))
+        self.assert_rank_against_gaussian_oracle(
+            [[Fraction(vals[i * cols + j]) for j in range(cols)] for i in range(rows)],
+            rows, cols)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 5), st.integers(0, 5), st.data())
-    def test_cleared_rows_against_dense_oracle(self, rows, cols, data):
+    def test_fractional_rank_against_gaussian_oracle(self, rows, cols, data):
+        # entries over mixed denominators: the ranks read den * m
         cells = data.draw(st.lists(
-            st.tuples(st.integers(-9, 9), st.sampled_from((1, 1, 2, 3, 4, 6))),
+            st.tuples(st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 6))),
             min_size=rows * cols, max_size=rows * cols))
-        grid = [[Fraction(*cells[i * cols + j]) for j in range(cols)]
-                for i in range(rows)]
-        # oracle: each dense row times the lcm of its denominators
-        want = []
-        for row in grid:
-            mult = 1
-            for v in row:
-                mult = mult * v.denominator // gcd(mult, v.denominator)
-            want.append([int(v * mult) for v in row])
-        assert _cleared_int_rows(ExactMatrix(rows, cols, {
-            (i, j): v for i, row in enumerate(grid) for j, v in enumerate(row)})) == want
+        self.assert_rank_against_gaussian_oracle(
+            [[Fraction(*cells[i * cols + j]) for j in range(cols)] for i in range(rows)],
+            rows, cols)
 
 
 class TestKernelAndSolve:
@@ -287,3 +373,31 @@ class TestHomology:
     def test_torsion_chain_validated(self):
         with pytest.raises(InputError):
             AbelianInvariants(0, (4, 6))
+
+
+class TestPrimality:
+    def test_matches_a_sieve(self):
+        n = 10 ** 5
+        sieve = [False, False] + [True] * (n - 2)
+        for p in range(2, int(n ** 0.5) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = [False] * len(range(p * p, n, p))
+        assert [k for k in range(n) if _is_prime(k)] == [k for k in range(n) if sieve[k]]
+
+    def test_large_primes_below_the_bound(self):
+        assert _is_prime(2 ** 61 - 1)
+        assert not _is_prime(2 ** 61 + 1)
+        assert _is_prime(2 ** 31 - 1)
+        _require_primes((2 ** 61 - 1,))
+        assert Sort("Zp", 2 ** 61 - 1).prime == 2 ** 61 - 1
+
+    def test_strong_pseudoprime_at_the_bound_is_refused(self):
+        # 399165290221 * 798330580441 passes Miller-Rabin on the bases 2..37
+        n = _PRIME_BOUND
+        assert n == 399165290221 * 798330580441
+        for call in (lambda: _is_prime(n), lambda: _is_prime(n + 2),
+                     lambda: _require_primes((2, n)), lambda: Sort("Zp", n),
+                     lambda: Sort("Qp", n), lambda: complete(n),
+                     lambda: LocalizationFamily((n,))):
+            with pytest.raises(InputError, match=str(_PRIME_BOUND)):
+                call()

@@ -57,6 +57,7 @@ from fracturecube.sorted_complex import (
 )
 
 from genutil import (
+    assert_canonical,
     leg_compatibility,
     random_chain_map,
     random_complex,
@@ -68,10 +69,10 @@ TABLES = (RATIONALIZE, LOCALIZE, complete(2), complete(3))
 
 
 def recheck_matrix(m: ExactMatrix):
-    # the public constructor drops zeros and converts to Fraction
+    # the public constructor drops zeros and reduces to the canonical form
     again = ExactMatrix(m.rows, m.cols, dict(m.items()))
     assert again == m
-    assert all(type(v) is Fraction for _, v in m.items())
+    assert_canonical(m)
 
 
 def recheck_sorted_map(f: SortedMap):

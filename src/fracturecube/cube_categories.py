@@ -7,6 +7,11 @@ Such objects are equivalent to single local complexes: the limit
 functor and the fracture-diagram functor are mutually inverse up to
 quasi-isomorphism, verified here vertex by vertex.
 
+Every unit between two subset localizations of one complex adds one
+index j: the canonical unit of the j-th table at the localization above
+j, localized at the indices below j. So every unit here comes from
+sorted_complex.canonical_unit, and locality is sorted_complex.is_local.
+
 The decomposition combinatorics splits the index poset above a subset
 into a gap part between the two minima and an anchored part above the
 larger minimum; diagrams push forward along that splitting.
@@ -16,67 +21,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact_linalg import ExactMatrix, InputError
+from .exact_linalg import InputError
 from .fracture import LocalizationFamily, build_fracture_cube, is_e_local
 from .holim import PosetDiagram, cube_totalization, homotopy_limit, punctured_restriction
 from .posets import FinitePoset, PosetMap, canonical_subset, subset_poset
 from .sorted_complex import (
     ComplexMap,
-    LocalizationTable,
     SortedComplex,
-    _localize_module,
-    _map_from_pieces,
     apply_localization,
     apply_localization_chain_map,
     apply_tables,
     canonical_unit,
     is_acyclic,
+    is_local,
     is_quasi_iso,
 )
 
 
-# --- provenance-traced localization ---------------------------------------------
-
-def localize_with_trace(x: SortedComplex, tables):
-    """Apply tables while remembering which original summand survives where."""
-    trace = {n: tuple(range(len(m.summands))) for n, m in x.modules.items()}
-    cur = x
-    for t in tables:
-        nxt = {}
-        for n, m in cur.modules.items():
-            kept, _ = _localize_module(m, t)
-            nxt[n] = tuple(trace[n][i] for i in kept)
-        cur = apply_localization(cur, t)
-        trace = {n: nxt.get(n, ()) for n in cur.modules}
-    return cur, trace
-
-
-def trace_unit(base: SortedComplex, fam: LocalizationFamily, small, large) -> ComplexMap:
-    """Canonical map between two subset localizations of one base complex.
-
-    small and large are index subsets with small contained in large; the
-    map is the identity on every summand surviving both, which is the
-    unit insertion for the extra indices under the outer localizations.
-    """
-    small = canonical_subset(small)
-    large = canonical_subset(large)
-    if not set(small) <= set(large):
-        raise InputError("unit needs nested index subsets")
-    src, tr_s = localize_with_trace(base, fam.tables_for(small))
-    tgt, tr_t = localize_with_trace(base, fam.tables_for(large))
-    maps = {}
-    for n, m in tgt.modules.items():
-        src_pos = {orig: i for i, orig in enumerate(tr_s.get(n, ()))}
-        maps[n] = _map_from_pieces(src.module(n), m, [
-            (m.offset(j), src.module(n).offset(src_pos[orig]), ExactMatrix.identity(m.rank(j)))
-            for j, orig in enumerate(tr_t[n])])
-    return ComplexMap(src, tgt, maps)
-
+# --- localization along index subsets ------------------------------------------
 
 def localize_chain_map_tables(f: ComplexMap, tables) -> ComplexMap:
     for t in tables:
         f = apply_localization_chain_map(f, t)
     return f
+
+
+def _unit_adding(base: SortedComplex, fam: LocalizationFamily, small, j) -> ComplexMap:
+    """The unit from the small-subset localization of base to the one with j
+    added: the j-th canonical unit of the localization at the indices above
+    j, localized at the indices below j."""
+    above = fam.tables_for([x for x in small if x > j])
+    unit = canonical_unit(apply_tables(base, above), fam.table(j))
+    return localize_chain_map_tables(unit, fam.tables_for([x for x in small if x < j]))
 
 
 # --- fracture objects -----------------------------------------------------------
@@ -108,10 +84,6 @@ class ObjectViolation:
     message: str
 
 
-def _is_local(c: SortedComplex, table: LocalizationTable) -> bool:
-    return apply_localization(c, table) == c
-
-
 def validate_fracture_object(g: FractureObject) -> list:
     """Check the locality and unit-edge conditions, peeling minima.
 
@@ -121,7 +93,7 @@ def validate_fracture_object(g: FractureObject) -> list:
     out = []
     for s in g.diagram.shape.elements:
         table = fam.table(min(s))
-        if not _is_local(g.vertex(s), table):
+        if not is_local(g.vertex(s), table):
             out.append(ObjectViolation(f"vertex {s}",
                                        f"not fixed by {table.label()}"))
 
@@ -131,16 +103,14 @@ def validate_fracture_object(g: FractureObject) -> list:
         i = labels[0]
         rest = labels[1:]
         table = fam.table(i)
-        rest_sets = [s for s in subset_poset(rest, punctured=True).elements]
-        for v in rest_sets:
+        for v in subset_poset(rest, punctured=True).elements:
             iv = canonical_subset((i,) + v)
-            want = apply_localization(g.vertex(v), table)
-            if g.vertex(iv) != want:
+            unit = canonical_unit(g.vertex(v), table)
+            if g.vertex(iv) != unit.target:
                 out.append(ObjectViolation(
                     f"vertex {iv}",
                     f"must equal the {table.label()} localization of {v}"))
                 continue
-            unit = canonical_unit(g.vertex(v), table)
             if g.diagram.hom(v, iv) != unit:
                 out.append(ObjectViolation(
                     f"edge {v} -> {iv}", "must be the localization unit"))
@@ -178,7 +148,7 @@ def build_from_generators(gen: GeneratorData, fam: LocalizationFamily,
     for i in labels:
         if i not in gen.complexes:
             raise InputError(f"missing generator complex at index {i}")
-        if not _is_local(gen.complexes[i], fam.table(i)):
+        if not is_local(gen.complexes[i], fam.table(i)):
             raise InputError(f"generator {i} is not {fam.table(i).label()}-local")
     for i in labels:
         for j in labels:
@@ -202,10 +172,8 @@ def build_from_generators(gen: GeneratorData, fam: LocalizationFamily,
         (j,) = set(s2) - set(s)
         m = max(s)
         if j < m:
-            edges[(s, s2)] = trace_unit(
-                gen.complexes[m], fam,
-                tuple(x for x in s if x != m),
-                tuple(x for x in s2 if x != m))
+            edges[(s, s2)] = _unit_adding(gen.complexes[m], fam,
+                                          tuple(x for x in s if x != m), j)
         else:
             f = gen.maps[(m, j)]
             edges[(s, s2)] = localize_chain_map_tables(
@@ -238,11 +206,7 @@ def _local_fracture_cube(x: SortedComplex, fam: LocalizationFamily) -> PosetDiag
 
 def fracture_diagram(x: SortedComplex, fam: LocalizationFamily) -> FractureObject:
     """Restrict the inductive localization cube of a local complex."""
-    obj = FractureObject(punctured_restriction(_local_fracture_cube(x, fam)), fam)
-    bad = validate_fracture_object(obj)
-    if bad:
-        raise InputError(f"internal error: produced invalid object: {bad[0]}")
-    return obj
+    return FractureObject(punctured_restriction(_local_fracture_cube(x, fam)), fam)
 
 
 def roundtrip_check(obj, fam: LocalizationFamily) -> bool:
@@ -366,7 +330,7 @@ def diagram_functor(s, s2, x: PosetDiagram, fam: LocalizationFamily) -> PosetDia
     s, s2, t = _check_containment(s, s2, t)
     table_min = fam.table(min(s))
     for u in x.shape.elements:
-        if not _is_local(x.vertex(u), table_min):
+        if not is_local(x.vertex(u), table_min):
             raise InputError(f"input vertex {u} is not local at index {min(s)}")
     lo, hi = min(s2), min(s)
     outer = anchored_supersets(s2, t)
@@ -383,14 +347,16 @@ def diagram_functor(s, s2, x: PosetDiagram, fam: LocalizationFamily) -> PosetDia
              for u in outer.elements}
     edges = {}
     for (u, w) in outer.covering_pairs():
-        step = localize_chain_map_tables(x.hom(upper(u), upper(w)),
-                                         fam.tables_for(gap(u)))
-        widen = trace_unit(x.vertex(upper(w)), fam, gap(u), gap(w))
-        edges[(u, w)] = widen.compose(step)
+        (j,) = set(w) - set(u)
+        if lo <= j < hi:
+            edges[(u, w)] = _unit_adding(x.vertex(upper(u)), fam, gap(u), j)
+        else:
+            edges[(u, w)] = localize_chain_map_tables(x.hom(upper(u), upper(w)),
+                                                      fam.tables_for(gap(u)))
     out = PosetDiagram(outer, verts, edges)
     table_out = fam.table(min(s2))
     for u in out.shape.elements:
-        if not _is_local(out.vertex(u), table_out):
+        if not is_local(out.vertex(u), table_out):
             raise InputError(f"output vertex {u} failed locality at {min(s2)}")
     return out
 
@@ -464,12 +430,15 @@ def glue_fracture_object(split: SplitData, fam: LocalizationFamily) -> FractureO
     """
     top = split.top
     rest = top.labels
-    first_candidates = [i for i in fam.labels() if i not in rest]
-    if len(first_candidates) != 1 or min(fam.labels()) not in first_candidates:
-        raise InputError("glue expects the top face to omit exactly the "
-                         "first family index")
-    first = first_candidates[0]
+    # the anchor is the bottom's singleton vertex, a family index below the top
+    anchor = [u[0] for u in split.bottom.shape.elements if len(u) == 1]
+    first = anchor[0] if anchor else None
+    if first not in fam.labels() or first >= min(rest):
+        raise InputError("glue expects the bottom face anchored at a family "
+                         "index below every top label")
     labels = canonical_subset((first,) + rest)
+    if set(split.bottom.shape.elements) != set(anchored_supersets((first,), labels).elements):
+        raise InputError(f"bottom face is not the anchored poset on {labels}")
     table = fam.table(first)
     bad = validate_fracture_object(top)
     if bad:

@@ -30,13 +30,15 @@ from .sorted_complex import (
     ComplexMap,
     LocalizationTable,
     SortedComplex,
+    _localize,
+    _localize_chain_map,
+    _unit,
     apply_localization,
-    apply_tables,
-    canonical_unit,
     complete,
     composite_kills_all,
     homology_p_local,
     is_acyclic,
+    is_local,
     is_quasi_iso,
     sum_inclusions,
     validate,
@@ -83,21 +85,14 @@ class LocalizationFamily:
         """Tables for L_S, listed in application order (largest index first)."""
         return [self.table(i) for i in sorted(subset, reverse=True)]
 
-    @property
-    def e_table(self) -> LocalizationTable:
-        return LOCALIZE
-
-    def localize_subset(self, x: SortedComplex, subset) -> SortedComplex:
-        return apply_tables(x, self.tables_for(subset))
-
 
 def e_localize(x: SortedComplex, fam: LocalizationFamily) -> SortedComplex:
     """Localization at the whole family: invert all primes outside P."""
-    return apply_localization(x, fam.e_table)
+    return apply_localization(x, LOCALIZE)
 
 
 def is_e_local(x: SortedComplex, fam: LocalizationFamily) -> bool:
-    return e_localize(x, fam) == x
+    return is_local(x, LOCALIZE)
 
 
 def _require_valid(x: SortedComplex, fam: LocalizationFamily):
@@ -109,39 +104,32 @@ def _require_valid(x: SortedComplex, fam: LocalizationFamily):
 def build_fracture_cube(x: SortedComplex, fam: LocalizationFamily) -> PosetDiagram:
     """The inductive cube of localizations of x over the subsets of 1..n.
 
-    Base case is the unit x -> L_1 x; each further stage maps the cube
-    already built to its localization at the next smaller index, along
-    the units. The vertex at S comes out as the ordered composite
-    localization of x at S.
+    Base case is the 0-cube on x; each stage maps the cube already built
+    to its localization at the next smaller index, along the units. The
+    vertex at S comes out as the ordered composite localization of x at S.
     """
     _require_valid(x, fam)
     return _build(x, fam, list(fam.labels()))
 
 
 def _build(x: SortedComplex, fam: LocalizationFamily, labels: list) -> PosetDiagram:
+    if not labels:
+        return PosetDiagram._trusted(subset_poset((), punctured=False), {(): x}, {})
     first = labels[0]
     table = fam.table(first)
-    if len(labels) == 1:
-        shape = subset_poset((first,), punctured=False)
-        unit = canonical_unit(x, table)
-        return PosetDiagram._trusted(shape, {(): x, (first,): unit.target},
-                                     {((), (first,)): unit})
     sub = _build(x, fam, labels[1:])
-    loc = localize_diagram(sub, table)
-    shape = subset_poset(labels, punctured=False)
-    verts = {}
-    edges = {}
+    verts, edges, passes = {}, {}, {}
     for s in sub.shape.elements:
+        # one localization pass per vertex gives both the unit and its target
         s2 = canonical_subset(s + (first,))
-        verts[s] = sub.vertex(s)
-        verts[s2] = loc.vertex(s)
-        edges[(s, s2)] = canonical_unit(sub.vertex(s), table)
-    for (a, b) in sub.shape.covering_pairs():
-        a2 = canonical_subset(a + (first,))
-        b2 = canonical_subset(b + (first,))
-        edges[(a, b)] = sub.edges[(a, b)]
-        edges[(a2, b2)] = loc.edges[(a, b)]
-    return PosetDiagram._trusted(shape, verts, edges)
+        passes[s] = _localize(sub.vertex(s), table)
+        verts[s], verts[s2] = sub.vertex(s), passes[s][0]
+        edges[(s, s2)] = _unit(sub.vertex(s), passes[s])
+    for (a, b), e in sub.edges.items():
+        edges[(a, b)] = e
+        edges[(canonical_subset(a + (first,)), canonical_subset(b + (first,)))] = \
+            _localize_chain_map(e, passes[a], passes[b])
+    return PosetDiagram._trusted(subset_poset(labels, punctured=False), verts, edges)
 
 
 @dataclass

@@ -39,9 +39,9 @@ from .sorted_complex import (
     SortedComplex,
     SortedMap,
     SortedModule,
+    _localize,
+    _localize_chain_map,
     _map_from_pieces,
-    apply_localization,
-    apply_localization_chain_map,
     chain_map_group,
     comparison_is_isomorphism,
     hofib,
@@ -158,10 +158,11 @@ class PosetDiagram:
 
 
 def localize_diagram(d: PosetDiagram, table: LocalizationTable) -> PosetDiagram:
-    verts = {x: apply_localization(c, table) for x, c in d.vertices.items()}
-    edges = {k: apply_localization_chain_map(e, table)
-             for k, e in d.edges.items()}
-    return PosetDiagram._trusted(d.shape, verts, edges)
+    """Localize each vertex once and each edge over its localized endpoints."""
+    loc = {x: _localize(c, table) for x, c in d.vertices.items()}
+    edges = {(x, y): _localize_chain_map(e, loc[x], loc[y])
+             for (x, y), e in d.edges.items()}
+    return PosetDiagram._trusted(d.shape, {x: v[0] for x, v in loc.items()}, edges)
 
 
 @dataclass

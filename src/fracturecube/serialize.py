@@ -43,7 +43,8 @@ class SchemaError(InputError):
 
 
 def _expect(value, types, path):
-    if not isinstance(value, types):
+    # bool subclasses int, but a JSON boolean is not an integer
+    if not isinstance(value, types) or (type(value) is bool and types is int):
         names = types.__name__ if isinstance(types, type) else \
             "/".join(t.__name__ for t in types)
         raise SchemaError(path, f"expected {names}, got {type(value).__name__}")
@@ -91,6 +92,8 @@ def rational_from_str(s, path="$") -> Fraction:
         raise SchemaError(path, f"bad rational {s!r}: {exc}") from None
     if max(abs(x.numerator), x.denominator) >= _DIGIT_CAP:
         raise SchemaError(path, _OVER_CAP)
+    if rational_to_str(x) != s:
+        raise SchemaError(path, f"rational {s!r} is not written as {rational_to_str(x)!r}")
     return x
 
 
@@ -194,9 +197,12 @@ def _sorted_map_from_json(d, source, target, path) -> SortedMap:
 
 def _degree(key, path) -> int:
     try:
-        return int(key)
+        n = int(key)
     except ValueError:
         raise SchemaError(path, "degree must be an integer") from None
+    if str(n) != key:
+        raise SchemaError(path, f"degree key {key!r} is not written as {str(n)!r}")
+    return n
 
 
 def complex_to_json(c: SortedComplex) -> dict:
@@ -244,7 +250,7 @@ def poset_from_json(d, path="$") -> FinitePoset:
     pairs = []
     for k, pair in enumerate(_expect(d["leq"], list, f"{path}.leq")):
         _expect(pair, list, f"{path}.leq[{k}]")
-        if len(pair) != 2 or not all(isinstance(v, int) for v in pair):
+        if len(pair) != 2 or not all(type(v) is int for v in pair):
             raise SchemaError(f"{path}.leq[{k}]", "expected [i, j] index pair")
         i, j = pair
         if not (0 <= i < len(elems) and 0 <= j < len(elems)):
@@ -370,13 +376,14 @@ def split_to_json(sp: SplitData) -> dict:
 def split_from_json(d, path="$"):
     _only_keys(d, ("top", "bottom", "witness"), (), path)
     top = fracture_object_from_json(d["top"], f"{path}.top")
-    # the bottom face is anchored at the first index, not a full subset poset
-    first = min(top.family.labels())
+    # the bottom face is anchored at its singleton vertex, not a full subset
+    # poset; glue checks that the anchor is a family index below the top
+    bpath = f"{path}.bottom"
+    payloads = _vertex_payloads(d["bottom"], bpath)
+    first = min((u[0] for u in payloads if len(u) == 1), default=min(top.family.labels()))
     labels = canonical_subset((first,) + top.labels)
     check_dimension(len(labels))
-    bpath = f"{path}.bottom"
-    bottom = _diagram_over(anchored_supersets((first,), labels),
-                           _vertex_payloads(d["bottom"], bpath), d["bottom"], bpath)
+    bottom = _diagram_over(anchored_supersets((first,), labels), payloads, d["bottom"], bpath)
     witness = {}
     for key, payload in _expect(d["witness"], dict, f"{path}.witness").items():
         wpath = f"{path}.witness.{key}"

@@ -661,6 +661,28 @@ def _localize_module(m: SortedModule, table: LocalizationTable):
     return kept, SortedModule([(table.apply_sort(m.sort(i)), m.rank(i)) for i in kept])
 
 
+def _localize(c: SortedComplex, table: LocalizationTable):
+    """The one localization pass: the localized complex and, per degree,
+    the basis indices of c that it keeps."""
+    mods, kept = {}, {}
+    for n, m in c.modules.items():
+        keep, mods[n] = _localize_module(m, table)
+        kept[n] = m.basis(keep)
+    diffs = {n: SortedMap._trusted(mods[n], mods[n - 1],
+                                   d.matrix.submatrix(kept[n - 1], kept[n]))
+             for n, d in c.diffs.items()}
+    return SortedComplex._trusted(mods, diffs), kept
+
+
+def _localize_chain_map(f: ComplexMap, source, target) -> ComplexMap:
+    """f between its endpoints' localizations, each given as its _localize pass."""
+    (src, skept), (tgt, tkept) = source, target
+    return ComplexMap._trusted(src, tgt, {
+        n: SortedMap._trusted(src.module(n), tgt.module(n),
+                              m.matrix.submatrix(tkept[n], skept[n]))
+        for n, m in f.maps.items()})
+
+
 def apply_localization(c: SortedComplex, table: LocalizationTable) -> SortedComplex:
     """Tensor a complex along a sort table.
 
@@ -669,34 +691,30 @@ def apply_localization(c: SortedComplex, table: LocalizationTable) -> SortedComp
     from a killed summand into a survivor cannot exist (no canonical sort
     map would allow it), which is what makes the drop exact.
     """
-    return SortedComplex._trusted(
-        {n: _localize_module(m, table)[1] for n, m in c.modules.items()},
-        {n: apply_localization_map(d, table) for n, d in c.diffs.items()})
-
-
-def apply_localization_map(f: SortedMap, table: LocalizationTable) -> SortedMap:
-    skeep, smod = _localize_module(f.source, table)
-    tkeep, tmod = _localize_module(f.target, table)
-    return SortedMap._trusted(smod, tmod, f.matrix.submatrix(
-        f.target.basis(tkeep), f.source.basis(skeep)))
+    return _localize(c, table)[0]
 
 
 def apply_localization_chain_map(f: ComplexMap, table: LocalizationTable) -> ComplexMap:
-    return ComplexMap._trusted(apply_localization(f.source, table),
-                               apply_localization(f.target, table),
-                               {n: apply_localization_map(m, table)
-                                for n, m in f.maps.items()})
+    return _localize_chain_map(f, _localize(f.source, table), _localize(f.target, table))
+
+
+def _unit(c: SortedComplex, localized) -> ComplexMap:
+    """The projection of c onto the basis its _localize pass keeps."""
+    loc, kept = localized
+    return ComplexMap._trusted(c, loc, {n: SortedMap._trusted(
+        m, loc.module(n), ExactMatrix._trusted(
+            len(kept[n]), m.total_rank, {(r, k): 1 for r, k in enumerate(kept[n])}))
+        for n, m in c.modules.items()})
 
 
 def canonical_unit(c: SortedComplex, table: LocalizationTable) -> ComplexMap:
     """The natural map from a complex to its localization."""
-    loc = apply_localization(c, table)
-    maps = {}
-    for n, m in c.modules.items():
-        kept = m.basis(_localize_module(m, table)[0])
-        maps[n] = SortedMap._trusted(m, loc.module(n), ExactMatrix._trusted(
-            len(kept), m.total_rank, {(r, k): 1 for r, k in enumerate(kept)}))
-    return ComplexMap._trusted(c, loc, maps)
+    return _unit(c, _localize(c, table))
+
+
+def is_local(c: SortedComplex, table: LocalizationTable) -> bool:
+    """Whether the table fixes c, that is, fixes every sort in it."""
+    return all(table.apply_sort(s) == s for s in c.sorts())
 
 
 def apply_tables(c: SortedComplex, tables) -> SortedComplex:

@@ -11,7 +11,7 @@ import pytest
 import fracturecube
 from fracturecube import serialize
 from fracturecube.cli import emit_dot, run
-from fracturecube.cube_categories import fracture_diagram
+from fracturecube.cube_categories import fracture_diagram, split_fracture_object
 from fracturecube.exact_linalg import ExactMatrix, smith_normal_form
 from fracturecube.fracture import LocalizationFamily, build_fracture_cube, e_localize
 from fracturecube.posets import subset_poset
@@ -558,3 +558,117 @@ def test_repeated_block_is_a_schema_error(tmp_path, first, second):
     assert code == 2 and out == ""
     assert err.startswith("schema error: $.payload.differentials.1.blocks[1]:")
     assert "repeated block (0,0)" in err
+
+
+def _payload_doc(tmp_path, kind, payload):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"version": "fracture/1", "kind": kind,
+                                "payload": payload}), encoding="utf-8")
+    return str(path)
+
+
+def _line_complex(modules, differentials=None):
+    # Z -1-> Z between degrees 1 and 0 unless the keys are given
+    block = {"source": 0, "target": 0, "matrix": {"rows": 1, "cols": 1, "entries": [["1"]]}}
+    return {"modules": {k: [["Z", 1]] for k in modules},
+            "differentials": {k: {"blocks": [dict(block)]} for k in differentials or ()}}
+
+
+def _true_block_index(payload):
+    payload["differentials"]["1"]["blocks"][0]["source"] = True
+    return payload
+
+
+@pytest.mark.parametrize("argv, kind, payload, where", [
+    (["snf"], "matrix", {"rows": True, "cols": 1, "entries": [["1"]]}, "$.payload.rows"),
+    (["snf"], "matrix", {"rows": 1, "cols": True, "entries": [["1"]]}, "$.payload.cols"),
+    (["homology"], "complex", {"modules": {"0": [["Z", True]]}, "differentials": {}},
+     "$.payload.modules.0[0][1]"),
+    (["cat", "roundtrip"], "complex", {"modules": {"0": [["Z", True]]}, "differentials": {}},
+     "$.payload.modules.0[0][1]"),
+    (["homology"], "complex", _true_block_index(_line_complex(("0", "1"), ("1",))),
+     "$.payload.differentials.1.blocks[0].source"),
+], ids=["rows", "cols", "rank", "rank-roundtrip", "block-index"])
+def test_json_boolean_is_not_an_integer(tmp_path, argv, kind, payload, where):
+    code, out, err = cli(*argv, _payload_doc(tmp_path, kind, payload))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"schema error: {where}: expected int, got bool")
+
+
+@pytest.mark.parametrize("entry, canonical", [
+    (" 0.5e1 ", "5"), (" 3 ", "3"), ("+3", "3"), ("03", "3"), ("1_000", "1000"),
+    ("2/4", "1/2"), ("0.5", "1/2"), ("1e2", "100"), ("-0", "0"), ("3/1", "3")])
+def test_non_canonical_rational_entry(tmp_path, entry, canonical):
+    code, out, err = cli("snf", _matrix_doc(tmp_path, entry))
+    assert (code, out) == (2, "")
+    assert err.startswith("schema error: $.payload.entries[0][0]: ")
+    assert f"is not written as {canonical!r}" in err
+
+
+NON_CANONICAL_DEGREES = ["1_0", "+1", "01", " 1"]
+
+
+@pytest.mark.parametrize("key", NON_CANONICAL_DEGREES)
+def test_non_canonical_module_key(tmp_path, key):
+    code, out, err = cli("homology", _payload_doc(tmp_path, "complex", _line_complex((key,))))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"schema error: $.payload.modules.{key}: ")
+    assert "is not written as" in err
+
+
+def test_two_spellings_of_one_degree_are_rejected(tmp_path):
+    # "1" and "01" would both decode to degree 1, the later one silently winning
+    payload = {"modules": {"1": [["Z", 1]], "01": [["Z", 2]]}, "differentials": {}}
+    code, out, err = cli("homology", _payload_doc(tmp_path, "complex", payload))
+    assert (code, out) == (2, "")
+    assert err.startswith("schema error: $.payload.modules.01: ")
+
+
+@pytest.mark.parametrize("key", NON_CANONICAL_DEGREES)
+def test_non_canonical_differential_key(tmp_path, key):
+    payload = _line_complex(("0", "1"), (key,))
+    code, out, err = cli("homology", _payload_doc(tmp_path, "complex", payload))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"schema error: $.payload.differentials.{key}: ")
+    assert "is not written as" in err
+
+
+@pytest.mark.parametrize("key", NON_CANONICAL_DEGREES)
+def test_non_canonical_map_component_key(tmp_path, key):
+    # an identity arrow of spheres in degree 1, its component key respelled
+    z = SortedComplex.single(Z, 1, 1)
+    d = PosetDiagram(subset_poset((1,)), {(): z, (1,): z}, {((), (1,)): ComplexMap.identity(z)})
+    doc = serialize.wrap("diagram", d)
+    comps = doc["payload"]["edges"][0]["components"]
+    comps[key] = comps.pop("1")
+    path = tmp_path / "arrow.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = cli("holim", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"schema error: $.payload.edges[0].components.{key}: ")
+    assert "is not written as" in err
+
+
+def test_split_of_a_face_glues_back_to_its_bytes(tmp_path):
+    # the top face of a 3-label object lives on labels (2, 3): its split is
+    # anchored at 2, not at the family's first index
+    fam = LocalizationFamily((2, 3))
+    rng = random.Random(5)
+    for k in range(3):
+        x = e_localize(random_complex(rng, deg_hi=2, max_rank=3), fam)
+        top = split_fracture_object(fracture_diagram(x, fam)).top
+        tpath = tmp_path / f"top{k}.json"
+        spath = str(tmp_path / f"split{k}.json")
+        tpath.write_text(json.dumps(serialize.wrap("fracture-object", top), indent=2,
+                                    sort_keys=True) + "\n", encoding="utf-8")
+        assert cli("cat", "split", str(tpath), "-o", spath)[0] == 0
+        code, out, err = cli("cat", "glue", spath)
+        assert (code, err) == (0, "")
+        assert out == tpath.read_text(encoding="utf-8")
+
+
+def test_boolean_poset_index_is_rejected():
+    doc = serialize.wrap("poset", subset_poset((1,)))
+    doc["payload"]["leq"][0][0] = True
+    with pytest.raises(SchemaError, match=r"^\$\.payload\.leq\[0\]: "):
+        serialize.unwrap(doc)

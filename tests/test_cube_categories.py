@@ -7,6 +7,7 @@ from fracturecube.cube_categories import (
     FractureObject,
     GeneratorData,
     SplitData,
+    _unit_adding,
     anchor_split,
     anchor_split_onto_product,
     anchored_cover_identity,
@@ -17,15 +18,13 @@ from fracturecube.cube_categories import (
     fracture_limit,
     gap_subsets,
     glue_fracture_object,
-    localize_with_trace,
     roundtrip_check,
     split_fracture_object,
-    trace_unit,
     validate_fracture_object,
 )
-from fracturecube.fracture import LocalizationFamily, e_localize
+from fracturecube.fracture import LocalizationFamily, build_fracture_cube, e_localize
 from fracturecube.holim import PosetDiagram, homotopy_limit
-from fracturecube.posets import subset_poset
+from fracturecube.posets import canonical_subset, subset_poset
 from fracturecube.sorted_complex import (
     ComplexMap,
     Q,
@@ -35,6 +34,7 @@ from fracturecube.sorted_complex import (
     Z,
     Zp,
     apply_localization,
+    apply_tables,
     complete,
     direct_sum,
     is_quasi_iso,
@@ -54,22 +54,20 @@ def local_sphere(fam):
     return e_localize(zsphere(), fam)
 
 
-class TestTraceUnit:
-    def test_trace_tracks_survivors(self):
-        x = zsphere()
-        loc, trace = localize_with_trace(x, FAM3.tables_for((2, 3)))
-        assert loc.is_zero_complex()
-        assert trace == {}
-
-    def test_unit_between_subset_localizations(self):
-        x = direct_sum(zsphere(), SortedComplex.single(Z, 1, 1))
-        u = trace_unit(x, FAM3, (1,), (1, 2))
-        assert u.source == FAM3.localize_subset(x, (1,))
-        assert u.target == FAM3.localize_subset(x, (1, 2))
-
-    def test_rejects_non_nested(self):
-        with pytest.raises(InputError):
-            trace_unit(zsphere(), FAM3, (2,), (1,))
+class TestUnits:
+    def test_single_index_units_are_the_cube_edges(self):
+        # the unit adding one index j to a subset, built from canonical_unit
+        # at j, against the independent inductive construction of the cube
+        rng = random.Random(11)
+        for _ in range(4):
+            raw = random_complex(rng, deg_hi=2, max_rank=3)
+            for x in (raw, e_localize(raw, FAM3)):
+                cube = build_fracture_cube(x, FAM3)
+                for small in cube.shape.elements:
+                    for j in set(FAM3.labels()) - set(small):
+                        large = canonical_subset(small + (j,))
+                        unit = _unit_adding(x, FAM3, small, j)
+                        assert unit == cube.hom(small, large)
 
 
 class TestValidate:
@@ -193,7 +191,8 @@ class TestFunctors:
         # the limit carries the local sphere's homology, checked by the
         # canonical comparison being a quasi-isomorphism
         hl = homotopy_limit(g.diagram)
-        legs = {s: trace_unit(x, FAM2, (), s) for s in g.diagram.shape.elements}
+        cube = build_fracture_cube(x, FAM2)
+        legs = {s: cube.hom((), s) for s in g.diagram.shape.elements}
         assert is_quasi_iso(hl.cone_map(x, legs), FAM2.primes).acyclic
         assert lim.sorts() == {Q, Zp(2), Qp(2)}
 
@@ -235,16 +234,16 @@ class TestMaxFaceStructure:
         for k in (1, 2, 3):
             face = [s for s in g.diagram.shape.elements if s and max(s) == k]
             base = g.vertex((k,))
+            cube = build_fracture_cube(base, FAM3)
             for s in face:
                 below = tuple(i for i in s if i < k)
-                assert g.vertex(s) == FAM3.localize_subset(base, below)
+                assert g.vertex(s) == apply_tables(base, FAM3.tables_for(below))
             for s in face:
                 for s2 in face:
                     if set(s) < set(s2) and len(s2) == len(s) + 1:
                         below = tuple(i for i in s if i < k)
                         below2 = tuple(i for i in s2 if i < k)
-                        assert g.diagram.hom(s, s2) == trace_unit(
-                            base, FAM3, below, below2)
+                        assert g.diagram.hom(s, s2) == cube.hom(below, below2)
 
 
 class TestRoundTrips:
@@ -416,6 +415,28 @@ class TestSplitGlue:
         assert edge.source == sp.bottom.vertex((1,))
         assert edge.target == apply_localization(sp.top.vertex((2,)),
                                                  FAM2.table(1))
+
+    def test_split_of_a_face_glues_back(self):
+        # the top face of a 3-label object is an object on labels (2, 3); its
+        # split is anchored at 2, the label of the bottom's singleton vertex
+        rng = random.Random(5)
+        for _ in range(3):
+            x = e_localize(random_complex(rng, deg_hi=2, max_rank=3), FAM3)
+            t = split_fracture_object(fracture_diagram(x, FAM3)).top
+            assert t.labels == (2, 3)
+            back = glue_fracture_object(split_fracture_object(t), FAM3)
+            assert back.labels == t.labels
+            assert back.diagram.vertices == t.diagram.vertices
+            assert back.diagram.edges == t.diagram.edges
+
+    def test_anchor_must_lie_below_the_top(self):
+        whole = split_fracture_object(fracture_diagram(local_sphere(FAM3), FAM3))
+        face = split_fracture_object(whole.top)
+        with pytest.raises(InputError, match="below every top label"):
+            glue_fracture_object(SplitData(whole.top, face.bottom, face.witness), FAM3)
+        # anchored at 1 below the top (3,), but a bottom face on labels 1, 2, 3
+        with pytest.raises(InputError, match="not the anchored poset"):
+            glue_fracture_object(SplitData(face.top, whole.bottom, whole.witness), FAM3)
 
     def test_bad_witness_rejected(self):
         g = fracture_diagram(local_sphere(FAM2), FAM2)

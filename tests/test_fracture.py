@@ -14,7 +14,7 @@ from fracturecube.fracture import (
     rational_pair_square,
     verify_fracture,
 )
-from fracturecube.holim import is_cartesian
+from fracturecube.holim import PosetDiagram, cube_totalization, is_cartesian
 from fracturecube.sorted_complex import (
     Q,
     Qp,
@@ -22,9 +22,12 @@ from fracturecube.sorted_complex import (
     Z,
     ZLOC,
     Zp,
+    ComplexMap,
+    apply_tables,
     complete,
     composite_kills_all,
     homology_p_local,
+    is_acyclic,
     is_quasi_iso,
 )
 
@@ -102,7 +105,7 @@ class TestBuildCube:
         x = random_complex(rng, deg_hi=3)
         cube = build_fracture_cube(x, fam)
         for s in cube.shape.elements:
-            assert cube.vertex(s) == fam.localize_subset(x, s)
+            assert cube.vertex(s) == apply_tables(x, fam.tables_for(s))
 
     def test_max_set_restriction_matches_rebuilt_cube(self):
         # the face of sets with a fixed maximum is the cube of the smaller family
@@ -114,7 +117,7 @@ class TestBuildCube:
         face = [s for s in cube.shape.elements if s and max(s) == k]
         for s in face:
             below = tuple(i for i in s if i < k)
-            expected = fam.localize_subset(cube.vertex((k,)), below)
+            expected = apply_tables(cube.vertex((k,)), fam.tables_for(below))
             assert cube.vertex(s) == expected
 
 
@@ -235,3 +238,41 @@ class TestPairSquares:
             x = random_complex(rng, deg_hi=3, max_rank=4)
             assert is_cartesian(rational_pair_square(x, 2), (2,))
             assert is_cartesian(completion_pair_square(x, 2, 3), (2, 3))
+
+
+class TestNegativeControls:
+    """Defects planted on purpose must be refuted, in the right residue.
+
+    Every edge out of the corner of the fracture cube of a local complex
+    is scaled by c; the cube stays a diagram (rebuilt through the public,
+    checking constructor) but is Cartesian only when c is a P-local unit.
+    """
+
+    @staticmethod
+    def failing_checks(x, c, fam):
+        cube = build_fracture_cube(e_localize(x, fam), fam)
+        edges = {(a, b): ComplexMap(e.source, e.target,
+                                    {n: m.scale(c) for n, m in e.maps.items()}) if a == () else e
+                 for (a, b), e in cube.edges.items()}
+        planted = PosetDiagram(cube.shape, cube.vertices, edges)
+        rep = is_acyclic(cube_totalization(planted).complex, fam.primes)
+        failing = {(k.kind, k.prime): k.defects for k in rep.checks if not k.passed}
+        assert rep.acyclic == (not failing)
+        return failing
+
+    @pytest.mark.parametrize("c, failing", [
+        (2, {("mod-p", 2): ((0, 1), (1, 1))}),
+        (3, {("mod-p", 3): ((0, 1), (1, 1))}),
+        (5, {}),
+        (1, {}),
+        (0, {("mod-p", 2): ((0, 1), (1, 1)), ("mod-p", 3): ((0, 1), (1, 1)),
+             ("rational", None): ((0, 1), (1, 1))}),
+    ])
+    def test_scaled_sphere(self, c, failing):
+        fam = LocalizationFamily((2, 3))
+        assert self.failing_checks(SortedComplex.single(Z), c, fam) == failing
+
+    def test_scaled_moore_complex(self):
+        fam = LocalizationFamily((2, 3))
+        x = SortedComplex.two_term(Z, ExactMatrix.from_rows([[6]]))
+        assert self.failing_checks(x, 2, fam) == {("mod-p", 2): ((0, 1), (1, 2), (2, 1))}

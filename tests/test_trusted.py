@@ -46,6 +46,7 @@ from fracturecube.sorted_complex import (
     ZLOC,
     apply_localization,
     apply_localization_chain_map,
+    apply_tables,
     canonical_unit,
     complete,
     cone,
@@ -228,7 +229,7 @@ class TestFractureBuilders:
             recheck_diagram(cube)
             # the vertex at S is the ordered composite localization at S
             for s in cube.shape.elements:
-                assert cube.vertex(s) == fam.localize_subset(x, s)
+                assert cube.vertex(s) == apply_tables(x, fam.tables_for(s))
             data, hl = comparison_map(x, fam)
             recheck_map(data.eta)
             assert data.source == e_localize(x, fam)

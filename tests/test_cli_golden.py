@@ -21,12 +21,27 @@ import pytest
 
 from fracturecube import serialize
 from fracturecube.cli import run
-from fracturecube.cube_categories import FractureObject, fracture_diagram
+from fracturecube.cube_categories import (
+    FractureObject,
+    GeneratorData,
+    build_from_generators,
+    fracture_diagram,
+    split_fracture_object,
+)
 from fracturecube.exact_linalg import ExactMatrix
 from fracturecube.fracture import LocalizationFamily, e_localize
 from fracturecube.holim import PosetDiagram
 from fracturecube.posets import subset_poset
-from fracturecube.sorted_complex import ComplexMap, SortedComplex, Z, ZLOC
+from fracturecube.sorted_complex import (
+    Q,
+    ComplexMap,
+    SortedComplex,
+    SortedMap,
+    Z,
+    ZLOC,
+    Zp,
+    apply_localization,
+)
 
 from genutil import random_complex, random_cube
 
@@ -69,6 +84,16 @@ CASES = [
     ("error-tfib-punctured", ["tfib", "{tmp}/pcube.json"], None),
     ("roundtrip-refuted", ["cat", "roundtrip", "{tmp}/bad_g.json"], None),
     ("error-usage", ["snf"], None),
+    ("validate-face", ["cat", "validate", "{tmp}/face.json"], None),
+    ("roundtrip-face", ["cat", "roundtrip", "{tmp}/face.json"], None),
+    ("split-face", ["cat", "split", "{tmp}/face.json", "-o", "{tmp}/split_face.json"],
+     "split_face.json"),
+    ("glue-face", ["cat", "glue", "{tmp}/split_face.json"], None),
+    ("validate-mixed", ["cat", "validate", "{tmp}/mixed.json"], None),
+    ("roundtrip-mixed", ["cat", "roundtrip", "{tmp}/mixed.json"], None),
+    ("split-mixed", ["cat", "split", "{tmp}/mixed.json", "-o", "{tmp}/split_mixed.json"],
+     "split_mixed.json"),
+    ("glue-mixed", ["cat", "glue", "{tmp}/split_mixed.json"], None),
 ]
 
 
@@ -83,6 +108,22 @@ def _raw_object() -> FractureObject:
     d = PosetDiagram(shape, {s: z for s in shape.elements},
                      {k: ComplexMap.identity(z) for k in shape.covering_pairs()})
     return FractureObject(d, LocalizationFamily((2,)))
+
+
+def _mixed_object() -> FractureObject:
+    # generators with nonzero mixing maps out of the first index
+    fam = LocalizationFamily((2, 3))
+    x1, x2 = SortedComplex.single(Q), SortedComplex.single(Zp(2))
+    x3 = SortedComplex.single(Zp(3), rank=2)
+    l1x2 = apply_localization(x2, fam.table(1))
+    l1x3 = apply_localization(x3, fam.table(1))
+    f12 = ComplexMap(x1, l1x2, {0: SortedMap(
+        x1.module(0), l1x2.module(0), {(0, 0): ExactMatrix.from_rows([[3]])})})
+    f13 = ComplexMap(x1, l1x3, {0: SortedMap(
+        x1.module(0), l1x3.module(0), {(0, 0): ExactMatrix.from_rows([[1], [2]])})})
+    f23 = ComplexMap.zero(x2, apply_localization(x3, fam.table(2)))
+    return build_from_generators(GeneratorData(
+        {1: x1, 2: x2, 3: x3}, {(1, 2): f12, (1, 3): f13, (2, 3): f23}), fam)
 
 
 def write_documents(tmp: Path):
@@ -101,6 +142,8 @@ def write_documents(tmp: Path):
     fam = LocalizationFamily((2, 3))
     g = fracture_diagram(e_localize(random_complex(rng, deg_hi=2, max_rank=3), fam), fam)
     _write(tmp, "g.json", serialize.wrap("fracture-object", g))
+    _write(tmp, "face.json", serialize.wrap("fracture-object", split_fracture_object(g).top))
+    _write(tmp, "mixed.json", serialize.wrap("fracture-object", _mixed_object()))
     _write(tmp, "bad_g.json", serialize.wrap("fracture-object", _raw_object()))
     bad = serialize.wrap("complex", x)
     bad["payload"]["extra"] = 1

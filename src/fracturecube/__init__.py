@@ -56,7 +56,6 @@ from .sorted_complex import (
     validate,
 )
 from .holim import (
-    ConeData,
     PosetDiagram,
     adjunction_check,
     homotopy_limit,

@@ -7,10 +7,11 @@ Such objects are equivalent to single local complexes: the limit
 functor and the fracture-diagram functor are mutually inverse up to
 quasi-isomorphism, verified here vertex by vertex.
 
-Every unit between two subset localizations of one complex adds one
-index j: the canonical unit of the j-th table at the localization above
-j, localized at the indices below j. So every unit here comes from
-sorted_complex.canonical_unit, and locality is sorted_complex.is_local.
+A localization along a table list is one pass over the complex, and a
+unit is the projection onto the basis that pass keeps. Every unit
+between two subset localizations of one complex adds one index j: the
+canonical unit of the j-th table at the localization above j, localized
+at the indices below j. Locality is sorted_complex.is_local.
 
 The decomposition combinatorics splits the index poset above a subset
 into a gap part between the two minima and an anchored part above the
@@ -28,23 +29,20 @@ from .posets import FinitePoset, PosetMap, canonical_subset, subset_poset
 from .sorted_complex import (
     ComplexMap,
     SortedComplex,
+    _localize,
+    _localize_chain_map,
+    _unit,
     apply_localization,
-    apply_localization_chain_map,
     apply_tables,
     canonical_unit,
     is_acyclic,
     is_local,
     is_quasi_iso,
+    localize_chain_map_tables,
 )
 
 
 # --- localization along index subsets ------------------------------------------
-
-def localize_chain_map_tables(f: ComplexMap, tables) -> ComplexMap:
-    for t in tables:
-        f = apply_localization_chain_map(f, t)
-    return f
-
 
 def _unit_adding(base: SortedComplex, fam: LocalizationFamily, small, j) -> ComplexMap:
     """The unit from the small-subset localization of base to the one with j
@@ -69,6 +67,9 @@ class FractureObject:
         if not self.labels:
             object.__setattr__(self, "labels", self.family.labels())
         self.labels = canonical_subset(self.labels)
+        if not set(self.labels) <= set(self.family.labels()):
+            raise InputError(f"labels {self.labels} are not indices of the family "
+                             f"{self.family.labels()}")
         expect = subset_poset(self.labels, punctured=True)
         if self.diagram.shape.elements != expect.elements:
             raise InputError(
@@ -101,28 +102,29 @@ def validate_fracture_object(g: FractureObject) -> list:
         if len(labels) <= 1:
             return
         i = labels[0]
-        rest = labels[1:]
+        rest = subset_poset(labels[1:], punctured=True)
         table = fam.table(i)
-        for v in subset_poset(rest, punctured=True).elements:
+        # one pass per vertex gives its unit and the localized edges out of it
+        passes = {v: _localize(g.vertex(v), (table,)) for v in rest.elements}
+        for v in rest.elements:
             iv = canonical_subset((i,) + v)
-            unit = canonical_unit(g.vertex(v), table)
-            if g.vertex(iv) != unit.target:
+            if g.vertex(iv) != passes[v][0]:
                 out.append(ObjectViolation(
                     f"vertex {iv}",
                     f"must equal the {table.label()} localization of {v}"))
                 continue
-            if g.diagram.hom(v, iv) != unit:
+            if g.diagram.hom(v, iv) != _unit(g.vertex(v), passes[v]):
                 out.append(ObjectViolation(
                     f"edge {v} -> {iv}", "must be the localization unit"))
-        for (v, w) in subset_poset(rest, punctured=True).covering_pairs():
+        for (v, w) in rest.covering_pairs():
             iv = canonical_subset((i,) + v)
             iw = canonical_subset((i,) + w)
-            want = apply_localization_chain_map(g.diagram.hom(v, w), table)
+            want = _localize_chain_map(g.diagram.hom(v, w), passes[v], passes[w])
             if g.diagram.hom(iv, iw) != want:
                 out.append(ObjectViolation(
                     f"edge {iv} -> {iw}",
                     f"must be the {table.label()} localization of {v} -> {w}"))
-        peel(rest)
+        peel(labels[1:])
 
     peel(g.labels)
     return out
@@ -224,8 +226,7 @@ def roundtrip_check(obj, fam: LocalizationFamily) -> bool:
         hl = homotopy_limit(obj.diagram)
         for s in obj.diagram.shape.elements:
             top = max(s)
-            comparison = localize_chain_map_tables(
-                hl.cone.legs[(top,)], fam.tables_for(s))
+            comparison = localize_chain_map_tables(hl.legs[(top,)], fam.tables_for(s))
             if comparison.target != obj.vertex(s):
                 return False
             if not is_quasi_iso(comparison, fam.primes).acyclic:
@@ -443,9 +444,12 @@ def glue_fracture_object(split: SplitData, fam: LocalizationFamily) -> FractureO
     bad = validate_fracture_object(top)
     if bad:
         raise InputError(f"top face invalid: {bad[0].location}: {bad[0].message}")
+    # one pass per top vertex gives the witness target and the unit into it
+    passes = {v: _localize(top.vertex(v), (table,)) for v in top.diagram.shape.elements}
     for u, w in split.witness.items():
-        expect = apply_localization(
-            top.vertex(tuple(x for x in u if x != first)), table)
+        if u == (first,):
+            raise InputError(f"the anchor vertex {u} takes no witness")
+        expect = passes[tuple(x for x in u if x != first)][0]
         if not (w.source == split.bottom.vertex(u) == expect == w.target
                 and w == ComplexMap.identity(expect)):
             raise InputError(f"witness at {u} is not an identity-shaped "
@@ -465,8 +469,8 @@ def glue_fracture_object(split: SplitData, fam: LocalizationFamily) -> FractureO
         if first in a:
             edges[(a, b)] = split.bottom.hom(a, b)
         elif first in b:
-            unit = canonical_unit(top.vertex(a), table)
-            edges[(a, b)] = ComplexMap(verts[a], verts[b], unit.maps)
+            edges[(a, b)] = ComplexMap(verts[a], verts[b],
+                                       _unit(top.vertex(a), passes[a]).maps)
         else:
             edges[(a, b)] = top.diagram.hom(a, b)
     diagram = PosetDiagram(shape, verts, edges)

@@ -122,7 +122,7 @@ def _build(x: SortedComplex, fam: LocalizationFamily, labels: list) -> PosetDiag
     for s in sub.shape.elements:
         # one localization pass per vertex gives both the unit and its target
         s2 = canonical_subset(s + (first,))
-        passes[s] = _localize(sub.vertex(s), table)
+        passes[s] = _localize(sub.vertex(s), (table,))
         verts[s], verts[s2] = sub.vertex(s), passes[s][0]
         edges[(s, s2)] = _unit(sub.vertex(s), passes[s])
     for (a, b), e in sub.edges.items():

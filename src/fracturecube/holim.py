@@ -159,30 +159,10 @@ class PosetDiagram:
 
 def localize_diagram(d: PosetDiagram, table: LocalizationTable) -> PosetDiagram:
     """Localize each vertex once and each edge over its localized endpoints."""
-    loc = {x: _localize(c, table) for x, c in d.vertices.items()}
+    loc = {x: _localize(c, (table,)) for x, c in d.vertices.items()}
     edges = {(x, y): _localize_chain_map(e, loc[x], loc[y])
              for (x, y), e in d.edges.items()}
     return PosetDiagram._trusted(d.shape, {x: v[0] for x, v in loc.items()}, edges)
-
-
-@dataclass
-class ConeData:
-    """A cone over a diagram: apex with one leg per shape element.
-
-    strict=True means every leg commutes with every edge on the nose;
-    nerve totalizations only provide this up to chain homotopy and are
-    tagged strict=False.
-    """
-
-    apex: SortedComplex
-    legs: dict
-    strict: bool = True
-
-    def check_strict(self, diagram: PosetDiagram) -> bool:
-        for (x, y), e in diagram.edges.items():
-            if e.compose(self.legs[x]) != self.legs[y]:
-                return False
-        return True
 
 
 # --- totalization -------------------------------------------------------------
@@ -247,23 +227,17 @@ def _tot_differential(ti: _TotIndex, n: int) -> SortedMap:
     return _map_from_pieces(ti.module(n), ti.module(n - 1), pieces)
 
 
-def _require_legs(apex: SortedComplex, legs: dict, diagram: PosetDiagram, keys):
-    for x in keys:
-        if legs[x].source != apex or legs[x].target != diagram.vertex(x):
-            raise InputError(f"leg at {x!r} has wrong endpoints")
-
-
 @dataclass
 class HolimResult:
     complex: SortedComplex
     _index: _TotIndex
 
     @cached_property
-    def cone(self) -> ConeData:
-        """Projections onto the level-zero cells, as a homotopy-level cone.
+    def legs(self) -> dict:
+        """Projections onto the level-zero cells, a cone up to homotopy only.
 
         A larger cube vertex S gets the leg of its least label pushed
-        along the diagram. A full cube's totalization has no cone.
+        along the diagram. A full cube's totalization has no legs.
         """
         ti, tot = self._index, self.complex
         projections = {}
@@ -273,10 +247,9 @@ class HolimResult:
                 (0, ti.offsets[(n, idx)], ExactMatrix.identity(vx.module(n).total_rank))])
                 for n in vx.modules}
             projections[x] = ComplexMap._trusted(tot, vx, maps)
-        legs = {x: projections[x] if x in projections
+        return {x: projections[x] if x in projections
                 else ti.diagram.hom(x[:1], x).compose(projections[x[:1]])
                 for x in ti.diagram.shape.elements}
-        return ConeData(tot, legs, strict=False)
 
     def cone_map(self, apex: SortedComplex, legs: dict) -> ComplexMap:
         """Canonical comparison from a strict cone into the totalization.
@@ -286,7 +259,9 @@ class HolimResult:
         checked.
         """
         ti = self._index
-        _require_legs(apex, legs, ti.diagram, ti.base)
+        for x in ti.base:
+            if legs[x].source != apex or legs[x].target != ti.diagram.vertex(x):
+                raise InputError(f"leg at {x!r} has wrong endpoints")
         maps = {n: _map_from_pieces(apex.module(n), m, [
             (ti.offsets[(n, idx)], 0, legs[x].map_at(n).matrix)
             for x, idx in ti.base.items()]) for n, m in self.complex.modules.items()}
@@ -369,26 +344,7 @@ def map_between_totalizations(src: HolimResult, dst: HolimResult,
 @dataclass
 class StrictLimitResult:
     complex: SortedComplex
-    cone: ConeData
-    _bases: dict  # degree -> kernel basis in the ambient product
-
-    def factor_cone(self, apex: SortedComplex, legs: dict,
-                    diagram: PosetDiagram) -> ComplexMap:
-        """The unique strict factorization of a strict cone through the limit."""
-        _require_legs(apex, legs, diagram, diagram.shape.elements)
-        maps = {}
-        for n in apex.modules:
-            pieces, off = [], 0
-            for x in diagram.shape.elements:
-                m = legs[x].map_at(n).matrix
-                pieces.append((off, 0, m))
-                off += m.rows
-            amb = ExactMatrix.assemble(off, apex.module(n).total_rank, pieces)
-            k = self._bases.get(n, ExactMatrix.zeros(amb.rows, 0))
-            x = solve_in_span(k, amb)
-            maps[n] = SortedMap.from_dense(apex.module(n),
-                                           self.complex.module(n), x)
-        return ComplexMap(apex, self.complex, maps)
+    legs: dict  # shape element -> projection, commuting with every edge
 
 
 def strict_limit(diagram: PosetDiagram) -> StrictLimitResult:
@@ -440,7 +396,7 @@ def strict_limit(diagram: PosetDiagram) -> StrictLimitResult:
             proj = bases[n].submatrix(range(xo, xo + r), range(bases[n].cols))
             maps[n] = SortedMap._trusted(lim.module(n), vx.module(n), proj)
         legs[x] = ComplexMap._trusted(lim, vx, maps)
-    return StrictLimitResult(lim, ConeData(lim, legs, strict=True), bases)
+    return StrictLimitResult(lim, legs)
 
 
 # --- cubes -----------------------------------------------------------------------
@@ -537,7 +493,7 @@ def vertex_projection(extended: PosetDiagram, punctured: PosetDiagram, s):
     hl = nerve_limit(punctured.restrict(upset))
     if hl.complex != extended.vertex(s):
         raise InputError("extended cube does not match the punctured diagram")
-    return hl.cone.legs[s]
+    return hl.legs[s]
 
 
 def tfib_direction_cube(diagram: PosetDiagram, t_prime) -> PosetDiagram:
@@ -611,7 +567,7 @@ def strict_total_fiber(diagram: PosetDiagram):
     verts.update({s: diagram.vertex(s) for s in [()] + singles})
     lim = strict_limit(PosetDiagram._trusted(
         shape, verts, {((), s): diagram.hom((), s) for s in singles}))
-    return lim.complex, lim.cone.legs[()]
+    return lim.complex, lim.legs[()]
 
 
 def adjunction_check(x: SortedComplex, diagram: PosetDiagram, primes) -> bool:

@@ -353,6 +353,8 @@ def fracture_object_from_json(d, path="$") -> FractureObject:
     labels = tuple(_expect(l, int, f"{path}.labels[{i}]")
                    for i, l in enumerate(_expect(d["labels"], list,
                                                  f"{path}.labels")))
+    if not labels or list(labels) != sorted(set(labels)):
+        raise SchemaError(f"{path}.labels", "labels must be non-empty and strictly increasing")
     try:
         fam = LocalizationFamily(primes)
     except InputError as exc:

@@ -529,11 +529,6 @@ def shift(c: SortedComplex, k: int) -> SortedComplex:
     return SortedComplex._trusted(mods, diffs)
 
 
-def shift_map(f: ComplexMap, k: int) -> ComplexMap:
-    return ComplexMap._trusted(shift(f.source, k), shift(f.target, k),
-                               {n + k: m for n, m in f.maps.items()})
-
-
 def direct_sum(c: SortedComplex, d: SortedComplex) -> SortedComplex:
     degs = set(c.modules) | set(d.modules)
     mods = {n: SortedModule.concat(c.module(n), d.module(n)) for n in degs}
@@ -654,19 +649,29 @@ def composite_kills_all(second: LocalizationTable, first: LocalizationTable,
                for s in all_sorts(primes))
 
 
-def _localize_module(m: SortedModule, table: LocalizationTable):
-    """The summand indices a table keeps, and the localized module."""
-    kept = [i for i, (s, _) in enumerate(m.summands)
-            if table.apply_sort(s).kind != "Zero"]
-    return kept, SortedModule([(table.apply_sort(m.sort(i)), m.rank(i)) for i in kept])
+def _localize_module(m: SortedModule, tables):
+    """The summand indices the table composite keeps, and the localized module."""
+    kept, out = [], []
+    for i, (s, r) in enumerate(m.summands):
+        for t in tables:
+            s = t.apply_sort(s)
+        if s.kind != "Zero":
+            kept.append(i)
+            out.append((s, r))
+    return kept, SortedModule(out)
 
 
-def _localize(c: SortedComplex, table: LocalizationTable):
-    """The one localization pass: the localized complex and, per degree,
-    the basis indices of c that it keeps."""
+def _localize(c: SortedComplex, tables):
+    """The one localization pass along a table list, in application order:
+    the localized complex and, per degree, the basis indices of c it keeps.
+
+    Applying the tables one at a time keeps exactly the summands whose
+    sort the composite does not send to Zero, and each matrix is a
+    submatrix of a submatrix, so one pass gives the same complex.
+    """
     mods, kept = {}, {}
     for n, m in c.modules.items():
-        keep, mods[n] = _localize_module(m, table)
+        keep, mods[n] = _localize_module(m, tables)
         kept[n] = m.basis(keep)
     diffs = {n: SortedMap._trusted(mods[n], mods[n - 1],
                                    d.matrix.submatrix(kept[n - 1], kept[n]))
@@ -691,11 +696,18 @@ def apply_localization(c: SortedComplex, table: LocalizationTable) -> SortedComp
     from a killed summand into a survivor cannot exist (no canonical sort
     map would allow it), which is what makes the drop exact.
     """
-    return _localize(c, table)[0]
+    return _localize(c, (table,))[0]
 
 
-def apply_localization_chain_map(f: ComplexMap, table: LocalizationTable) -> ComplexMap:
-    return _localize_chain_map(f, _localize(f.source, table), _localize(f.target, table))
+def apply_tables(c: SortedComplex, tables) -> SortedComplex:
+    """The localization along a table list, in application order."""
+    return _localize(c, tables)[0]
+
+
+def localize_chain_map_tables(f: ComplexMap, tables) -> ComplexMap:
+    """A chain map localized along a table list, one pass per endpoint."""
+    return _localize_chain_map(f, _localize(f.source, tables),
+                               _localize(f.target, tables))
 
 
 def _unit(c: SortedComplex, localized) -> ComplexMap:
@@ -709,18 +721,12 @@ def _unit(c: SortedComplex, localized) -> ComplexMap:
 
 def canonical_unit(c: SortedComplex, table: LocalizationTable) -> ComplexMap:
     """The natural map from a complex to its localization."""
-    return _unit(c, _localize(c, table))
+    return _unit(c, _localize(c, (table,)))
 
 
 def is_local(c: SortedComplex, table: LocalizationTable) -> bool:
     """Whether the table fixes c, that is, fixes every sort in it."""
     return all(table.apply_sort(s) == s for s in c.sorts())
-
-
-def apply_tables(c: SortedComplex, tables) -> SortedComplex:
-    for t in tables:
-        c = apply_localization(c, t)
-    return c
 
 
 # --- acyclicity ------------------------------------------------------------------

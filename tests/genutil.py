@@ -267,7 +267,7 @@ def unit_of_tables(c: SortedComplex, tables) -> ComplexMap:
 def leg_compatibility(data, holim_result) -> bool:
     """Whether each comparison leg factors as the limit leg after eta."""
     for i, leg in data.legs.items():
-        if holim_result.cone.legs[(i,)].compose(data.eta) != leg:
+        if holim_result.legs[(i,)].compose(data.eta) != leg:
             return False
     return True
 

@@ -672,3 +672,42 @@ def test_boolean_poset_index_is_rejected():
     doc["payload"]["leq"][0][0] = True
     with pytest.raises(SchemaError, match=r"^\$\.payload\.leq\[0\]: "):
         serialize.unwrap(doc)
+
+
+def _object_doc(tmp_path, primes, edit):
+    fam = LocalizationFamily(primes)
+    g = fracture_diagram(e_localize(SortedComplex.single(Z), fam), fam)
+    doc = serialize.wrap("fracture-object", g)
+    doc["payload"].update(edit)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("labels", [[3, 2, 1], [1, 1, 2, 3], [1, 2, 2, 3], []])
+def test_object_labels_are_written_one_way(tmp_path, labels):
+    # each of these would re-encode as [1, 2, 3], so none may decode
+    path = _object_doc(tmp_path, (2, 3), {"labels": labels})
+    code, out, err = cli("cat", "validate", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("schema error: $.payload.labels: ")
+
+
+@pytest.mark.parametrize("command", ["validate", "roundtrip", "split"])
+def test_object_labels_outside_the_family(tmp_path, command):
+    # a 4-label object read with the 3-index family of the primes 2 and 3
+    path = _object_doc(tmp_path, (2, 3, 5), {"primes": [2, 3]})
+    code, out, err = cli("cat", command, path)
+    assert (code, out) == (2, "")
+    assert err.startswith("schema error: $.payload: ")
+    assert "not indices of the family" in err
+
+
+def test_witness_at_the_anchor_is_rejected(tmp_path):
+    doc = _split_report(tmp_path)
+    doc["payload"]["witness"]["1"] = {}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = cli("cat", "glue", str(path))
+    assert (code, out) == (2, "")
+    assert "anchor vertex (1,) takes no witness" in err

@@ -42,7 +42,7 @@ from fracturecube.sorted_complex import (
     homology_p_local,
     is_acyclic,
     is_quasi_iso,
-    shift_map,
+    shift,
 )
 
 from genutil import _direct_sum_map, random_complex, random_cube
@@ -77,6 +77,11 @@ def corner_map(d):
     hl = homotopy_limit(punct)
     legs = {s: d.hom((), s) for s in punct.shape.elements}
     return hl.cone_map(d.vertex(()), legs), hl
+
+
+def shift_map(f, k):
+    return ComplexMap(shift(f.source, k), shift(f.target, k),
+                      {n + k: m for n, m in f.maps.items()})
 
 
 def old_edge(d, rest, sp, sp2):

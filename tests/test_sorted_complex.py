@@ -3,6 +3,8 @@ import random
 import pytest
 
 from fracturecube.exact_linalg import AbelianInvariants, ExactMatrix, InputError
+from fracturecube.fracture import LocalizationFamily
+from fracturecube.posets import subset_poset
 from fracturecube.sorted_complex import (
     LOCALIZE,
     RATIONALIZE,
@@ -17,6 +19,7 @@ from fracturecube.sorted_complex import (
     ZLOC,
     Zp,
     apply_localization,
+    apply_tables,
     canonical_unit,
     chain_map_group,
     complete,
@@ -27,16 +30,42 @@ from fracturecube.sorted_complex import (
     homology_p_local,
     is_acyclic,
     is_quasi_iso,
+    localize_chain_map_tables,
     shift,
     sort_map_exists,
     validate,
 )
 
-from genutil import random_complex, random_chain_map
+from genutil import _direct_sum_map, random_complex, random_chain_map
 
 
 def two_term(sort, k, top=1):
     return SortedComplex.two_term(sort, ExactMatrix.from_rows([[k]]), top)
+
+
+def loop_apply_tables(c, tables):
+    """The table-by-table loop that one pass along the list replaces."""
+    for t in tables:
+        c = apply_localization(c, t)
+    return c
+
+
+def loop_localize_chain_map(f, tables):
+    for t in tables:
+        f = localize_chain_map_tables(f, [t])
+    return f
+
+
+def mixed_sort_maps(rng, primes):
+    """A chain map with one block per sort over P, and two units out of it."""
+    f = None
+    for sort in [Z, ZLOC, Q] + [s for p in primes for s in (Zp(p), Qp(p))]:
+        a, b = (random_complex(rng, sort=sort, deg_hi=2, max_rank=2, pieces=2)
+                for _ in range(2))
+        g = random_chain_map(rng, a, b)
+        f = g if f is None else _direct_sum_map(f, g)
+    return [f, canonical_unit(f.source, RATIONALIZE),
+            canonical_unit(f.target, complete(primes[-1]))]
 
 
 class TestSorts:
@@ -192,11 +221,20 @@ class TestLocalization:
         b = random_complex(rng, deg_hi=3, max_rank=4)
         f = random_chain_map(rng, a, b)
         for table in (RATIONALIZE, complete(2), LOCALIZE):
-            from fracturecube.sorted_complex import apply_localization_chain_map
-            lf = apply_localization_chain_map(f, table)
+            lf = localize_chain_map_tables(f, [table])
             assert apply_localization(cone(f), table) == cone(lf)
             assert apply_localization(shift(a, 2), table) == shift(
                 apply_localization(a, table), 2)
+
+    @pytest.mark.parametrize("primes", [(2,), (2, 3), (2, 3, 5)])
+    def test_one_pass_equals_table_loop(self, primes):
+        fam = LocalizationFamily(primes)
+        for f in mixed_sort_maps(random.Random(8 + len(primes)), primes):
+            for s in subset_poset(fam.labels()).elements:
+                tables = fam.tables_for(s)
+                assert apply_tables(f.source, tables) == loop_apply_tables(f.source, tables)
+                assert localize_chain_map_tables(f, tables) == \
+                    loop_localize_chain_map(f, tables)
 
     def test_unit_is_chain_map_and_identity_blocks(self):
         c = two_term(Z, 6)

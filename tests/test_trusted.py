@@ -45,15 +45,14 @@ from fracturecube.sorted_complex import (
     Z,
     ZLOC,
     apply_localization,
-    apply_localization_chain_map,
     apply_tables,
     canonical_unit,
     complete,
     cone,
     direct_sum,
     hofib,
+    localize_chain_map_tables,
     shift,
-    shift_map,
     sum_inclusions,
 )
 
@@ -152,7 +151,6 @@ class TestSortedComplexBuilders:
         for rng, f in seeded_maps(1):
             for k in (-1, 1, 2):
                 recheck_complex(shift(f.source, k))
-                recheck_map(shift_map(f, k))
             recheck_complex(cone(f))
             recheck_complex(hofib(f))
             recheck_complex(direct_sum(f.source, f.target))
@@ -172,8 +170,16 @@ class TestSortedComplexBuilders:
         for rng, f in seeded_maps(4):
             for table in TABLES:
                 recheck_complex(apply_localization(f.source, table))
-                recheck_map(apply_localization_chain_map(f, table))
+                recheck_map(localize_chain_map_tables(f, [table]))
                 recheck_map(canonical_unit(f.source, table))
+
+    @pytest.mark.parametrize("primes", [(2,), (2, 3), (2, 3, 5)])
+    def test_table_lists(self, primes):
+        fam = LocalizationFamily(primes)
+        for rng, f in seeded_maps(16 + len(primes), count=3):
+            for s in subset_poset(fam.labels()).elements:
+                recheck_complex(apply_tables(f.source, fam.tables_for(s)))
+                recheck_map(localize_chain_map_tables(f, fam.tables_for(s)))
 
 
 class TestHolimBuilders:
@@ -183,7 +189,7 @@ class TestHolimBuilders:
             recheck_diagram(punct)
             for hl in (homotopy_limit(punct), nerve_limit(d)):
                 recheck_complex(hl.complex)
-                for leg in hl.cone.legs.values():
+                for leg in hl.legs.values():
                     recheck_map(leg)
             hl = homotopy_limit(punct)
             recheck_map(map_between_totalizations(
@@ -197,7 +203,7 @@ class TestHolimBuilders:
         for d in seeded_cubes(6, (1, 2)):
             lim = strict_limit(d)
             recheck_complex(lim.complex)
-            for leg in lim.cone.legs.values():
+            for leg in lim.legs.values():
                 recheck_map(leg)
             fib, inclusion = strict_total_fiber(d)
             recheck_complex(fib)

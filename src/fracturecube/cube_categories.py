@@ -7,11 +7,13 @@ Such objects are equivalent to single local complexes: the limit
 functor and the fracture-diagram functor are mutually inverse up to
 quasi-isomorphism, verified here vertex by vertex.
 
-A localization along a table list is one pass over the complex, and a
-unit is the projection onto the basis that pass keeps. Every unit
-between two subset localizations of one complex adds one index j: the
-canonical unit of the j-th table at the localization above j, localized
-at the indices below j. Locality is sorted_complex.is_local.
+Every cube of localizations here is built or checked by folding
+holim.attach_localization from the largest index down: the face on the
+larger indices, its localization at the next index, and the units
+between the two. build_from_generators, diagram_functor and
+glue_fracture_object satisfy the object conditions by that
+construction, so they check only what the caller supplies and do not
+validate their output again. Locality is sorted_complex.is_local.
 
 The decomposition combinatorics splits the index poset above a subset
 into a gap part between the two minima and an anchored part above the
@@ -24,33 +26,23 @@ from dataclasses import dataclass
 
 from .exact_linalg import InputError
 from .fracture import LocalizationFamily, build_fracture_cube, is_e_local
-from .holim import PosetDiagram, cube_totalization, homotopy_limit, punctured_restriction
+from .holim import (
+    PosetDiagram,
+    attach_localization,
+    cube_totalization,
+    homotopy_limit,
+    punctured_restriction,
+)
 from .posets import FinitePoset, PosetMap, canonical_subset, subset_poset
 from .sorted_complex import (
     ComplexMap,
     SortedComplex,
-    _localize,
-    _localize_chain_map,
-    _unit,
     apply_localization,
-    apply_tables,
-    canonical_unit,
     is_acyclic,
     is_local,
     is_quasi_iso,
     localize_chain_map_tables,
 )
-
-
-# --- localization along index subsets ------------------------------------------
-
-def _unit_adding(base: SortedComplex, fam: LocalizationFamily, small, j) -> ComplexMap:
-    """The unit from the small-subset localization of base to the one with j
-    added: the j-th canonical unit of the localization at the indices above
-    j, localized at the indices below j."""
-    above = fam.tables_for([x for x in small if x > j])
-    unit = canonical_unit(apply_tables(base, above), fam.table(j))
-    return localize_chain_map_tables(unit, fam.tables_for([x for x in small if x < j]))
 
 
 # --- fracture objects -----------------------------------------------------------
@@ -97,36 +89,28 @@ def validate_fracture_object(g: FractureObject) -> list:
         if not is_local(g.vertex(s), table):
             out.append(ObjectViolation(f"vertex {s}",
                                        f"not fixed by {table.label()}"))
-
-    def peel(labels):
-        if len(labels) <= 1:
-            return
-        i = labels[0]
-        rest = subset_poset(labels[1:], punctured=True)
+    for k, i in enumerate(g.labels[:-1]):
+        # the face away from i, with its localization at i attached
+        rest = subset_poset(g.labels[k + 1:], punctured=True)
         table = fam.table(i)
-        # one pass per vertex gives its unit and the localized edges out of it
-        passes = {v: _localize(g.vertex(v), (table,)) for v in rest.elements}
+        want = attach_localization(g.diagram.restrict(rest.elements), table, i)
         for v in rest.elements:
             iv = canonical_subset((i,) + v)
-            if g.vertex(iv) != passes[v][0]:
+            if g.vertex(iv) != want.vertex(iv):
                 out.append(ObjectViolation(
                     f"vertex {iv}",
                     f"must equal the {table.label()} localization of {v}"))
                 continue
-            if g.diagram.hom(v, iv) != _unit(g.vertex(v), passes[v]):
+            if g.diagram.hom(v, iv) != want.edges[(v, iv)]:
                 out.append(ObjectViolation(
                     f"edge {v} -> {iv}", "must be the localization unit"))
         for (v, w) in rest.covering_pairs():
             iv = canonical_subset((i,) + v)
             iw = canonical_subset((i,) + w)
-            want = _localize_chain_map(g.diagram.hom(v, w), passes[v], passes[w])
-            if g.diagram.hom(iv, iw) != want:
+            if g.diagram.hom(iv, iw) != want.edges[(iv, iw)]:
                 out.append(ObjectViolation(
                     f"edge {iv} -> {iw}",
                     f"must be the {table.label()} localization of {v} -> {w}"))
-        peel(labels[1:])
-
-    peel(g.labels)
     return out
 
 
@@ -163,30 +147,17 @@ def build_from_generators(gen: GeneratorData, fam: LocalizationFamily,
                 if f.target != apply_localization(gen.complexes[j], fam.table(i)):
                     raise InputError(f"mixing map ({i}, {j}) has wrong target")
 
-    shape = subset_poset(labels, punctured=True)
-    verts = {}
-    for s in shape.elements:
-        m = max(s)
-        verts[s] = apply_tables(gen.complexes[m],
-                                fam.tables_for(tuple(x for x in s if x != m)))
-    edges = {}
-    for (s, s2) in shape.covering_pairs():
-        (j,) = set(s2) - set(s)
-        m = max(s)
-        if j < m:
-            edges[(s, s2)] = _unit_adding(gen.complexes[m], fam,
-                                          tuple(x for x in s if x != m), j)
-        else:
-            f = gen.maps[(m, j)]
-            edges[(s, s2)] = localize_chain_map_tables(
-                f, fam.tables_for(tuple(x for x in s if x != m)))
-    diagram = PosetDiagram(shape, verts, edges)
-    obj = FractureObject(diagram, fam, labels)
-    bad = validate_fracture_object(obj)
-    if bad:
-        raise InputError(f"generators violate the object conditions: "
-                         f"{bad[0].location}: {bad[0].message}")
-    return obj
+    # attach each smaller index, then its generator and the mixing maps out of it
+    d = PosetDiagram._trusted(subset_poset((), punctured=True), {}, {})
+    for k in reversed(range(len(labels))):
+        i = labels[k]
+        d = attach_localization(d, fam.table(i), i)
+        mixing = {((i,), (i, j)): gen.maps[(i, j)] for j in labels[k + 1:]}
+        d = PosetDiagram._trusted(subset_poset(labels[k:], punctured=True),
+                                  {**d.vertices, (i,): gen.complexes[i]},
+                                  {**d.edges, **mixing})
+    # the mixing squares come from the caller: check them once, at the end
+    return FractureObject(PosetDiagram(d.shape, d.vertices, d.edges), fam, labels)
 
 
 # --- the mutually inverse functors -------------------------------------------------
@@ -324,8 +295,9 @@ def diagram_functor(s, s2, x: PosetDiagram, fam: LocalizationFamily) -> PosetDia
     """Push a diagram on the anchored poset of s to the one of s2.
 
     On a vertex U the value is the gap localization of the value at the
-    part of U at or above min(s); output vertices are local for the
-    smaller minimum.
+    part of U at or above min(s): keep the vertices of x that hold the
+    part of s2 there, then attach each gap index from the top down,
+    keeping only the vertices that contain it when it lies in s2.
     """
     t = fam.labels()
     s, s2, t = _check_containment(s, s2, t)
@@ -333,32 +305,15 @@ def diagram_functor(s, s2, x: PosetDiagram, fam: LocalizationFamily) -> PosetDia
     for u in x.shape.elements:
         if not is_local(x.vertex(u), table_min):
             raise InputError(f"input vertex {u} is not local at index {min(s)}")
-    lo, hi = min(s2), min(s)
-    outer = anchored_supersets(s2, t)
-    if x.shape.elements != anchored_supersets(s, t).elements:
+    if x.shape != anchored_supersets(s, t):
         raise InputError("input diagram has the wrong shape")
-
-    def gap(u):
-        return tuple(v for v in u if lo <= v < hi)
-
-    def upper(u):
-        return tuple(v for v in u if v >= hi)
-
-    verts = {u: apply_tables(x.vertex(upper(u)), fam.tables_for(gap(u)))
-             for u in outer.elements}
-    edges = {}
-    for (u, w) in outer.covering_pairs():
-        (j,) = set(w) - set(u)
-        if lo <= j < hi:
-            edges[(u, w)] = _unit_adding(x.vertex(upper(u)), fam, gap(u), j)
-        else:
-            edges[(u, w)] = localize_chain_map_tables(x.hom(upper(u), upper(w)),
-                                                      fam.tables_for(gap(u)))
-    out = PosetDiagram(outer, verts, edges)
-    table_out = fam.table(min(s2))
-    for u in out.shape.elements:
-        if not is_local(out.vertex(u), table_out):
-            raise InputError(f"output vertex {u} failed locality at {min(s2)}")
+    lo, hi = min(s2), min(s)
+    tail = {v for v in s2 if v >= hi}
+    out = x.restrict([u for u in x.shape.elements if tail <= set(u)])
+    for j in reversed([v for v in t if lo <= v < hi]):
+        out = attach_localization(out, fam.table(j), j)
+        if j in s2:
+            out = out.restrict([u for u in out.shape.elements if j in u])
     return out
 
 
@@ -396,29 +351,24 @@ def split_fracture_object(z: FractureObject) -> SplitData:
 
     The bottom face consists of the vertices containing the first
     index; away from the bare singleton it is literally the first
-    localization of the top face, witnessed by identity maps.
+    localization of the top face, witnessed by identity maps. An object
+    that fails validation is an input error naming its first violation.
     """
     fam = z.family
     labels = z.labels
     if len(labels) < 2:
         raise InputError("splitting needs at least two indices")
+    bad = validate_fracture_object(z)
+    if bad:
+        raise InputError(f"object invalid: {bad[0].location}: {bad[0].message}")
     first = labels[0]
     rest = labels[1:]
     top = FractureObject(
         z.diagram.restrict(subset_poset(rest, punctured=True).elements),
         fam, rest)
-    bottom_elems = anchored_supersets((first,), labels).elements
-    bottom = z.diagram.restrict(bottom_elems)
-    witness = {}
-    table = fam.table(first)
-    for u in bottom_elems:
-        if u == (first,):
-            continue
-        expect = apply_localization(top.vertex(tuple(x for x in u if x != first)),
-                                    table)
-        if bottom.vertex(u) != expect:
-            raise InputError(f"object is not split-ready at {u}")
-        witness[u] = ComplexMap.identity(bottom.vertex(u))
+    bottom = z.diagram.restrict(anchored_supersets((first,), labels).elements)
+    witness = {u: ComplexMap.identity(bottom.vertex(u))
+               for u in bottom.shape.elements if u != (first,)}
     return SplitData(top, bottom, witness)
 
 
@@ -438,18 +388,18 @@ def glue_fracture_object(split: SplitData, fam: LocalizationFamily) -> FractureO
         raise InputError("glue expects the bottom face anchored at a family "
                          "index below every top label")
     labels = canonical_subset((first,) + rest)
-    if set(split.bottom.shape.elements) != set(anchored_supersets((first,), labels).elements):
+    bottom_shape = anchored_supersets((first,), labels)
+    if set(split.bottom.shape.elements) != set(bottom_shape.elements):
         raise InputError(f"bottom face is not the anchored poset on {labels}")
     table = fam.table(first)
     bad = validate_fracture_object(top)
     if bad:
         raise InputError(f"top face invalid: {bad[0].location}: {bad[0].message}")
-    # one pass per top vertex gives the witness target and the unit into it
-    passes = {v: _localize(top.vertex(v), (table,)) for v in top.diagram.shape.elements}
+    glued = attach_localization(top.diagram, table, first)
     for u, w in split.witness.items():
         if u == (first,):
             raise InputError(f"the anchor vertex {u} takes no witness")
-        expect = passes[tuple(x for x in u if x != first)][0]
+        expect = glued.vertex(u)
         if not (w.source == split.bottom.vertex(u) == expect == w.target
                 and w == ComplexMap.identity(expect)):
             raise InputError(f"witness at {u} is not an identity-shaped "
@@ -457,26 +407,19 @@ def glue_fracture_object(split: SplitData, fam: LocalizationFamily) -> FractureO
     for u in split.bottom.shape.elements:
         if u != (first,) and u not in split.witness:
             raise InputError(f"missing witness at {u}")
-    shape = subset_poset(labels, punctured=True)
-    verts = {}
-    edges = {}
-    for s in shape.elements:
-        if first in s:
-            verts[s] = split.bottom.vertex(s)
-        else:
-            verts[s] = top.vertex(s)
-    for (a, b) in shape.covering_pairs():
-        if first in a:
-            edges[(a, b)] = split.bottom.hom(a, b)
-        elif first in b:
-            edges[(a, b)] = ComplexMap(verts[a], verts[b],
-                                       _unit(top.vertex(a), passes[a]).maps)
-        else:
-            edges[(a, b)] = top.diagram.hom(a, b)
-    diagram = PosetDiagram(shape, verts, edges)
-    obj = FractureObject(diagram, fam, labels)
-    bad = validate_fracture_object(obj)
-    if bad:
-        raise InputError(f"glued object invalid: {bad[0].location}: "
-                         f"{bad[0].message}")
-    return obj
+    base = split.bottom.vertex((first,))
+    if not is_local(base, table):
+        raise InputError(f"anchor vertex {(first,)} is not fixed by {table.label()}")
+    mixing = {}
+    for (a, b) in bottom_shape.covering_pairs():
+        e = split.bottom.hom(a, b)
+        if a == (first,):
+            mixing[(a, b)] = e
+        elif e != glued.edges[(a, b)]:
+            raise InputError(f"bottom edge {a} -> {b} is not the {table.label()} "
+                             "localization of the top face")
+    # the mixing squares commute in the bottom face, the rest in the attached cube
+    diagram = PosetDiagram._trusted(subset_poset(labels, punctured=True),
+                                    {**glued.vertices, (first,): base},
+                                    {**glued.edges, **mixing})
+    return FractureObject(diagram, fam, labels)

@@ -5,7 +5,8 @@ completion per configured prime, in increasing order. Composites taken
 with the larger index applied first vanish on every sort, which is the
 orthogonality hypothesis the fracture cube needs; the reverse order
 survives (completion then rationalization leaves a Qp line), which is
-why the family ordering matters.
+why the family ordering matters. Every family built this way is
+orthogonal, so LocalizationFamily checks only its primes.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from .exact_linalg import InputError, _require_primes
 from .holim import (
     PosetDiagram,
+    attach_localization,
     cube_totalization,
     homotopy_limit,
     is_cartesian,
@@ -30,12 +32,8 @@ from .sorted_complex import (
     ComplexMap,
     LocalizationTable,
     SortedComplex,
-    _localize,
-    _localize_chain_map,
-    _unit,
     apply_localization,
     complete,
-    composite_kills_all,
     homology_p_local,
     is_acyclic,
     is_local,
@@ -61,11 +59,6 @@ class LocalizationFamily:
         if list(ps) != sorted(set(ps)):
             raise InputError("primes must be strictly increasing and distinct")
         _require_primes(ps)
-        for j in range(1, self.size + 1):
-            for i in range(1, j):
-                if not composite_kills_all(self.table(j), self.table(i), ps):
-                    raise InputError(
-                        f"family is not orthogonal at pair ({j}, {i})")
 
     @property
     def size(self) -> int:
@@ -104,32 +97,15 @@ def _require_valid(x: SortedComplex, fam: LocalizationFamily):
 def build_fracture_cube(x: SortedComplex, fam: LocalizationFamily) -> PosetDiagram:
     """The inductive cube of localizations of x over the subsets of 1..n.
 
-    Base case is the 0-cube on x; each stage maps the cube already built
-    to its localization at the next smaller index, along the units. The
-    vertex at S comes out as the ordered composite localization of x at S.
+    Base case is the 0-cube on x; each stage attaches the localization at
+    the next smaller index along the units. The vertex at S comes out as
+    the ordered composite localization of x at S.
     """
     _require_valid(x, fam)
-    return _build(x, fam, list(fam.labels()))
-
-
-def _build(x: SortedComplex, fam: LocalizationFamily, labels: list) -> PosetDiagram:
-    if not labels:
-        return PosetDiagram._trusted(subset_poset((), punctured=False), {(): x}, {})
-    first = labels[0]
-    table = fam.table(first)
-    sub = _build(x, fam, labels[1:])
-    verts, edges, passes = {}, {}, {}
-    for s in sub.shape.elements:
-        # one localization pass per vertex gives both the unit and its target
-        s2 = canonical_subset(s + (first,))
-        passes[s] = _localize(sub.vertex(s), (table,))
-        verts[s], verts[s2] = sub.vertex(s), passes[s][0]
-        edges[(s, s2)] = _unit(sub.vertex(s), passes[s])
-    for (a, b), e in sub.edges.items():
-        edges[(a, b)] = e
-        edges[(canonical_subset(a + (first,)), canonical_subset(b + (first,)))] = \
-            _localize_chain_map(e, passes[a], passes[b])
-    return PosetDiagram._trusted(subset_poset(labels, punctured=False), verts, edges)
+    cube = PosetDiagram._trusted(subset_poset(()), {(): x}, {})
+    for i in reversed(fam.labels()):
+        cube = attach_localization(cube, fam.table(i), i)
+    return cube
 
 
 @dataclass

@@ -23,6 +23,11 @@ projection legs that commute with the diagram edges up to homotopy
 only; where a strict cone is required (extending a punctured cube to a
 Cartesian one), the extension re-totalizes each up-set over the nerve,
 which restricts strictly and stays a diagram on the nose.
+
+Cubes of localizations grow one index at a time: attach_localization
+sets a diagram on label subsets next to its localization at one table,
+on the subsets with a new label added, joined by the units. The
+fracture cube and every fracture-object builder fold this one step.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .sorted_complex import (
     _localize,
     _localize_chain_map,
     _map_from_pieces,
+    _unit,
     chain_map_group,
     comparison_is_isomorphism,
     hofib,
@@ -101,7 +107,7 @@ class PosetDiagram:
             self.edges[(x, y)] = e if e is not None else \
                 ComplexMap.zero(self.vertices[x], self.vertices[y])
             self._successors[x].append(y)
-        self._hom_cache = {}
+        self._hom_cache = dict(self.edges)
 
     def vertex(self, x) -> SortedComplex:
         return self.vertices[x]
@@ -129,10 +135,10 @@ class PosetDiagram:
 
     def _check_functorial(self):
         # composites along all first steps must agree; induction covers
-        # every pair of parallel paths
+        # every pair of parallel paths, and a covering pair has one path
         for x in self.shape.elements:
             for y in self.shape.elements:
-                if not self.shape.lt(x, y):
+                if not self.shape.lt(x, y) or (x, y) in self.edges:
                     continue
                 candidates = [self.hom(z, y).compose(self.edges[(x, z)])
                               for z in self._successors[x]
@@ -163,6 +169,29 @@ def localize_diagram(d: PosetDiagram, table: LocalizationTable) -> PosetDiagram:
     edges = {(x, y): _localize_chain_map(e, loc[x], loc[y])
              for (x, y), e in d.edges.items()}
     return PosetDiagram._trusted(d.shape, {x: v[0] for x, v in loc.items()}, edges)
+
+
+def attach_localization(d: PosetDiagram, table: LocalizationTable, label) -> PosetDiagram:
+    """d, its localization on the vertices with label added, and the units.
+
+    The vertices of d are label subsets and label occurs in none of them.
+    The value at S + {label} is the localization of the value at S, the
+    edge S -> S + {label} is the unit, and each edge of d is localized
+    over its endpoints' passes: one localization pass per vertex of d.
+    The shape lists the subsets in (size, lex) order, as subset_poset does.
+    """
+    if any(label in s for s in d.shape.elements):
+        raise InputError(f"label {label!r} already occurs in a vertex")
+    up = {s: canonical_subset(s + (label,)) for s in d.shape.elements}
+    loc = {s: _localize(c, (table,)) for s, c in d.vertices.items()}
+    verts, edges = dict(d.vertices), dict(d.edges)
+    for s, c in d.vertices.items():
+        verts[up[s]] = loc[s][0]
+        edges[(s, up[s])] = _unit(c, loc[s])
+    for (x, y), e in d.edges.items():
+        edges[(up[x], up[y])] = _localize_chain_map(e, loc[x], loc[y])
+    shape = subset_poset(set().union(*d.shape.elements, {label})).subposet(verts)
+    return PosetDiagram._trusted(shape, verts, edges)
 
 
 # --- totalization -------------------------------------------------------------

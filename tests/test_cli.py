@@ -11,7 +11,7 @@ import pytest
 import fracturecube
 from fracturecube import serialize
 from fracturecube.cli import emit_dot, run
-from fracturecube.cube_categories import fracture_diagram, split_fracture_object
+from fracturecube.cube_categories import FractureObject, fracture_diagram, split_fracture_object
 from fracturecube.exact_linalg import ExactMatrix, smith_normal_form
 from fracturecube.fracture import LocalizationFamily, build_fracture_cube, e_localize
 from fracturecube.posets import subset_poset
@@ -711,3 +711,24 @@ def test_witness_at_the_anchor_is_rejected(tmp_path):
     code, out, err = cli("cat", "glue", str(path))
     assert (code, out) == (2, "")
     assert "anchor vertex (1,) takes no witness" in err
+
+
+def test_split_refuses_what_validate_refutes(tmp_path):
+    # doubling the unit (3,) -> (1, 3) keeps the diagram functorial, since
+    # the vertex (1, 2, 3) is zero; split must not restore the unit silently
+    fam = LocalizationFamily((2, 3))
+    g = fracture_diagram(e_localize(SortedComplex.single(Z), fam), fam)
+    edges = dict(g.diagram.edges)
+    e = edges[((3,), (1, 3))]
+    edges[((3,), (1, 3))] = ComplexMap(e.source, e.target,
+                                       {n: m.scale(2) for n, m in e.maps.items()})
+    bad = FractureObject(PosetDiagram(g.diagram.shape, g.diagram.vertices, edges), fam)
+    path = write_doc(tmp_path, "g.json", "fracture-object", bad)
+    code, out, _ = cli("cat", "validate", path)
+    assert code == 1
+    assert "must be the localization unit" in out
+    spath = tmp_path / "split.json"
+    code, out, err = cli("cat", "split", path, "-o", str(spath))
+    assert (code, out) == (2, "")
+    assert "edge (3,) -> (1, 3): must be the localization unit" in err
+    assert not spath.exists()

@@ -7,7 +7,6 @@ from fracturecube.cube_categories import (
     FractureObject,
     GeneratorData,
     SplitData,
-    _unit_adding,
     anchor_split,
     anchor_split_onto_product,
     anchored_cover_identity,
@@ -24,7 +23,7 @@ from fracturecube.cube_categories import (
 )
 from fracturecube.fracture import LocalizationFamily, build_fracture_cube, e_localize
 from fracturecube.holim import PosetDiagram, homotopy_limit
-from fracturecube.posets import canonical_subset, subset_poset
+from fracturecube.posets import FinitePoset, canonical_subset, subset_poset
 from fracturecube.sorted_complex import (
     ComplexMap,
     Q,
@@ -35,9 +34,11 @@ from fracturecube.sorted_complex import (
     Zp,
     apply_localization,
     apply_tables,
+    canonical_unit,
     complete,
     direct_sum,
     is_quasi_iso,
+    localize_chain_map_tables,
 )
 
 from genutil import random_complex
@@ -52,6 +53,54 @@ def zsphere():
 
 def local_sphere(fam):
     return e_localize(zsphere(), fam)
+
+
+# --- closed-form references ---------------------------------------------------
+
+def _unit_adding(base: SortedComplex, fam: LocalizationFamily, small, j) -> ComplexMap:
+    """The unit from the small-subset localization of base to the one with j
+    added: the j-th canonical unit of the localization at the indices above
+    j, localized at the indices below j."""
+    above = fam.tables_for([x for x in small if x > j])
+    unit = canonical_unit(apply_tables(base, above), fam.table(j))
+    return localize_chain_map_tables(unit, fam.tables_for([x for x in small if x < j]))
+
+
+def closed_form_functor(s, s2, x: PosetDiagram, fam: LocalizationFamily) -> PosetDiagram:
+    """The pushed diagram read off vertex by vertex and edge by edge: at U,
+    the gap localization of x at the part of U at or above min(s)."""
+    t = fam.labels()
+    lo, hi = min(s2), min(s)
+    outer = anchored_supersets(s2, t)
+
+    def gap(u):
+        return tuple(v for v in u if lo <= v < hi)
+
+    def upper(u):
+        return tuple(v for v in u if v >= hi)
+
+    verts = {u: apply_tables(x.vertex(upper(u)), fam.tables_for(gap(u)))
+             for u in outer.elements}
+    edges = {}
+    for (u, w) in outer.covering_pairs():
+        (j,) = set(w) - set(u)
+        if lo <= j < hi:
+            edges[(u, w)] = _unit_adding(x.vertex(upper(u)), fam, gap(u), j)
+        else:
+            edges[(u, w)] = localize_chain_map_tables(x.hom(upper(u), upper(w)),
+                                                      fam.tables_for(gap(u)))
+    return PosetDiagram(outer, verts, edges)
+
+
+def scaled_edge_object():
+    # the edge (3,) -> (1, 3) of the local sphere's object, doubled; the
+    # diagram stays functorial because the vertex (1, 2, 3) is zero
+    g = fracture_diagram(local_sphere(FAM3), FAM3)
+    edges = dict(g.diagram.edges)
+    e = edges[((3,), (1, 3))]
+    edges[((3,), (1, 3))] = ComplexMap(e.source, e.target,
+                                       {n: m.scale(2) for n, m in e.maps.items()})
+    return FractureObject(PosetDiagram(g.diagram.shape, g.diagram.vertices, edges), FAM3)
 
 
 class TestUnits:
@@ -174,6 +223,22 @@ class TestGenerators:
                                 zsphere(), SortedComplex.single(Qp(2)))})
         with pytest.raises(InputError, match="local"):
             build_from_generators(gen, FAM2)
+
+    @pytest.mark.parametrize("primes", [(2,), (2, 3), (2, 3, 5)])
+    def test_generators_of_an_object_rebuild_it(self, primes):
+        fam = LocalizationFamily(primes)
+        rng = random.Random(len(fam.primes))
+        for _ in range(2):
+            g = fracture_diagram(e_localize(random_complex(rng, deg_hi=2, max_rank=3),
+                                            fam), fam)
+            labels = fam.labels()
+            gen = GeneratorData({i: g.vertex((i,)) for i in labels},
+                                {(i, j): g.diagram.hom((i,), (i, j))
+                                 for i in labels for j in labels if i < j})
+            obj = build_from_generators(gen, fam)
+            assert obj.diagram.shape == g.diagram.shape
+            assert obj.diagram.vertices == g.diagram.vertices
+            assert obj.diagram.edges == g.diagram.edges
 
     def test_mixing_map_target_enforced(self):
         x1 = SortedComplex.single(Q)
@@ -370,6 +435,36 @@ class TestDiagramFunctor:
         out = diagram_functor((3,), (1, 3), d, FAM3)
         assert all(c.is_zero_complex() for c in out.vertices.values())
 
+    @pytest.mark.parametrize("primes", [(2,), (2, 3), (2, 3, 5)])
+    def test_matches_the_closed_form(self, primes):
+        # every anchor pair s within s2, against the diagram read off
+        # vertex by vertex with the closed-form units
+        fam = LocalizationFamily(primes)
+        t = fam.labels()
+        subsets = [u for u in subset_poset(t).elements if u]
+        rng = random.Random(20 + len(t))
+        for _ in range(2):
+            g = fracture_diagram(e_localize(random_complex(rng, deg_hi=2, max_rank=3),
+                                            fam), fam)
+            for s2 in subsets:
+                for s in subsets:
+                    if not set(s) <= set(s2):
+                        continue
+                    d = g.diagram.restrict(anchored_supersets(s, t).elements)
+                    out = diagram_functor(s, s2, d, fam)
+                    want = closed_form_functor(s, s2, d, fam)
+                    assert out.shape == want.shape
+                    assert out.vertices == want.vertices
+                    assert out.edges == want.edges
+
+    def test_shape_order_checked(self):
+        # the anchored elements of (2,), but ordered as an antichain
+        x2 = apply_localization(zsphere(), complete(2))
+        flat = FinitePoset(anchored_supersets((2,), (1, 2, 3)).elements, [])
+        d = PosetDiagram(flat, {u: x2 for u in flat.elements}, {})
+        with pytest.raises(InputError, match="wrong shape"):
+            diagram_functor((2,), (1, 2), d, FAM3)
+
     def test_locality_checked(self):
         d = PosetDiagram(anchored_supersets((3,), (1, 2, 3)),
                          {(3,): SortedComplex.single(Q)}, {})
@@ -437,6 +532,24 @@ class TestSplitGlue:
         # anchored at 1 below the top (3,), but a bottom face on labels 1, 2, 3
         with pytest.raises(InputError, match="not the anchored poset"):
             glue_fracture_object(SplitData(face.top, whole.bottom, whole.witness), FAM3)
+
+    def test_split_validates_its_input(self):
+        # the doubled unit is functorial, so only validation refutes it
+        obj = scaled_edge_object()
+        report = validate_fracture_object(obj)
+        assert [(v.location, v.message) for v in report] == \
+            [("edge (3,) -> (1, 3)", "must be the localization unit")]
+        with pytest.raises(InputError, match=r"edge \(3,\) -> \(1, 3\): must be the "
+                                             "localization unit"):
+            split_fracture_object(obj)
+
+    def test_non_local_anchor_rejected(self):
+        sp = split_fracture_object(fracture_diagram(local_sphere(FAM2), FAM2))
+        z, target = zsphere(), sp.bottom.vertex((1, 2))
+        bottom = PosetDiagram(sp.bottom.shape, {(1,): z, (1, 2): target},
+                              {((1,), (1, 2)): ComplexMap.zero(z, target)})
+        with pytest.raises(InputError, match=r"anchor vertex \(1,\) is not fixed"):
+            glue_fracture_object(SplitData(sp.top, bottom, sp.witness), FAM2)
 
     def test_bad_witness_rejected(self):
         g = fracture_diagram(local_sphere(FAM2), FAM2)

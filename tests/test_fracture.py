@@ -39,10 +39,13 @@ def moore(k):
 
 
 class TestFamily:
-    def test_orthogonality_validated(self):
-        fam = LocalizationFamily((2, 3, 5))
-        assert fam.size == 4
-        for j in range(1, 5):
+    @pytest.mark.parametrize("primes", [(), (2,), (2, 3), (2, 3, 5), (2, 3, 5, 7),
+                                        (2, 3, 5, 7, 11)])
+    def test_orthogonality_validated(self, primes):
+        # orthogonal by construction, so the constructor does not re-check it
+        fam = LocalizationFamily(primes)
+        assert fam.size == len(primes) + 1
+        for j in range(1, fam.size + 1):
             for i in range(1, j):
                 assert composite_kills_all(fam.table(j), fam.table(i), fam.primes)
 

@@ -8,14 +8,17 @@ from fracturecube.exact_linalg import (
     InputError,
     integer_homology_at,
 )
-from fracturecube.posets import subset_poset
+from fracturecube.posets import canonical_subset, subset_poset
 from fracturecube.sorted_complex import (
+    RATIONALIZE,
     ComplexMap,
     Q,
     SortedComplex,
     SortedMap,
     Z,
     ZLOC,
+    canonical_unit,
+    complete,
     direct_sum,
     homology_p_local,
     is_acyclic,
@@ -29,11 +32,13 @@ from fracturecube.fracture import (
 from fracturecube.holim import (
     PosetDiagram,
     adjunction_check,
+    attach_localization,
     cube_labels,
     homotopy_limit,
     initial_corner_cube,
     is_cartesian,
     limit_extended_cube,
+    localize_diagram,
     map_between_totalizations,
     nerve_limit,
     punctured_limit_recursive,
@@ -92,11 +97,48 @@ class TestPosetDiagram:
             with pytest.raises(InputError, match="not a covering pair"):
                 PosetDiagram(shape, verts, {**edges, stray: scalar_map(z, 7)})
 
+    def test_covering_hom_is_the_edge(self):
+        # a covering pair has one path: hom hands back the stored edge
+        rng = random.Random(3)
+        cube = random_cube(rng, (1, 2, 3))
+        checked = PosetDiagram(cube.shape, cube.vertices, cube.edges)
+        trusted = build_fracture_cube(random_complex(rng, deg_hi=2, max_rank=3),
+                                      LocalizationFamily(PRIMES))
+        for d in (checked, trusted):
+            for (x, y) in d.shape.covering_pairs():
+                assert d.hom(x, y) is d.edges[(x, y)]
+
     def test_cube_labels_validation(self):
         d = initial_corner_cube(sphere(), (1, 2))
         assert cube_labels(d, punctured=False) == (1, 2)
         with pytest.raises(InputError):
             cube_labels(punctured_restriction(d), punctured=False)
+
+
+class TestAttachLocalization:
+    @pytest.mark.parametrize("table", [RATIONALIZE, complete(2)])
+    @pytest.mark.parametrize("label, labels, punctured", [
+        (1, (2, 3), False), (4, (1, 2), False), (1, (2, 3), True), (2, (1, 3), True)])
+    def test_the_diagram_its_localization_and_the_units(self, table, label, labels,
+                                                       punctured):
+        d = random_cube(random.Random(label), labels, punctured=punctured)
+        out = attach_localization(d, table, label)
+        loc = localize_diagram(d, table)
+        up = {s: canonical_subset(s + (label,)) for s in d.shape.elements}
+        whole = subset_poset(labels + (label,))
+        assert out.shape == whole.subposet(list(up) + list(up.values()))
+        for s, c in d.vertices.items():
+            assert out.vertex(s) == c
+            assert out.vertex(up[s]) == loc.vertex(s)
+            assert out.edges[(s, up[s])] == canonical_unit(c, table)
+        for (a, b), e in d.edges.items():
+            assert out.edges[(a, b)] == e
+            assert out.edges[(up[a], up[b])] == loc.edges[(a, b)]
+
+    def test_label_already_in_a_vertex_rejected(self):
+        d = initial_corner_cube(sphere(), (1, 2))
+        with pytest.raises(InputError, match="label 2 already occurs"):
+            attach_localization(d, RATIONALIZE, 2)
 
 
 class TestHomotopyLimit:

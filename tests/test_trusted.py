@@ -12,6 +12,16 @@ from fractions import Fraction
 
 import pytest
 
+from fracturecube.cube_categories import (
+    GeneratorData,
+    anchored_supersets,
+    build_from_generators,
+    diagram_functor,
+    fracture_diagram,
+    glue_fracture_object,
+    split_fracture_object,
+    validate_fracture_object,
+)
 from fracturecube.exact_linalg import ExactMatrix, InputError
 from fracturecube.fracture import (
     LocalizationFamily,
@@ -23,6 +33,7 @@ from fracturecube.fracture import (
 from fracturecube.holim import (
     PosetDiagram,
     _face,
+    attach_localization,
     cube_totalization,
     homotopy_limit,
     initial_corner_cube,
@@ -246,6 +257,44 @@ class TestFractureBuilders:
     def test_completion_pair_square(self):
         x = random_complex(random.Random(13), deg_hi=2)
         recheck_diagram(completion_pair_square(x, 2, 3))
+
+
+class TestCubeCategoryBuilders:
+    # these build fracture objects and pushed diagrams without validating
+    # their output: the object conditions hold by construction
+    def test_attach_localization(self):
+        for d in seeded_cubes(17, (2, 3)):
+            for table in TABLES:
+                recheck_diagram(attach_localization(d, table, 1))
+                recheck_diagram(attach_localization(punctured_restriction(d), table, 4))
+
+    @pytest.mark.parametrize("primes", [(2,), (2, 3), (2, 3, 5)])
+    def test_object_builders(self, primes):
+        fam = LocalizationFamily(primes)
+        t = fam.labels()
+        subsets = [u for u in subset_poset(t).elements if u]
+        rng = random.Random(18 + len(primes))
+        for _ in range(2):
+            g = fracture_diagram(e_localize(random_complex(rng, deg_hi=2, max_rank=3),
+                                            fam), fam)
+            # any scalar multiple of a mixing map gives another object
+            maps = {}
+            for i in t:
+                for j in t[i:]:
+                    f, c = g.diagram.hom((i,), (i, j)), rng.randint(-3, 3)
+                    maps[(i, j)] = ComplexMap(f.source, f.target,
+                                              {n: m.scale(c) for n, m in f.maps.items()})
+            gen = GeneratorData({i: g.vertex((i,)) for i in t}, maps)
+            obj = build_from_generators(gen, fam)
+            glued = glue_fracture_object(split_fracture_object(obj), fam)
+            for o in (obj, glued):
+                recheck_diagram(o.diagram)
+                assert validate_fracture_object(o) == []
+            for s2 in subsets:
+                for s in subsets:
+                    if set(s) <= set(s2):
+                        d = obj.diagram.restrict(anchored_supersets(s, t).elements)
+                        recheck_diagram(diagram_functor(s, s2, d, fam))
 
 
 class TestPublicConstructorsReject:

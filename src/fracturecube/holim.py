@@ -5,7 +5,10 @@ values over a set of cells, cell c in cosimplicial level len(c) - 1
 carrying the value at its top vertex, with the coface from the face
 without position i entering with sign (-1)^i along the map between the
 two tops. Every sorted complex is fibrant here (all terms are free of
-finite rank), so this computes the derived limit.
+finite rank), so this computes the derived limit. Each totalization
+builds one coface table, listing per cell its value and, per face that
+is a cell, the face, the sign and that map; every differential reads it
+and places only the blocks that exist, skipping absent degrees.
 
 A punctured cube is totalized over its vertices: one summand
 G(S)[-(|S| - 1)] per nonempty S, the cubical formula for the limit.
@@ -197,13 +200,15 @@ def attach_localization(d: PosetDiagram, table: LocalizationTable, label) -> Pos
 # --- totalization -------------------------------------------------------------
 
 class _TotIndex:
-    """Summand layout of a totalization over a set of cells.
+    """Summand layout and coface table of a totalization over a set of cells.
 
     A cell is a tuple of shape elements at level len(cell) - 1 carrying
     the diagram's value at its top vertex; dropping position i gives its
     i-th face. Nerve cells are the strict chains (top: the last element),
     cube cells the vertices of a cube (top: the subset itself), the empty
-    vertex of a full cube in level -1.
+    vertex of a full cube in level -1. The table holds, once per cell, its
+    level, its value and its cofaces: the position of each face that is a
+    cell, the sign (-1)^i and the nonzero diagram map between the two tops.
     """
 
     def __init__(self, diagram: PosetDiagram, cells, top):
@@ -213,46 +218,47 @@ class _TotIndex:
         self.cell_pos = {c: idx for idx, (_, c) in enumerate(self.cells)}
         # level-zero cells by their top vertex: where the cone legs live
         self.base = {top(c): idx for idx, (k, c) in enumerate(self.cells) if k == 0}
-        degs = set()
+        self.table = []
         for k, c in self.cells:
-            for n in self.value(c).modules:
-                degs.add(n - k)
-        self.degrees = sorted(degs)
+            cofaces = []
+            for i in range(k + 1):
+                face = c[:i] + c[i + 1:]
+                pos = self.cell_pos.get(face)
+                if pos is not None:
+                    edge = diagram.hom(top(face), top(c))
+                    if edge.maps:
+                        cofaces.append((pos, -1 if i % 2 else 1, edge))
+            self.table.append((k, diagram.vertex(top(c)), cofaces))
+        self.degrees = sorted({n - k for k, v, _ in self.table for n in v.modules})
         # basis offset of each cell inside the degree-n module
         self.offsets = {}
         self.modules = {}
         for n in self.degrees:
             summands, off = [], 0
-            for idx, (k, c) in enumerate(self.cells):
-                m = self.value(c).module(n + k)
+            for idx, (k, v, _) in enumerate(self.table):
+                m = v.module(n + k)
                 self.offsets[(n, idx)] = off
                 off += m.total_rank
                 summands.extend(m.summands)
             self.modules[n] = SortedModule(summands)
-
-    def value(self, cell) -> SortedComplex:
-        return self.diagram.vertex(self.top(cell))
 
     def module(self, n: int) -> SortedModule:
         return self.modules.get(n, EMPTY_MODULE)
 
 
 def _tot_differential(ti: _TotIndex, n: int) -> SortedMap:
+    # only blocks that exist are placed; a sign copies the block it negates
     pieces = []
-    for idx, (k, c) in enumerate(ti.cells):
-        # inner differential with sign (-1)^k
-        d = ti.value(c).diff(n + k).matrix
+    for idx, (k, value, cofaces) in enumerate(ti.table):
         to = ti.offsets[(n - 1, idx)]
-        pieces.append((to, ti.offsets[(n, idx)], d if k % 2 == 0 else d.scale(-1)))
-        # cofaces: the face without position i enters if it is a cell,
-        # with sign (-1)^i along the map between the two tops
-        for i in range(k + 1):
-            face = c[:i] + c[i + 1:]
-            if face not in ti.cell_pos:
-                continue
-            edge = ti.diagram.hom(ti.top(face), ti.top(c)).map_at(n - 1 + k).matrix
-            pieces.append((to, ti.offsets[(n, ti.cell_pos[face])],
-                           edge if i % 2 == 0 else edge.scale(-1)))
+        # inner differential with sign (-1)^k
+        d = value.diffs.get(n + k)
+        if d is not None:
+            pieces.append((to, ti.offsets[(n, idx)], d.matrix if k % 2 == 0 else -d.matrix))
+        for pos, sign, edge in cofaces:
+            e = edge.maps.get(n - 1 + k)
+            if e is not None:
+                pieces.append((to, ti.offsets[(n, pos)], e.matrix if sign > 0 else -e.matrix))
     return _map_from_pieces(ti.module(n), ti.module(n - 1), pieces)
 
 
@@ -292,8 +298,9 @@ class HolimResult:
             if legs[x].source != apex or legs[x].target != ti.diagram.vertex(x):
                 raise InputError(f"leg at {x!r} has wrong endpoints")
         maps = {n: _map_from_pieces(apex.module(n), m, [
-            (ti.offsets[(n, idx)], 0, legs[x].map_at(n).matrix)
-            for x, idx in ti.base.items()]) for n, m in self.complex.modules.items()}
+            (ti.offsets[(n, idx)], 0, legs[x].maps[n].matrix)
+            for x, idx in ti.base.items() if n in legs[x].maps])
+            for n, m in self.complex.modules.items()}
         return ComplexMap._trusted(apex, self.complex, maps)
 
 
@@ -351,20 +358,25 @@ def map_between_totalizations(src: HolimResult, dst: HolimResult,
     sti, dti = src._index, dst._index
     if sti.cells != dti.cells:
         raise InputError("totalizations have different cells")
-    for x in {sti.top(c) for _, c in sti.cells}:
-        f = components[x]
+    tops = [sti.top(c) for _, c in sti.cells]
+    for x in dict.fromkeys(tops):
+        f = components.get(x)
+        if f is None:
+            raise InputError(f"missing component at vertex {x!r}")
         if f.source != sti.diagram.vertex(x) or f.target != dti.diagram.vertex(x):
             raise InputError(f"component at {x!r} has wrong endpoints")
+    comps = [components[x] for x in tops]
     maps = {}
     for n in set(src.complex.modules) | set(dst.complex.modules):
         pieces = []
-        for idx, (k, c) in enumerate(sti.cells):
-            comp = components[sti.top(c)].map_at(n + k)
-            if not comp.is_zero():
+        for idx, ((k, _), f) in enumerate(zip(sti.cells, comps)):
+            comp = f.maps.get(n + k)
+            if comp is not None:
                 pieces.append((dti.offsets[(n, idx)], sti.offsets[(n, idx)], comp.matrix))
-        s_mod, d_mod = src.complex.module(n), dst.complex.module(n)
-        maps[n] = SortedMap.from_dense(s_mod, d_mod, ExactMatrix.assemble(
-            d_mod.total_rank, s_mod.total_rank, pieces))
+        if pieces:
+            s_mod, d_mod = src.complex.module(n), dst.complex.module(n)
+            maps[n] = SortedMap.from_dense(s_mod, d_mod, ExactMatrix.assemble(
+                d_mod.total_rank, s_mod.total_rank, pieces))
     return ComplexMap(src.complex, dst.complex, maps)
 
 
@@ -508,7 +520,7 @@ def limit_extended_cube(punctured: PosetDiagram) -> PosetDiagram:
         for n in set(verts[s].modules) | set(verts[s2].modules):
             # identity on every chain surviving the restriction
             pieces = [(dti.offsets[(n, idx)], sti.offsets[(n, sti.cell_pos[c])],
-                       ExactMatrix.identity(dti.value(c).module(n + k).total_rank))
+                       ExactMatrix.identity(dti.table[idx][1].module(n + k).total_rank))
                       for idx, (k, c) in enumerate(dti.cells)
                       if (n, idx) in dti.offsets and (n, sti.cell_pos[c]) in sti.offsets]
             maps[n] = _map_from_pieces(verts[s].module(n), verts[s2].module(n), pieces)
@@ -528,7 +540,10 @@ def vertex_projection(extended: PosetDiagram, punctured: PosetDiagram, s):
 def tfib_direction_cube(diagram: PosetDiagram, t_prime) -> PosetDiagram:
     """Cube on P(T') of total fibers of the complementary subcubes."""
     labels = cube_labels(diagram, punctured=False)
-    t_prime = canonical_subset(t_prime)
+    try:
+        t_prime = canonical_subset(t_prime)
+    except TypeError:
+        raise InputError(f"direction set {t_prime!r} is not an iterable of labels") from None
     if not set(t_prime) <= set(labels):
         raise InputError("direction set is not a subset of the cube labels")
     rest = tuple(x for x in labels if x not in t_prime)

@@ -22,7 +22,7 @@ DEFAULT_MAX_GENERATORS = 12
 class FinitePoset:
     """Finite poset on an ordered element tuple with an explicit relation."""
 
-    __slots__ = ("elements", "_index", "_up")
+    __slots__ = ("elements", "_index", "_up", "_covers")
 
     def __init__(self, elements, leq_pairs):
         self.elements = tuple(elements)
@@ -78,14 +78,15 @@ class FinitePoset:
                      if y != x and self.leq(y, x))
 
     def covering_pairs(self):
-        """Pairs (x, y) with x < y and nothing strictly between."""
-        # y covers x when it is above x but not above anything above x
-        strict_up = [u - {i} for i, u in enumerate(self._up)]
-        out = []
-        for i, above in enumerate(strict_up):
-            covers = above.difference(*(strict_up[j] for j in above))
-            out.extend((self.elements[i], self.elements[j]) for j in sorted(covers))
-        return out
+        """Pairs (x, y) with x < y and nothing strictly between, as a new list."""
+        # a poset never changes, so its pairs are found once
+        if not hasattr(self, "_covers"):
+            # y covers x when it is above x but not above anything above x
+            strict_up = [u - {i} for i, u in enumerate(self._up)]
+            self._covers = tuple(
+                (self.elements[i], self.elements[j]) for i, above in enumerate(strict_up)
+                for j in sorted(above.difference(*(strict_up[k] for k in above))))
+        return list(self._covers)
 
     def maximum(self):
         for x in self.elements:

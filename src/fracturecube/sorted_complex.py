@@ -323,6 +323,14 @@ def _require_sort_map(src: Sort, tgt: Sort):
         raise InputError(f"no canonical sort map {src} -> {tgt}")
 
 
+def _product(g: SortedMap | None, f: SortedMap | None) -> ExactMatrix | None:
+    """Matrix of g after f; None when a factor is absent or the product is zero."""
+    if g is None or f is None:
+        return None
+    m = g.matrix * f.matrix
+    return None if m.is_zero() else m
+
+
 def _map_from_pieces(source: SortedModule, target: SortedModule, pieces) -> SortedMap:
     """Trusted map whose matrix sums (row offset, column offset, matrix) pieces."""
     return SortedMap._trusted(source, target, ExactMatrix.assemble(
@@ -450,9 +458,10 @@ class ComplexMap:
         for n, f in maps.items():
             if f.source != source.module(n) or f.target != target.module(n):
                 raise InputError(f"component at degree {n} has wrong shape")
+        # d f = f d degreewise, an absent block or product counting as zero
         for n in set(self.maps) | set(source.diffs):
-            left = target.diff(n).compose(self.map_at(n))
-            right = self.map_at(n - 1).compose(source.diff(n))
+            left = _product(target.diffs.get(n), self.maps.get(n))
+            right = _product(self.maps.get(n - 1), source.diffs.get(n))
             if left != right:
                 raise InputError(f"not a chain map at degree {n}")
 
@@ -487,17 +496,17 @@ class ComplexMap:
         """self after other."""
         if other.target != self.source:
             raise InputError("complex map composition mismatch")
-        maps = {}
-        for n in other.maps:
-            maps[n] = self.map_at(n).compose(other.maps[n])
+        maps = {n: self.maps[n].compose(f) for n, f in other.maps.items()
+                if n in self.maps}
         return ComplexMap._trusted(other.source, self.target, maps)
 
     def __add__(self, other):
         if self.source != other.source or self.target != other.target:
             raise InputError("complex map sum mismatch")
-        degs = set(self.maps) | set(other.maps)
-        return ComplexMap._trusted(self.source, self.target,
-                                   {n: self.map_at(n) + other.map_at(n) for n in degs})
+        maps = dict(self.maps)
+        for n, g in other.maps.items():
+            maps[n] = maps[n] + g if n in maps else g
+        return ComplexMap._trusted(self.source, self.target, maps)
 
     def __neg__(self):
         return ComplexMap._trusted(self.source, self.target,

@@ -303,6 +303,15 @@ class TestCallerDataChecked:
         with pytest.raises(InputError, match="wrong endpoints"):
             map_between_totalizations(hl, hl, comps)
 
+    def test_missing_component_names_the_vertex(self):
+        hl = homotopy_limit(self.d)
+        with pytest.raises(InputError, match=r"missing component at vertex \(1,\)"):
+            map_between_totalizations(hl, hl, {})
+        comps = {x: ComplexMap.identity(self.z) for x in self.d.shape.elements}
+        del comps[(1, 2)]
+        with pytest.raises(InputError, match=r"missing component at vertex \(1, 2\)"):
+            map_between_totalizations(hl, hl, comps)
+
 
 class TestInitialCornerCube:
     def test_zero(self):
@@ -380,6 +389,14 @@ class TestIteratedFiber:
         d = random_cube(random.Random(11), (1, 2), sort=ZLOC)
         with pytest.raises(InputError):
             total_fiber_iterated(d, (3,))
+
+    @pytest.mark.parametrize("t_prime", [2, None, [[1]], (1, "a")],
+                             ids=["int", "none", "unhashable", "incomparable"])
+    def test_rejects_a_direction_set_that_is_not_labels(self, t_prime):
+        d = random_cube(random.Random(11), (1, 2), sort=ZLOC)
+        for f in (tfib_direction_cube, total_fiber_iterated):
+            with pytest.raises(InputError, match="is not an iterable of labels"):
+                f(d, t_prime)
 
 
 class TestCartesian:

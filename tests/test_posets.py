@@ -53,6 +53,11 @@ class TestFinitePoset:
             want = [(x, y) for x in p.elements for y in p.elements
                     if p.lt(x, y) and not any(p.lt(x, z) and p.lt(z, y)
                                               for z in p.elements)]
+            first = p.covering_pairs()
+            assert first == want
+            # found once per poset, handed out as a new list each time
+            first.append(("not", "a pair"))
+            first.pop(0)
             assert p.covering_pairs() == want
 
 

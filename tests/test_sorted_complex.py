@@ -135,6 +135,50 @@ class TestValidation:
         assert any("not a unit in Z" in v.message for v in validate(c))
 
 
+def bare(ranks):
+    """Z^r in each listed degree and no differential."""
+    return SortedComplex({n: SortedModule([(Z, r)]) for n, r in ranks.items()}, {})
+
+
+def components(src, tgt, rows):
+    """A degree -> one-block SortedMap dict for a map src -> tgt."""
+    return {n: SortedMap(src.module(n), tgt.module(n), {(0, 0): ExactMatrix.from_rows(r)})
+            for n, r in rows.items()}
+
+
+class TestChainMapCheck:
+    """d f = f d is checked degreewise, absent blocks counting as zero."""
+
+    @pytest.mark.parametrize("src, tgt, rows", [
+        # the target differential is absent while f d != 0
+        (two_term(Z, 2), bare({1: 1, 0: 1}), {1: [[1]], 0: [[1]]}),
+        # the source differential is absent while d f != 0
+        (bare({1: 1, 0: 1}), two_term(Z, 2), {1: [[1]], 0: [[1]]}),
+        # the component is absent in degree 1 but present in degree 0
+        (two_term(Z, 2), two_term(Z, 2), {0: [[1]]}),
+        # both sides nonzero and different: d f = 2, f d = 6
+        (two_term(Z, 2), two_term(Z, 2), {1: [[1]], 0: [[3]]}),
+    ], ids=["target-d-absent", "source-d-absent", "component-absent", "sides-differ"])
+    def test_rejected(self, src, tgt, rows):
+        with pytest.raises(InputError, match="not a chain map at degree 1"):
+            ComplexMap(src, tgt, components(src, tgt, rows))
+
+    def test_products_cancelling_against_an_absent_side(self):
+        # d f = (1 -1)(1 1)^T = 0 and f is absent below
+        two = SortedModule([(Z, 2)])
+        tgt = SortedComplex({1: two, 0: SortedModule([(Z, 1)])}, {1: SortedMap(
+            two, SortedModule([(Z, 1)]), {(0, 0): ExactMatrix.from_rows([[1, -1]])})})
+        src = bare({1: 1})
+        f = ComplexMap(src, tgt, components(src, tgt, {1: [[1], [1]]}))
+        assert set(f.maps) == {1}
+        # f d = (1 1)(1 -1)^T = 0 and the target has no differential
+        src = SortedComplex({1: SortedModule([(Z, 1)]), 0: two}, {1: SortedMap(
+            SortedModule([(Z, 1)]), two, {(0, 0): ExactMatrix.from_rows([[1], [-1]])})})
+        tgt = bare({0: 1})
+        g = ComplexMap(src, tgt, components(src, tgt, {0: [[1, 1]]}))
+        assert set(g.maps) == {0}
+
+
 class TestConstructions:
     def test_cone_of_identity_is_acyclic(self):
         c = random_complex(random.Random(1), sort=ZLOC, deg_hi=3)

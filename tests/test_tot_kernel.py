@@ -1,0 +1,243 @@
+"""The totalization kernel against its per-degree closed form.
+
+The package totalizes from a coface table built once per totalization
+and places only the blocks that exist. The reference here is the plain
+per-degree formula: in every degree, every cell's inner differential
+with sign (-1)^k and, for every face that is a cell, the diagram map
+between the two tops with sign (-1)^i, each read through diff(n) and
+map_at(n) with their zero blocks. The totalized map of a natural
+transformation is the same per-degree placement of its components.
+"""
+
+import random
+
+import pytest
+
+from fracturecube.exact_linalg import ExactMatrix
+from fracturecube.fracture import LocalizationFamily, verify_fracture
+from fracturecube.holim import (
+    PosetDiagram,
+    _face,
+    cube_totalization,
+    homotopy_limit,
+    initial_corner_cube,
+    nerve_limit,
+    punctured_restriction,
+    tfib_direction_cube,
+    total_fiber_iterated,
+)
+from fracturecube.posets import FinitePoset, canonical_subset, subset_poset
+from fracturecube.sorted_complex import (
+    EMPTY_MODULE,
+    ComplexMap,
+    SortedComplex,
+    SortedMap,
+    SortedModule,
+    ZLOC,
+    direct_sum,
+    shift,
+)
+
+from genutil import (
+    _scalar_cube,
+    _upset_cube,
+    cube_direct_sum,
+    random_chain_map,
+    random_complex,
+    random_cube,
+)
+from test_cube_totalization import CUBES
+
+
+class Reference:
+    """Layout and complex of a totalization, computed degree by degree."""
+
+    def __init__(self, diagram, cells, top):
+        self.cells = [(len(c) - 1, c) for c in cells]
+        self.top = top
+        cell_pos = {c: idx for idx, (_, c) in enumerate(self.cells)}
+
+        def value(c):
+            return diagram.vertex(top(c))
+
+        degrees = sorted({n - k for k, c in self.cells for n in value(c).modules})
+        self.offsets, modules = {}, {}
+        for n in degrees:
+            summands, off = [], 0
+            for idx, (k, c) in enumerate(self.cells):
+                m = value(c).module(n + k)
+                self.offsets[(n, idx)] = off
+                off += m.total_rank
+                summands.extend(m.summands)
+            modules[n] = SortedModule(summands)
+
+        def module(n):
+            return modules.get(n, EMPTY_MODULE)
+
+        diffs = {}
+        for n in degrees:
+            if module(n).is_empty() or module(n - 1).is_empty():
+                continue
+            pieces = []
+            for idx, (k, c) in enumerate(self.cells):
+                d = value(c).diff(n + k).matrix
+                to = self.offsets[(n - 1, idx)]
+                pieces.append((to, self.offsets[(n, idx)], d if k % 2 == 0 else d.scale(-1)))
+                for i in range(k + 1):
+                    face = c[:i] + c[i + 1:]
+                    if face not in cell_pos:
+                        continue
+                    edge = diagram.hom(top(face), top(c)).map_at(n - 1 + k).matrix
+                    pieces.append((to, self.offsets[(n, cell_pos[face])],
+                                   edge if i % 2 == 0 else edge.scale(-1)))
+            diffs[n] = SortedMap._trusted(module(n), module(n - 1), ExactMatrix.assemble(
+                module(n - 1).total_rank, module(n).total_rank, pieces))
+        # the public constructor re-checks shapes and d^2 = 0
+        self.complex = SortedComplex(modules, diffs)
+
+
+def reference_map(src: Reference, dst: Reference, components) -> ComplexMap:
+    """Totalized natural transformation, one block per cell and degree."""
+    maps = {}
+    for n in set(src.complex.modules) | set(dst.complex.modules):
+        pieces = []
+        for idx, (k, c) in enumerate(src.cells):
+            comp = components[src.top(c)].map_at(n + k)
+            if not comp.is_zero():
+                pieces.append((dst.offsets[(n, idx)], src.offsets[(n, idx)], comp.matrix))
+        s_mod, d_mod = src.complex.module(n), dst.complex.module(n)
+        maps[n] = SortedMap.from_dense(s_mod, d_mod, ExactMatrix.assemble(
+            d_mod.total_rank, s_mod.total_rank, pieces))
+    return ComplexMap(src.complex, dst.complex, maps)
+
+
+def cube_reference(d):
+    return Reference(d, d.shape.elements, lambda s: s)
+
+
+def nerve_reference(d):
+    chains = [c for level in d.shape.strict_chains() for c in level]
+    return Reference(d, chains, lambda c: c[-1])
+
+
+# --- seeded diagrams with zero vertices, missing edges and gaps in degree -------
+
+def gapped(rng):
+    """A complex with an empty degree between two occupied ones."""
+    lo = random_complex(rng, sort=ZLOC, deg_lo=0, deg_hi=1, max_rank=2, pieces=2)
+    hi = random_complex(rng, sort=ZLOC, deg_lo=3, deg_hi=4, max_rank=2, pieces=2)
+    return direct_sum(lo, hi)
+
+
+def zero_pattern_cubes():
+    rng = random.Random(52)
+    for labels in ((1,), (1, 2), (1, 2, 3)):
+        shape = subset_poset(labels)
+        yield initial_corner_cube(gapped(rng), labels)
+        # zero below the corner, so no edge into it is stored
+        upset = _upset_cube(shape, labels, labels[-1:], gapped(rng))
+        yield upset
+        # edges present between nonzero vertices but zero in one direction
+        scalars = {x: (0 if x == labels[0] else rng.choice((1, -2, 3))) for x in labels}
+        scalar = _scalar_cube(shape, labels, gapped(rng), scalars)
+        yield scalar
+        yield cube_direct_sum(upset, scalar)
+
+
+ZERO_PATTERN_CUBES = list(zero_pattern_cubes())
+
+
+def nerve_diagrams():
+    """Non-cube shapes with zero vertices and random chain maps elsewhere."""
+    rng = random.Random(53)
+    zero = SortedComplex.zero()
+    chain = FinitePoset("abc", [("a", "b"), ("b", "c"), ("a", "c")])
+    cospan = FinitePoset("abcd", [("a", "c"), ("b", "c"), ("a", "d")])
+    antichain = FinitePoset("xy", [])
+    for shape, zeros in ((chain, "b"), (chain, ""), (cospan, "d"), (cospan, ""),
+                         (antichain, "x")):
+        verts = {x: zero if x in zeros else gapped(rng) for x in shape.elements}
+        edges = {(x, y): random_chain_map(rng, verts[x], verts[y])
+                 for (x, y) in shape.covering_pairs()
+                 if x not in zeros and y not in zeros}
+        yield PosetDiagram(shape, verts, edges)
+    # a full cube is not a punctured one, so it goes through the nerve too
+    for labels in ((1, 2), (1, 2, 3)):
+        yield random_cube(rng, labels, sort=ZLOC, max_rank=2)
+    yield from (d for d in ZERO_PATTERN_CUBES if len(d.shape) == 4)
+
+
+NERVE_DIAGRAMS = list(nerve_diagrams())
+ALL_CUBES = [d for _, d in CUBES] + ZERO_PATTERN_CUBES
+
+
+def test_seeded_diagrams_have_the_zero_patterns():
+    has_zero_vertex = any(c.is_zero_complex() for d in ZERO_PATTERN_CUBES
+                          for c in d.vertices.values())
+    has_zero_edge = any(e.is_zero() and not e.source.is_zero_complex()
+                        and not e.target.is_zero_complex()
+                        for d in ZERO_PATTERN_CUBES for e in d.edges.values())
+    has_gap = any(n - 1 in c.modules and n + 1 in c.modules and n not in c.modules
+                  for d in ZERO_PATTERN_CUBES for c in d.vertices.values()
+                  for n in range(-1, 6))
+    assert has_zero_vertex and has_zero_edge and has_gap
+    assert any(c.is_zero_complex() for d in NERVE_DIAGRAMS for c in d.vertices.values())
+
+
+@pytest.mark.parametrize("k", range(len(ALL_CUBES)))
+def test_cube_totalization_matches_the_reference(k):
+    d = ALL_CUBES[k]
+    assert cube_totalization(d).complex == cube_reference(d).complex
+
+
+@pytest.mark.parametrize("k", range(len(ALL_CUBES)))
+def test_punctured_limit_matches_the_reference(k):
+    g = punctured_restriction(ALL_CUBES[k])
+    assert homotopy_limit(g).complex == cube_reference(g).complex
+
+
+@pytest.mark.parametrize("k", range(len(NERVE_DIAGRAMS)))
+def test_nerve_totalization_matches_the_reference(k):
+    d = NERVE_DIAGRAMS[k]
+    assert nerve_limit(d).complex == nerve_reference(d).complex
+
+
+@pytest.mark.parametrize("k", [k for k, d in enumerate(ALL_CUBES) if len(d.shape) > 2])
+def test_direction_cube_edges_match_the_reference_map(k):
+    d = ALL_CUBES[k]
+    labels = max(d.shape.elements, key=len)
+    for tp in subset_poset(labels).elements:
+        rest = tuple(x for x in labels if x not in tp)
+        dc = tfib_direction_cube(d, tp)
+        for (sp, sp2), e in dc.edges.items():
+            src = cube_reference(_face(d, sp, rest))
+            dst = cube_reference(_face(d, sp2, rest))
+            comps = {s: d.hom(canonical_subset(s + sp), canonical_subset(s + sp2))
+                     for s in subset_poset(rest).elements}
+            f = reference_map(src, dst, comps)
+            want = ComplexMap(shift(src.complex, -1), shift(dst.complex, -1),
+                              {n - 1: m for n, m in f.maps.items()})
+            assert e == want, (tp, sp, sp2)
+
+
+def test_kernel_builds_no_zero_blocks(monkeypatch):
+    rng = random.Random(54)
+    cubes = [random_cube(rng, (1, 2, 3), sort=ZLOC, max_rank=3) for _ in range(2)]
+    cubes += ZERO_PATTERN_CUBES[-4:]
+    xs = [random_complex(rng, deg_hi=2, max_rank=3) for _ in range(2)]
+    calls = []
+    make_zero = SortedMap.zero.__func__
+
+    def counted(cls, source, target):
+        calls.append((source, target))
+        return make_zero(cls, source, target)
+
+    monkeypatch.setattr(SortedMap, "zero", classmethod(counted))
+    for d in cubes:
+        cube_totalization(d)
+        for tp in subset_poset(max(d.shape.elements, key=len)).elements:
+            total_fiber_iterated(d, tp)
+    for x in xs:
+        for primes in ((2,), (2, 3), (2, 3, 5)):
+            verify_fracture(x, LocalizationFamily(primes))
+    assert len(calls) == 0

@@ -46,21 +46,21 @@ from .sorted_complex import (
     apply_localization,
     canonical_unit,
     complete,
-    cone,
     direct_sum,
-    hofib,
     homology_p_local,
     is_acyclic,
-    is_quasi_iso,
     shift,
     validate,
 )
 from .holim import (
     PosetDiagram,
     adjunction_check,
+    cone,
+    hofib,
     homotopy_limit,
     initial_corner_cube,
     is_cartesian,
+    is_quasi_iso,
     limit_extended_cube,
     punctured_limit_recursive,
     strict_limit,

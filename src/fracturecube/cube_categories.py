@@ -31,6 +31,7 @@ from .holim import (
     attach_localization,
     cube_totalization,
     homotopy_limit,
+    is_quasi_iso,
     punctured_restriction,
 )
 from .posets import FinitePoset, PosetMap, canonical_subset, subset_poset
@@ -40,7 +41,6 @@ from .sorted_complex import (
     apply_localization,
     is_acyclic,
     is_local,
-    is_quasi_iso,
     localize_chain_map_tables,
 )
 

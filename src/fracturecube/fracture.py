@@ -20,6 +20,7 @@ from .holim import (
     cube_totalization,
     homotopy_limit,
     is_cartesian,
+    is_quasi_iso,
     limit_extended_cube,
     localize_diagram,
     punctured_restriction,
@@ -37,8 +38,6 @@ from .sorted_complex import (
     homology_p_local,
     is_acyclic,
     is_local,
-    is_quasi_iso,
-    sum_inclusions,
     validate,
 )
 
@@ -239,16 +238,16 @@ def completion_pair_square(x: SortedComplex, p: int, q: int) -> PosetDiagram:
     """The square of two completions at distinct primes.
 
     Both mixed composites vanish here, so the joint localization
-    degenerates to the product of the two completions; the square has
-    that product at the corner and the zero complex opposite.
+    degenerates to the product of the two completions: the corner is the
+    limit of xq -> 0 <- xp, and the corner edges are its legs.
     """
     if p == q:
         raise InputError("need two distinct primes")
     xp = apply_localization(x, complete(p))
     xq = apply_localization(x, complete(q))
-    total, _, _, proj_p, proj_q = sum_inclusions(xp, xq)
-    shape = subset_poset((1, 2), punctured=False)
-    zero = SortedComplex.zero()
-    verts = {(): total, (1,): xq, (2,): xp, (1, 2): zero}
-    edges = {((), (1,)): proj_q, ((), (2,)): proj_p}
-    return PosetDiagram._trusted(shape, verts, edges)
+    punct = PosetDiagram._trusted(subset_poset((1, 2), punctured=True),
+                                  {(1,): xq, (2,): xp, (1, 2): SortedComplex.zero()}, {})
+    lim = homotopy_limit(punct)
+    verts = {(): lim.complex, **punct.vertices}
+    edges = {((), s): lim.legs[s] for s in ((1,), (2,))}
+    return PosetDiagram._trusted(subset_poset((1, 2)), verts, edges)

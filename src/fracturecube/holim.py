@@ -13,12 +13,15 @@ and places only the blocks that exist, skipping absent degrees.
 A punctured cube is totalized over its vertices: one summand
 G(S)[-(|S| - 1)] per nonempty S, the cubical formula for the limit.
 Every other shape is totalized over the strict chains of its nerve. The
-punctured-cube recursion in one direction t is a single homotopy
-pullback of two such totalizations and the vertex at {t}.
+punctured-cube recursion in one direction t is the limit of one
+punctured square A -> B <- G({t}), with A and B two such totalizations.
 
 A full cube is totalized the same way with the empty corner in level
 -1: the cone of the corner map into the punctured limit, summand for
-summand, so its shift by -1 is the total fiber.
+summand, so its shift by -1 is the total fiber. The mapping cone of a
+chain map is the totalization of its 1-cube, the homotopy fiber that
+cube's total fiber, and a quasi-isomorphism a map with an acyclic cone:
+the package has one cone formula and one sign convention.
 
 Diagrams are strictly functorial: every path composite between two
 elements must agree as matrices. Limit cones built by totalization have
@@ -41,6 +44,7 @@ from functools import cached_property
 from .exact_linalg import ExactMatrix, InputError, kernel_basis, solve_in_span
 from .posets import FinitePoset, canonical_subset, subset_poset
 from .sorted_complex import (
+    AcyclicityReport,
     ComplexMap,
     EMPTY_MODULE,
     LocalizationTable,
@@ -53,10 +57,8 @@ from .sorted_complex import (
     _unit,
     chain_map_group,
     comparison_is_isomorphism,
-    hofib,
     is_acyclic,
     shift,
-    sum_inclusions,
     uniform_sort,
 )
 
@@ -447,7 +449,8 @@ def cube_labels(diagram: PosetDiagram, punctured: bool):
     elems = diagram.shape.elements
     if not elems:
         raise InputError("empty shape")
-    top = max(elems, key=len)
+    # a subset poset lists its top last
+    top = canonical_subset(elems[-1])
     expect = subset_poset(top, punctured=punctured)
     if expect.elements != elems:
         kind = "punctured subset poset" if punctured else "full subset poset"
@@ -496,6 +499,31 @@ def is_cartesian(diagram: PosetDiagram, primes) -> bool:
     return is_acyclic(cube_totalization(diagram).complex, primes).acyclic
 
 
+def _arrow(f: ComplexMap) -> PosetDiagram:
+    """The 1-cube of f: its source at (), its target at (1,)."""
+    return PosetDiagram._trusted(subset_poset((1,)), {(): f.source, (1,): f.target},
+                                 {((), (1,)): f})
+
+
+def cone(f: ComplexMap) -> SortedComplex:
+    """Mapping cone, the totalization of the 1-cube of f.
+
+    In degree n it is source_{n-1} + target_n, with differential
+    (c, x) -> (-d c, f c + d x).
+    """
+    return cube_totalization(_arrow(f)).complex
+
+
+def hofib(f: ComplexMap) -> SortedComplex:
+    """Homotopy fiber, the total fiber of the 1-cube of f."""
+    return total_fiber(_arrow(f))
+
+
+def is_quasi_iso(f: ComplexMap, primes) -> AcyclicityReport:
+    """A chain map is a quasi-isomorphism when its cone is acyclic."""
+    return is_acyclic(cone(f), primes)
+
+
 def limit_extended_cube(punctured: PosetDiagram) -> PosetDiagram:
     """Extend a punctured cube to a Cartesian cube, strictly.
 
@@ -540,10 +568,7 @@ def vertex_projection(extended: PosetDiagram, punctured: PosetDiagram, s):
 def tfib_direction_cube(diagram: PosetDiagram, t_prime) -> PosetDiagram:
     """Cube on P(T') of total fibers of the complementary subcubes."""
     labels = cube_labels(diagram, punctured=False)
-    try:
-        t_prime = canonical_subset(t_prime)
-    except TypeError:
-        raise InputError(f"direction set {t_prime!r} is not an iterable of labels") from None
+    t_prime = canonical_subset(t_prime)
     if not set(t_prime) <= set(labels):
         raise InputError("direction set is not a subset of the cube labels")
     rest = tuple(x for x in labels if x not in t_prime)
@@ -571,9 +596,10 @@ def total_fiber_iterated(diagram: PosetDiagram, t_prime) -> SortedComplex:
 def punctured_limit_recursive(diagram: PosetDiagram, t) -> SortedComplex:
     """Punctured-cube limit as one homotopy pullback in the direction t.
 
-    The limit is hofib(A + G({t}) -> B), with A the limit of the face
-    away from t, B the limit of the face through t shifted by t, and the
-    map the induced map A -> B minus the cone map G({t}) -> B.
+    The limit is that of the punctured square A -> B <- G({t}), with A
+    the limit of the face away from t, B the limit of the face through t
+    shifted by t, phi: A -> B the induced map and psi: G({t}) -> B the
+    cone map.
     """
     labels = cube_labels(diagram, punctured=True)
     if len(labels) < 2:
@@ -590,8 +616,10 @@ def punctured_limit_recursive(diagram: PosetDiagram, t) -> SortedComplex:
                for s in a_diag.shape.elements})
     psi = b.cone_map(c, {s: diagram.hom((t,), canonical_subset(s + (t,)))
                          for s in b_diag.shape.elements})
-    _, _, _, proj_a, proj_c = sum_inclusions(a.complex, c)
-    return hofib(phi.compose(proj_a) - psi.compose(proj_c))
+    square = PosetDiagram._trusted(subset_poset((1, 2), punctured=True),
+                                   {(1,): a.complex, (2,): c, (1, 2): b.complex},
+                                   {((1,), (1, 2)): phi, ((2,), (1, 2)): psi})
+    return homotopy_limit(square).complex
 
 
 # --- the adjunction between corner inclusion and strict total fiber ------------------

@@ -214,8 +214,11 @@ class SimplicialComplexData:
 # --- subset posets ------------------------------------------------------------
 
 def canonical_subset(s) -> tuple:
-    t = tuple(sorted(set(s)))
-    return t
+    """The labels of s as a sorted tuple without repeats."""
+    try:
+        return tuple(sorted(set(s)))
+    except TypeError:
+        raise InputError(f"{s!r} is not an iterable of labels") from None
 
 
 def subset_poset(labels, punctured: bool = False,

@@ -62,7 +62,10 @@ def _only_keys(d, required, optional, path):
 
 
 def check_dimension(n: int):
-    """Reject a cube on more labels than FRACTURE_MAX_T (default 6) allows."""
+    """Reject a negative cube dimension, or more labels than FRACTURE_MAX_T
+    (default 6) allows."""
+    if n < 0:
+        raise InputError(f"cube dimension {n} is negative")
     raw = os.environ.get("FRACTURE_MAX_T", "")
     try:
         cap = int(raw) if raw else DEFAULT_MAX_T

@@ -527,7 +527,7 @@ class ComplexMap:
     __hash__ = None
 
 
-# --- shift, sums, cones ----------------------------------------------------------
+# --- shift and sums ----------------------------------------------------------------
 
 def shift(c: SortedComplex, k: int) -> SortedComplex:
     """Degree shift: shift(c, k)_n = c_{n-k}; differentials pick up (-1)^k."""
@@ -542,53 +542,16 @@ def direct_sum(c: SortedComplex, d: SortedComplex) -> SortedComplex:
     degs = set(c.modules) | set(d.modules)
     mods = {n: SortedModule.concat(c.module(n), d.module(n)) for n in degs}
     # block diagonal: the differentials of c and d side by side
-    diffs = {n: _map_from_pieces(mods[n], mods[n - 1], [
-        (0, 0, c.diff(n).matrix),
-        (c.module(n - 1).total_rank, c.module(n).total_rank, d.diff(n).matrix)])
-        for n in set(c.diffs) | set(d.diffs)}
-    return SortedComplex._trusted(mods, diffs)
-
-
-def sum_inclusions(c: SortedComplex, d: SortedComplex):
-    """(c + d, include c, include d, project to c, project to d)."""
-    total = direct_sum(c, d)
-
-    def part_map(piece, other, first: bool, into: bool):
-        maps = {}
-        for n in piece.modules:
-            pm = piece.module(n)
-            off = 0 if first else other.module(n).total_rank
-            one = ExactMatrix.identity(pm.total_rank)
-            if into:
-                maps[n] = _map_from_pieces(pm, total.module(n), [(off, 0, one)])
-            else:
-                maps[n] = _map_from_pieces(total.module(n), pm, [(0, off, one)])
-        src = piece if into else total
-        tgt = total if into else piece
-        return ComplexMap._trusted(src, tgt, maps)
-
-    return (total,
-            part_map(c, d, True, True), part_map(d, c, False, True),
-            part_map(c, d, True, False), part_map(d, c, False, False))
-
-
-def cone(f: ComplexMap) -> SortedComplex:
-    """Mapping cone with differential (c, x) -> (-d c, f c + d x)."""
-    c, d = f.source, f.target
-    degs = {n + 1 for n in c.modules} | set(d.modules)
-    mods = {n: SortedModule.concat(c.module(n - 1), d.module(n)) for n in degs}
     diffs = {}
-    for n in degs:
-        below, here = c.module(n - 2).total_rank, c.module(n - 1).total_rank
-        diffs[n] = _map_from_pieces(mods[n], mods.get(n - 1, EMPTY_MODULE), [
-            (0, 0, c.diff(n - 1).matrix.scale(-1)),
-            (below, 0, f.map_at(n - 1).matrix),
-            (below, here, d.diff(n).matrix)])
+    for n in set(c.diffs) | set(d.diffs):
+        pieces = []
+        if n in c.diffs:
+            pieces.append((0, 0, c.diffs[n].matrix))
+        if n in d.diffs:
+            pieces.append((c.module(n - 1).total_rank, c.module(n).total_rank,
+                           d.diffs[n].matrix))
+        diffs[n] = _map_from_pieces(mods[n], mods[n - 1], pieces)
     return SortedComplex._trusted(mods, diffs)
-
-
-def hofib(f: ComplexMap) -> SortedComplex:
-    return shift(cone(f), -1)
 
 
 # --- localization tables ----------------------------------------------------------
@@ -823,11 +786,6 @@ def is_acyclic(c: SortedComplex, primes) -> AcyclicityReport:
     defects = _rational_exactness(*_residue(c, lambda s: s.kind in ("ZlocP", "Q")))
     checks.append(ResidueCheck("rational", None, not defects, defects))
     return AcyclicityReport(all(ch.passed for ch in checks), tuple(checks))
-
-
-def is_quasi_iso(f: ComplexMap, primes) -> AcyclicityReport:
-    """A chain map is a quasi-isomorphism when its cone is acyclic."""
-    return is_acyclic(cone(f), primes)
 
 
 # --- homology over the P-local integers --------------------------------------------

@@ -11,11 +11,13 @@ from fracturecube.sorted_complex import (
     SortedModule,
     SortedMap,
     ComplexMap,
+    EMPTY_MODULE,
     Z,
+    _map_from_pieces,
     canonical_unit,
     chain_map_group,
     direct_sum,
-    hofib,
+    shift,
 )
 
 
@@ -248,7 +250,55 @@ def nerve_total_fiber(d):
     from fracturecube.holim import nerve_limit, punctured_restriction
     punct = punctured_restriction(d)
     legs = {s: d.hom((), s) for s in punct.shape.elements}
-    return hofib(nerve_limit(punct).cone_map(d.vertex(()), legs))
+    return reference_hofib(nerve_limit(punct).cone_map(d.vertex(()), legs))
+
+
+# --- closed-form cones and sums ------------------------------------------------------
+# The package builds every cone as the totalization of a 1-cube and every
+# product as a limit. These are the degreewise formulas, with zero blocks
+# read through diff(n) and map_at(n), so the oracles share no assembly
+# with the totalization kernel.
+
+def sum_inclusions(c: SortedComplex, d: SortedComplex):
+    """(c + d, include c, include d, project to c, project to d)."""
+    total = direct_sum(c, d)
+
+    def part_map(piece, other, first: bool, into: bool):
+        maps = {}
+        for n in piece.modules:
+            pm = piece.module(n)
+            off = 0 if first else other.module(n).total_rank
+            one = ExactMatrix.identity(pm.total_rank)
+            if into:
+                maps[n] = _map_from_pieces(pm, total.module(n), [(off, 0, one)])
+            else:
+                maps[n] = _map_from_pieces(total.module(n), pm, [(0, off, one)])
+        src = piece if into else total
+        tgt = total if into else piece
+        return ComplexMap._trusted(src, tgt, maps)
+
+    return (total,
+            part_map(c, d, True, True), part_map(d, c, False, True),
+            part_map(c, d, True, False), part_map(d, c, False, False))
+
+
+def reference_cone(f: ComplexMap) -> SortedComplex:
+    """Mapping cone with differential (c, x) -> (-d c, f c + d x)."""
+    c, d = f.source, f.target
+    degs = {n + 1 for n in c.modules} | set(d.modules)
+    mods = {n: SortedModule.concat(c.module(n - 1), d.module(n)) for n in degs}
+    diffs = {}
+    for n in degs:
+        below, here = c.module(n - 2).total_rank, c.module(n - 1).total_rank
+        diffs[n] = _map_from_pieces(mods[n], mods.get(n - 1, EMPTY_MODULE), [
+            (0, 0, c.diff(n - 1).matrix.scale(-1)),
+            (below, 0, f.map_at(n - 1).matrix),
+            (below, here, d.diff(n).matrix)])
+    return SortedComplex._trusted(mods, diffs)
+
+
+def reference_hofib(f: ComplexMap) -> SortedComplex:
+    return shift(reference_cone(f), -1)
 
 
 # --- reference composites ----------------------------------------------------------

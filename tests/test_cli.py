@@ -247,6 +247,16 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert "cube dimension 3 exceeds FRACTURE_MAX_T=1" in err
 
+    @pytest.mark.parametrize("n", ["-1", "-2"])
+    def test_negative_category_cube_rejected(self, n):
+        code, out, err = cli("emit-dot", "--category-cube", n)
+        assert (code, out) == (2, "")
+        assert err == f"input error: cube dimension {n} is negative\n"
+
+    def test_empty_category_cube_kept(self):
+        code, out, _ = cli("emit-dot", "--category-cube", "0")
+        assert (code, out) == (0, "digraph category_cube {\n  rankdir=LR;\n}\n")
+
     @pytest.mark.parametrize("primes", ["0", "4", "2,4", "-2"])
     def test_homology_rejects_non_primes(self, tmp_path, primes):
         moore = SortedComplex.two_term(Z, ExactMatrix.from_rows([[2]]))

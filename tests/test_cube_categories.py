@@ -22,7 +22,7 @@ from fracturecube.cube_categories import (
     validate_fracture_object,
 )
 from fracturecube.fracture import LocalizationFamily, build_fracture_cube, e_localize
-from fracturecube.holim import PosetDiagram, homotopy_limit
+from fracturecube.holim import PosetDiagram, homotopy_limit, is_quasi_iso
 from fracturecube.posets import FinitePoset, canonical_subset, subset_poset
 from fracturecube.sorted_complex import (
     ComplexMap,
@@ -37,11 +37,10 @@ from fracturecube.sorted_complex import (
     canonical_unit,
     complete,
     direct_sum,
-    is_quasi_iso,
     localize_chain_map_tables,
 )
 
-from genutil import random_complex
+from genutil import random_complex, sum_inclusions
 
 FAM2 = LocalizationFamily((2,))
 FAM3 = LocalizationFamily((2, 3))
@@ -326,7 +325,6 @@ class TestRoundTrips:
         verts = dict(g.diagram.vertices)
         edges = dict(g.diagram.edges)
         wrong = direct_sum(verts[(1, 2)], SortedComplex.single(Qp(2)))
-        from fracturecube.sorted_complex import sum_inclusions
         _, inc, _, _, _ = sum_inclusions(verts[(1, 2)], SortedComplex.single(Qp(2)))
         verts[(1, 2)] = wrong
         edges[((1,), (1, 2))] = inc.compose(edges[((1,), (1, 2))])

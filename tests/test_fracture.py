@@ -14,7 +14,7 @@ from fracturecube.fracture import (
     rational_pair_square,
     verify_fracture,
 )
-from fracturecube.holim import PosetDiagram, cube_totalization, is_cartesian
+from fracturecube.holim import PosetDiagram, cube_totalization, is_cartesian, is_quasi_iso
 from fracturecube.sorted_complex import (
     Q,
     Qp,
@@ -23,15 +23,15 @@ from fracturecube.sorted_complex import (
     ZLOC,
     Zp,
     ComplexMap,
+    apply_localization,
     apply_tables,
     complete,
     composite_kills_all,
     homology_p_local,
     is_acyclic,
-    is_quasi_iso,
 )
 
-from genutil import leg_compatibility, random_complex
+from genutil import leg_compatibility, random_complex, sum_inclusions
 
 
 def moore(k):
@@ -230,6 +230,18 @@ class TestPairSquares:
         sq = completion_pair_square(SortedComplex.single(Z), 2, 5)
         assert sq.vertex((1, 2)).is_zero_complex()
         assert is_cartesian(sq, (2, 5))
+
+    def test_completion_corner_is_the_product(self):
+        # the corner is xq + xp, and its two edges are the projections
+        rng = random.Random(4)
+        for _ in range(3):
+            x = random_complex(rng, deg_hi=3, max_rank=4)
+            xp, xq = (apply_localization(x, complete(p)) for p in (2, 3))
+            sq = completion_pair_square(x, 2, 3)
+            total, _, _, proj_q, proj_p = sum_inclusions(xq, xp)
+            assert sq.vertex(()) == total
+            assert (sq.vertex((1,)), sq.vertex((2,))) == (xq, xp)
+            assert sq.hom((), (1,)) == proj_q and sq.hom((), (2,)) == proj_p
 
     def test_completion_pair_needs_distinct_primes(self):
         with pytest.raises(InputError):

@@ -8,7 +8,7 @@ from fracturecube.exact_linalg import (
     InputError,
     integer_homology_at,
 )
-from fracturecube.posets import canonical_subset, subset_poset
+from fracturecube.posets import FinitePoset, canonical_subset, subset_poset
 from fracturecube.sorted_complex import (
     RATIONALIZE,
     ComplexMap,
@@ -22,7 +22,6 @@ from fracturecube.sorted_complex import (
     direct_sum,
     homology_p_local,
     is_acyclic,
-    is_quasi_iso,
 )
 from fracturecube.fracture import (
     LocalizationFamily,
@@ -31,12 +30,15 @@ from fracturecube.fracture import (
 )
 from fracturecube.holim import (
     PosetDiagram,
+    _face,
     adjunction_check,
     attach_localization,
     cube_labels,
+    cube_totalization,
     homotopy_limit,
     initial_corner_cube,
     is_cartesian,
+    is_quasi_iso,
     limit_extended_cube,
     localize_diagram,
     map_between_totalizations,
@@ -50,7 +52,14 @@ from fracturecube.holim import (
     vertex_projection,
 )
 
-from genutil import nerve_total_fiber, random_complex, random_cube, unit_of_tables
+from genutil import (
+    nerve_total_fiber,
+    random_complex,
+    random_cube,
+    reference_hofib,
+    sum_inclusions,
+    unit_of_tables,
+)
 
 PRIMES = (2, 3)
 
@@ -263,7 +272,6 @@ class TestStrictLimit:
         assert lim.complex == z and lim.legs == legs
 
     def test_strict_agrees_with_holim_for_surjective_cospans(self):
-        from fracturecube.sorted_complex import sum_inclusions
         rng = random.Random(5)
         for _ in range(5):
             b = random_complex(rng, sort=ZLOC, deg_hi=2, max_rank=3)
@@ -311,6 +319,53 @@ class TestCallerDataChecked:
         del comps[(1, 2)]
         with pytest.raises(InputError, match=r"missing component at vertex \(1, 2\)"):
             map_between_totalizations(hl, hl, comps)
+
+
+def label_free_diagram(elements):
+    """Spheres and identities over elements ordered by inclusion."""
+    def leq(x, y):
+        return x <= y if isinstance(x, int) else set(x) <= set(y)
+    shape = FinitePoset(elements, [(x, y) for x in elements for y in elements if leq(x, y)])
+    z = sphere(ZLOC)
+    return PosetDiagram(shape, {x: z for x in elements},
+                        {e: ComplexMap.identity(z) for e in shape.covering_pairs()})
+
+
+FULL_ENTRIES = {
+    "total_fiber": total_fiber,
+    "cube_totalization": cube_totalization,
+    "is_cartesian": lambda d: is_cartesian(d, PRIMES),
+    "tfib_direction_cube": lambda d: tfib_direction_cube(d, ()),
+    "total_fiber_iterated": lambda d: total_fiber_iterated(d, ()),
+}
+PUNCTURED_ENTRIES = {
+    "limit_extended_cube": limit_extended_cube,
+    "punctured_limit_recursive": lambda d: punctured_limit_recursive(d, 1),
+}
+
+
+class TestShapesOfLabels:
+    """A shape whose elements are not label tuples is an input error."""
+
+    @pytest.mark.parametrize("entry", FULL_ENTRIES)
+    @pytest.mark.parametrize("elements", [[0, 1], [(), (1,), ("a",), (1, "a")]],
+                             ids=["int", "incomparable"])
+    def test_full_cube_entry_points(self, entry, elements):
+        with pytest.raises(InputError, match="is not an iterable of labels"):
+            FULL_ENTRIES[entry](label_free_diagram(elements))
+
+    @pytest.mark.parametrize("entry", PUNCTURED_ENTRIES)
+    @pytest.mark.parametrize("elements", [[1, 2], [(1,), ("a",), (1, "a")]],
+                             ids=["int", "incomparable"])
+    def test_punctured_cube_entry_points(self, entry, elements):
+        with pytest.raises(InputError, match="is not an iterable of labels"):
+            PUNCTURED_ENTRIES[entry](label_free_diagram(elements))
+
+    @pytest.mark.parametrize("labels", [5, None, [[1]], (1, "a")],
+                             ids=["int", "none", "unhashable", "incomparable"])
+    def test_initial_corner_cube(self, labels):
+        with pytest.raises(InputError, match="is not an iterable of labels"):
+            initial_corner_cube(sphere(), labels)
 
 
 class TestInitialCornerCube:
@@ -456,6 +511,28 @@ class TestRecursiveLimit:
             for t in (1, 2, 3):
                 got = homology_p_local(punctured_limit_recursive(g, t), PRIMES)
                 assert got == want, t
+
+    def test_equals_the_closed_form(self):
+        # the inputs of acceptance criterion 5; the closed form is
+        # hofib(phi proj_A - psi proj_G) out of the sum A + G({t})
+        rng = random.Random(5)
+        for _ in range(100):
+            g = random_cube(rng, (1, 2, 3), sort=ZLOC, deg_hi=2, max_rank=3,
+                            pieces=2, punctured=True)
+            for t in (1, 2, 3):
+                rest = tuple(x for x in (1, 2, 3) if x != t)
+                a_diag = _face(g, (), rest, punctured=True)
+                b_diag = _face(g, (t,), rest, punctured=True)
+                a, b = homotopy_limit(a_diag), homotopy_limit(b_diag)
+                c = g.vertex((t,))
+                phi = map_between_totalizations(
+                    a, b, {s: g.hom(s, canonical_subset(s + (t,)))
+                           for s in a_diag.shape.elements})
+                psi = b.cone_map(c, {s: g.hom((t,), canonical_subset(s + (t,)))
+                                     for s in b_diag.shape.elements})
+                _, _, _, proj_a, proj_c = sum_inclusions(a.complex, c)
+                want = reference_hofib(phi.compose(proj_a) - psi.compose(proj_c))
+                assert punctured_limit_recursive(g, t) == want, t
 
     def test_needs_two_labels(self):
         shape = subset_poset((1,), punctured=True)

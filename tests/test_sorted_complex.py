@@ -4,6 +4,7 @@ import pytest
 
 from fracturecube.exact_linalg import AbelianInvariants, ExactMatrix, InputError
 from fracturecube.fracture import LocalizationFamily
+from fracturecube.holim import cone, hofib, is_quasi_iso
 from fracturecube.posets import subset_poset
 from fracturecube.sorted_complex import (
     LOCALIZE,
@@ -24,12 +25,9 @@ from fracturecube.sorted_complex import (
     chain_map_group,
     complete,
     composite_kills_all,
-    cone,
     direct_sum,
-    hofib,
     homology_p_local,
     is_acyclic,
-    is_quasi_iso,
     localize_chain_map_tables,
     shift,
     sort_map_exists,

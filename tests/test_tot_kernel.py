@@ -6,7 +6,9 @@ per-degree formula: in every degree, every cell's inner differential
 with sign (-1)^k and, for every face that is a cell, the diagram map
 between the two tops with sign (-1)^i, each read through diff(n) and
 map_at(n) with their zero blocks. The totalized map of a natural
-transformation is the same per-degree placement of its components.
+transformation is the same per-degree placement of its components. A
+mapping cone is the totalization of a 1-cube; its reference is the
+degreewise cone formula.
 """
 
 import random
@@ -14,14 +16,24 @@ import random
 import pytest
 
 from fracturecube.exact_linalg import ExactMatrix
-from fracturecube.fracture import LocalizationFamily, verify_fracture
+from fracturecube.cube_categories import fracture_diagram, roundtrip_check
+from fracturecube.fracture import (
+    LocalizationFamily,
+    completion_pair_square,
+    e_localize,
+    verify_fracture,
+)
 from fracturecube.holim import (
     PosetDiagram,
     _face,
+    cone,
     cube_totalization,
+    hofib,
     homotopy_limit,
     initial_corner_cube,
+    is_quasi_iso,
     nerve_limit,
+    punctured_limit_recursive,
     punctured_restriction,
     tfib_direction_cube,
     total_fiber_iterated,
@@ -33,18 +45,23 @@ from fracturecube.sorted_complex import (
     SortedComplex,
     SortedMap,
     SortedModule,
+    RATIONALIZE,
     ZLOC,
+    canonical_unit,
     direct_sum,
     shift,
 )
 
 from genutil import (
+    _direct_sum_map,
     _scalar_cube,
     _upset_cube,
     cube_direct_sum,
     random_chain_map,
     random_complex,
     random_cube,
+    reference_cone,
+    reference_hofib,
 )
 from test_cube_totalization import CUBES
 
@@ -220,11 +237,71 @@ def test_direction_cube_edges_match_the_reference_map(k):
             assert e == want, (tp, sp, sp2)
 
 
+# --- cones: the totalization of a 1-cube against the degreewise formula ---------
+
+def seeded_cone_maps():
+    """Chain maps with absent differentials, absent components and gaps."""
+    rng = random.Random(55)
+    zero = SortedComplex.zero()
+
+    def small(deg_lo=0, deg_hi=2):
+        return random_complex(rng, sort=ZLOC, deg_lo=deg_lo, deg_hi=deg_hi, max_rank=3)
+
+    for _ in range(6):
+        a, b = small(), small()
+        yield random_chain_map(rng, a, b)
+    for _ in range(3):
+        # a source, then a target, with no differential at all
+        line = SortedComplex.single(ZLOC, rng.randint(1, 2), rng.randint(0, 2))
+        yield random_chain_map(rng, line, small())
+        yield random_chain_map(rng, small(), line)
+        a, b = gapped(rng), gapped(rng)
+        yield random_chain_map(rng, a, b)
+        # zero in degrees 4..5, where both ends are nonzero
+        yield _direct_sum_map(random_chain_map(rng, small(), small()),
+                              ComplexMap.zero(small(4, 5), small(4, 5)))
+    a = small()
+    yield ComplexMap.identity(a)
+    yield ComplexMap.zero(zero, a)
+    yield ComplexMap.zero(a, zero)
+    yield ComplexMap.zero(zero, zero)
+    # a unit between two sorts
+    yield canonical_unit(a, RATIONALIZE)
+
+
+CONE_MAPS = list(seeded_cone_maps())
+
+
+def test_seeded_cone_maps_have_the_patterns():
+    def nonzero_without_diffs(c):
+        return not c.is_zero_complex() and not c.diffs
+
+    assert any(nonzero_without_diffs(f.source) for f in CONE_MAPS)
+    assert any(nonzero_without_diffs(f.target) for f in CONE_MAPS)
+    assert any(n in f.source.modules and n in f.target.modules and n not in f.maps
+               for f in CONE_MAPS for n in range(6))
+    assert any(n - 1 in c.modules and n + 1 in c.modules and n not in c.modules
+               for f in CONE_MAPS for c in (f.source, f.target) for n in range(6))
+    assert any(f.source.is_zero_complex() and not f.target.is_zero_complex()
+               for f in CONE_MAPS)
+    assert any(f.target.is_zero_complex() and not f.source.is_zero_complex()
+               for f in CONE_MAPS)
+
+
+@pytest.mark.parametrize("k", range(len(CONE_MAPS)))
+def test_cone_matches_the_reference(k):
+    f = CONE_MAPS[k]
+    # module equality compares the summand lists, so order and sorts too
+    assert cone(f) == reference_cone(f)
+    assert hofib(f) == reference_hofib(f)
+
+
 def test_kernel_builds_no_zero_blocks(monkeypatch):
     rng = random.Random(54)
     cubes = [random_cube(rng, (1, 2, 3), sort=ZLOC, max_rank=3) for _ in range(2)]
     cubes += ZERO_PATTERN_CUBES[-4:]
     xs = [random_complex(rng, deg_hi=2, max_rank=3) for _ in range(2)]
+    punctured = [punctured_restriction(d) for d in cubes]
     calls = []
     make_zero = SortedMap.zero.__func__
 
@@ -239,5 +316,16 @@ def test_kernel_builds_no_zero_blocks(monkeypatch):
             total_fiber_iterated(d, tp)
     for x in xs:
         for primes in ((2,), (2, 3), (2, 3, 5)):
-            verify_fracture(x, LocalizationFamily(primes))
+            fam = LocalizationFamily(primes)
+            verify_fracture(x, fam)
+            roundtrip_check(fracture_diagram(e_localize(x, fam), fam), fam)
+        completion_pair_square(x, 2, 3)
+    for f in CONE_MAPS:
+        cone(f)
+        hofib(f)
+        is_quasi_iso(f, (2, 3))
+        direct_sum(f.source, f.target)
+    for g in punctured:
+        for t in (1, 2, 3):
+            punctured_limit_recursive(g, t)
     assert len(calls) == 0

@@ -34,7 +34,9 @@ from fracturecube.holim import (
     PosetDiagram,
     _face,
     attach_localization,
+    cone,
     cube_totalization,
+    hofib,
     homotopy_limit,
     initial_corner_cube,
     limit_extended_cube,
@@ -59,12 +61,9 @@ from fracturecube.sorted_complex import (
     apply_tables,
     canonical_unit,
     complete,
-    cone,
     direct_sum,
-    hofib,
     localize_chain_map_tables,
     shift,
-    sum_inclusions,
 )
 
 from genutil import (
@@ -73,6 +72,7 @@ from genutil import (
     random_chain_map,
     random_complex,
     random_cube,
+    sum_inclusions,
     unit_of_tables,
 )
 

@@ -7,7 +7,8 @@ matrices thus have equal fields. Products and sums are integer
 arithmetic, and the eliminations read the numerators directly:
 `fractions.Fraction` appears only where entries enter or leave.
 Smith normal form pivots on the smallest nonzero absolute value with
-row-major tie breaking, so outputs are reproducible.
+row-major tie breaking, so outputs are reproducible. Ranks mod p reduce
+sparse rows of residues in Python ints, so any prime works.
 
 Matrices act on column vectors, composition is matrix product.
 """
@@ -17,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-
-import numpy as np
 
 _RANK_CERT_PRIME = 2147483629  # fixed 31-bit prime for the fast rank bound
 # Miller-Rabin on the twelve bases 2..37 decides primality exactly below
@@ -417,34 +416,37 @@ def solve_in_span(k: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 # --- rank computations --------------------------------------------------------
 
-def _rank_mod(int_rows, p: int) -> int:
-    if p >= 2**31:
-        raise InputError("prime too large for modular rank")
-    if not int_rows or not int_rows[0]:
-        return 0
-    a = np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
-    nrows, ncols = a.shape
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if a[r, col]:
-                piv = r
+def _rank_mod(m: ExactMatrix, p: int) -> int:
+    """Exact rank of den * m over F_p, for a prime p.
+
+    Row reduction on {column: residue} rows in Python ints: each row is
+    reduced against the stored pivot rows by its least column until it is
+    zero or leads in a column no pivot row has; it is then stored, scaled
+    to lead with 1. The pivot rows are in echelon form, so their number is
+    the rank.
+    """
+    rows = {}
+    for (i, j), v in m._n.items():
+        v %= p
+        if v:
+            rows.setdefault(i, {})[j] = v
+    pivots = {}  # leading column -> pivot row
+    for row in rows.values():
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {k: v * inv % p for k, v in row.items()}
                 break
-        if piv is None:
-            continue
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, col]), -1, p)
-        a[rank] = (a[rank] * inv) % p
-        mask = a[rank + 1:, col] != 0
-        if mask.any():
-            rows_idx = np.nonzero(mask)[0] + rank + 1
-            a[rows_idx] = (a[rows_idx] - np.outer(a[rows_idx, col], a[rank])) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+            f = row[c]
+            for k, v in piv.items():
+                x = (row.get(k, 0) - f * v) % p
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+    return len(pivots)
 
 
 def _rank_bareiss(int_rows) -> int:
@@ -506,7 +508,7 @@ def _rank_fp(m: ExactMatrix, p: int) -> int:
         (i, j), v = next((k, v) for k, v in m.items() if v.denominator % p == 0)
         raise InputError(
             f"denominator {v.denominator} not invertible mod {p} at ({i},{j})")
-    return _rank_mod(_num_rows(m), p)
+    return _rank_mod(m, p)
 
 
 def rank_lower_bound(m: ExactMatrix) -> int:
@@ -515,12 +517,15 @@ def rank_lower_bound(m: ExactMatrix) -> int:
     Never exceeds the true rank; used to certify exactness cheaply, with
     rank_over_field(m, "Q") as the exact fallback.
     """
-    return _rank_mod(_num_rows(m), _RANK_CERT_PRIME)
+    return _rank_mod(m, _RANK_CERT_PRIME)
 
 
 def _is_prime(n: int) -> bool:
-    """Exact primality below _PRIME_BOUND; at or above it, InputError."""
-    if n < 2:
+    """Exact primality below _PRIME_BOUND; at or above it, InputError.
+
+    Only an int can be prime: 2.0 and True are not.
+    """
+    if not isinstance(n, int) or n < 2:
         return False
     if n >= _PRIME_BOUND:
         raise InputError(f"{n} is not below {_PRIME_BOUND}, the bound under "

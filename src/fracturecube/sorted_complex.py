@@ -768,6 +768,8 @@ def _residue(c: SortedComplex, survives):
 
 def is_acyclic(c: SortedComplex, primes) -> AcyclicityReport:
     """Exact acyclicity verdict for a P-locally sorted complex."""
+    primes = tuple(primes)
+    _require_primes(primes)
     primes = tuple(sorted(set(primes)))
     _require_p_local(c, primes)
     checks = []

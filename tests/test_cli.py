@@ -140,6 +140,42 @@ class TestCommands:
         code, _, err = cli("fracture", "verify", bad, "--primes", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("primes", ["2,2147483659", "2147483659,2305843009213693951"])
+    def test_fracture_verify_with_primes_past_31_bits(self, tmp_path, primes):
+        # any prime decided exactly may be in P; these exited 2 as too large
+        moore = SortedComplex.two_term(Z, ExactMatrix.from_rows([[6]]))
+        for x in (SortedComplex.single(Z), moore):
+            code, out, err = cli("fracture", "verify",
+                                 write_doc(tmp_path, "x.json", "complex", x), "--primes", primes)
+            assert (code, err) == (0, "")
+            payload = json.loads(out)["payload"]
+            assert payload["verdict"] == "pass"
+            assert {r["prime"] for r in payload["residues"]} == {
+                int(p) for p in primes.split(",")} | {None}
+
+    def test_numpy_never_loads(self, tmp_path):
+        # the package computes in Python ints and imports no numpy
+        moore = SortedComplex.two_term(Z, ExactMatrix.from_rows([[6]]))
+        sphere = write_doc(tmp_path, "s.json", "complex", SortedComplex.single(Z))
+        mpath = write_doc(tmp_path, "m.json", "complex", moore)
+        snf = write_doc(tmp_path, "d.json", "matrix", ExactMatrix.from_rows([[2, 4], [6, 8]]))
+        script = f"""
+import io, sys
+from fracturecube.cli import run
+for argv in (["homology", {mpath!r}, "--primes", "2"], ["snf", {snf!r}],
+             ["fracture", "verify", {sphere!r}, "--primes", "2,3"],
+             ["fracture", "verify", {mpath!r}, "--primes", "2,3"]):
+    assert run(argv, io.StringIO(), io.StringIO()) == 0, argv
+from fracturecube.exact_linalg import ExactMatrix, rank_over_field
+dense = ExactMatrix.from_rows([[i * j + i + 1 for j in range(16)] for i in range(16)])
+assert rank_over_field(dense, ("Fp", 3)) == 2
+assert "numpy" not in sys.modules
+"""
+        src = str(Path(fracturecube.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
     def test_fracture_build_then_holim_tfib(self, tmp_path):
         path = write_doc(tmp_path, "s.json", "complex", SortedComplex.single(Z))
         cube_path = str(tmp_path / "cube.json")

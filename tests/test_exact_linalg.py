@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from fracturecube.exact_linalg import (
     InputError,
     _PRIME_BOUND,
     _is_prime,
+    _rank_mod,
     _require_primes,
     integer_homology_at,
     kernel_basis,
@@ -280,6 +282,86 @@ class TestRank:
         self.assert_rank_against_gaussian_oracle(
             [[Fraction(*cells[i * cols + j]) for j in range(cols)] for i in range(rows)],
             rows, cols)
+
+
+# the residue primes: small, the fixed 31-bit certificate prime, and one past 2^31
+MOD_PRIMES = (2, 3, 5, 7, 2147483629, 2147483659)
+
+
+def gauss_rank_mod(m: ExactMatrix, p: int) -> int:
+    """Plain Gaussian elimination on the dense residues of den * m."""
+    assert m.is_integral()
+    work = [[int(x) % p for x in row] for row in m.to_rows()]
+    rank = 0
+    for col in range(m.cols):
+        piv = next((r for r in range(rank, m.rows) if work[r][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = pow(work[rank][col], -1, p)
+        for r in range(rank + 1, m.rows):
+            f = work[r][col] * inv % p
+            if f:
+                work[r] = [(x - f * y) % p for x, y in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
+residue_entries = st.one_of(st.integers(-9, 9), st.sampled_from((10 ** 30, -10 ** 30)))
+
+
+@st.composite
+def residue_matrices(draw, side):
+    rows, cols = draw(st.integers(0, side)), draw(st.integers(0, side))
+    if not rows or not cols:
+        return ExactMatrix.zeros(rows, cols)
+    cells = draw(st.dictionaries(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+                                 residue_entries, max_size=rows * cols))
+    return ExactMatrix(rows, cols, cells)
+
+
+def seeded_residue_matrices():
+    """Shapes up to 24x24, dense and sparse, many rank deficient."""
+    rng = random.Random(15)
+    out = []
+    for n, r in ((13, 13), (16, 16), (16, 5), (20, 12), (24, 24), (24, 3)):
+        # dense of rank <= r, as a product n x r times r x n
+        a = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(n)]
+        b = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(r)]
+        out.append(ExactMatrix.from_rows(
+            [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]))
+    for n, per_row in ((24, 1), (24, 2), (21, 3), (22, 3), (24, 3)):
+        cells = {(i, j): rng.choice((rng.randint(-9, 9), 10 ** 30))
+                 for i in range(n) for j in rng.sample(range(n), per_row)}
+        out.append(ExactMatrix(n, n, cells))
+    # 10^30 is divisible by 2 and 5, so the first two rows agree mod both
+    out.append(ExactMatrix.from_rows([[10 ** 30 + 1, 3, 0], [1, 3, 0], [0, 0, 7]]))
+    return out
+
+
+class TestModularRank:
+    @settings(max_examples=200, deadline=None)
+    @given(residue_matrices(12), st.sampled_from(MOD_PRIMES))
+    def test_against_gaussian_oracle(self, m, p):
+        assert _rank_mod(m, p) == gauss_rank_mod(m, p)
+
+    @pytest.mark.parametrize("p", MOD_PRIMES)
+    def test_larger_shapes_against_gaussian_oracle(self, p):
+        ranks = []
+        for m in seeded_residue_matrices():
+            ranks.append(_rank_mod(m, p))
+            assert ranks[-1] == gauss_rank_mod(m, p)
+        # the products have rank at most their inner size
+        assert ranks[3] <= 12 and ranks[5] <= 3
+
+    def test_primes_past_31_bits(self):
+        # each p here used to be refused as too large for the modular rank
+        for p in (2147483659, 2 ** 61 - 1):
+            m = ExactMatrix.from_rows([[p, 1], [0, p], [2 * p, 5]])
+            assert rank_over_field(m, ("Fp", p)) == 1
+            assert rank_over_field(m, "Q") == 2
+        big = ExactMatrix.from_rows([[i * j + 1 for j in range(12)] for i in range(12)])
+        assert rank_over_field(big, ("Fp", 2147483659)) == gauss_rank_mod(big, 2147483659) == 2
 
 
 class TestKernelAndSolve:

@@ -4,7 +4,7 @@ import pytest
 
 from fracturecube.exact_linalg import AbelianInvariants, ExactMatrix, InputError
 from fracturecube.fracture import LocalizationFamily
-from fracturecube.holim import cone, hofib, is_quasi_iso
+from fracturecube.holim import PosetDiagram, cone, hofib, is_cartesian, is_quasi_iso
 from fracturecube.posets import subset_poset
 from fracturecube.sorted_complex import (
     LOCALIZE,
@@ -354,6 +354,50 @@ class TestAcyclicity:
         assert is_acyclic(c, (3,)).acyclic  # 1/2 is a unit away from 2
         with pytest.raises(InputError, match="invertible mod 2"):
             is_acyclic(c, (2,))
+
+
+def _identity_arrow(c):
+    """The 1-cube c --id--> c, which is Cartesian."""
+    return PosetDiagram(subset_poset((1,)), {(): c, (1,): c},
+                        {((), (1,)): ComplexMap.identity(c)})
+
+
+def _acyclicity_entry_points(c, primes):
+    return (lambda: is_acyclic(c, primes),
+            lambda: is_quasi_iso(ComplexMap.identity(c), primes),
+            lambda: is_cartesian(_identity_arrow(c), primes))
+
+
+class TestAcyclicityPrimes:
+    # each of these leaked ValueError or ZeroDivisionError, or returned a
+    # verdict mod a non-prime, before the primes were checked first
+    @pytest.mark.parametrize("k, primes", [(2, (4,)), (3, (4,)), (3, (0,)), (3, (-2,)),
+                                           (3, (1,)), (3, (2, 9)), (3, (2.0,)),
+                                           (3, (2, 2.0))])
+    def test_non_primes_are_input_errors(self, k, primes):
+        for call in _acyclicity_entry_points(two_term(ZLOC, k), primes):
+            with pytest.raises(InputError, match="is not prime"):
+                call()
+
+    @pytest.mark.parametrize("p", [2147483659, 2 ** 61 - 1])
+    def test_primes_past_31_bits(self, p):
+        # Z --k--> Z over ZlocP is acyclic iff k is a unit, that is prime to p
+        for k, acyclic in ((3, True), (p, False), (2 * p, False)):
+            c = two_term(ZLOC, k)
+            rep = is_acyclic(c, (2, p))
+            assert rep.acyclic == acyclic == (homology_p_local(c, (2, p)) == {})
+            by = {(ch.kind, ch.prime): ch for ch in rep.checks}
+            assert by[("mod-p", p)].defects == (() if acyclic else ((0, 1), (1, 1)))
+            assert by[("mod-p", 2)].passed == (k % 2 == 1)
+            assert is_quasi_iso(ComplexMap.identity(c), (p,)).acyclic
+            assert is_cartesian(_identity_arrow(c), (2, p))
+
+    def test_certificate_prime_falls_back_to_exact_rank(self):
+        # the fixed-prime bound reads rank 0, the exact fallback rank 1
+        rep = is_acyclic(two_term(ZLOC, 2147483629), (2,))
+        assert rep.acyclic
+        assert [(ch.kind, ch.passed) for ch in rep.checks] == [
+            ("mod-p", True), ("rational-completed", True), ("rational", True)]
 
 
 class TestHomologyPLocal:

@@ -6,9 +6,15 @@ carrying the value at its top vertex, with the coface from the face
 without position i entering with sign (-1)^i along the map between the
 two tops. Every sorted complex is fibrant here (all terms are free of
 finite rank), so this computes the derived limit. Each totalization
-builds one coface table, listing per cell its value and, per face that
-is a cell, the face, the sign and that map; every differential reads it
-and places only the blocks that exist, skipping absent degrees.
+is one HolimResult: its coface table lists per cell its value and, per
+face that is a cell, the face, the sign and that map; its layout lists
+per degree only the cells with a term there, with each term's basis
+offset. Every differential reads both and places only the blocks that
+exist. One placement builds every map between two totalizations, one
+chain map per pair of cells at one level: the totalized natural
+transformations and the restrictions of the Cartesian extension. Maps
+the package places from diagram composites are natural by construction
+and skip the chain-map check; a caller's components do not.
 
 A punctured cube is totalized over its vertices: one summand
 G(S)[-(|S| - 1)] per nonempty S, the cubical formula for the limit.
@@ -201,73 +207,64 @@ def attach_localization(d: PosetDiagram, table: LocalizationTable, label) -> Pos
 
 # --- totalization -------------------------------------------------------------
 
-class _TotIndex:
-    """Summand layout and coface table of a totalization over a set of cells.
+class HolimResult:
+    """A totalization over a set of cells: its complex, coface table and layout.
 
     A cell is a tuple of shape elements at level len(cell) - 1 carrying
     the diagram's value at its top vertex; dropping position i gives its
     i-th face. Nerve cells are the strict chains (top: the last element),
     cube cells the vertices of a cube (top: the subset itself), the empty
-    vertex of a full cube in level -1. The table holds, once per cell, its
-    level, its value and its cofaces: the position of each face that is a
-    cell, the sign (-1)^i and the nonzero diagram map between the two tops.
+    vertex of a full cube in level -1. The table holds, once per cell, the
+    cell, its level, its value and its cofaces: each face that is a cell,
+    the sign (-1)^i and the nonzero diagram map between the two tops. The
+    layout offsets[n] maps each cell with a term in degree n to the basis
+    offset of that term in the degree-n module, cells in the given order.
     """
 
     def __init__(self, diagram: PosetDiagram, cells, top):
         self.diagram = diagram
         self.top = top
-        self.cells = [(len(c) - 1, c) for c in cells]
-        self.cell_pos = {c: idx for idx, (_, c) in enumerate(self.cells)}
-        # level-zero cells by their top vertex: where the cone legs live
-        self.base = {top(c): idx for idx, (k, c) in enumerate(self.cells) if k == 0}
+        self.cells = list(cells)
+        known = set(self.cells)
         self.table = []
-        for k, c in self.cells:
-            cofaces = []
+        for c in self.cells:
+            k, cofaces = len(c) - 1, []
             for i in range(k + 1):
                 face = c[:i] + c[i + 1:]
-                pos = self.cell_pos.get(face)
-                if pos is not None:
+                if face in known:
                     edge = diagram.hom(top(face), top(c))
                     if edge.maps:
-                        cofaces.append((pos, -1 if i % 2 else 1, edge))
-            self.table.append((k, diagram.vertex(top(c)), cofaces))
-        self.degrees = sorted({n - k for k, v, _ in self.table for n in v.modules})
-        # basis offset of each cell inside the degree-n module
-        self.offsets = {}
-        self.modules = {}
-        for n in self.degrees:
-            summands, off = [], 0
-            for idx, (k, v, _) in enumerate(self.table):
-                m = v.module(n + k)
-                self.offsets[(n, idx)] = off
-                off += m.total_rank
-                summands.extend(m.summands)
-            self.modules[n] = SortedModule(summands)
+                        cofaces.append((face, -1 if i % 2 else 1, edge))
+            self.table.append((c, k, diagram.vertex(top(c)), cofaces))
+        self.offsets, summands, used = {}, {}, {}
+        for c, k, value, _ in self.table:
+            for m, module in value.modules.items():
+                n = m - k
+                self.offsets.setdefault(n, {})[c] = used.get(n, 0)
+                used[n] = used.get(n, 0) + module.total_rank
+                summands.setdefault(n, []).extend(module.summands)
+        mods = {n: SortedModule(summands[n]) for n in sorted(summands)}
+        diffs = {n: self._differential(n, mods[n], mods[n - 1])
+                 for n in mods if n - 1 in mods}
+        self.complex = SortedComplex._trusted(mods, diffs)
 
-    def module(self, n: int) -> SortedModule:
-        return self.modules.get(n, EMPTY_MODULE)
+    def _differential(self, n: int, source: SortedModule, target: SortedModule) -> SortedMap:
+        # only blocks that exist are placed; a sign copies the block it negates
+        here, below, pieces = self.offsets[n], self.offsets[n - 1], []
+        for c, k, value, cofaces in self.table:
+            # inner differential with sign (-1)^k
+            d = value.diffs.get(n + k)
+            if d is not None:
+                pieces.append((below[c], here[c], d.matrix if k % 2 == 0 else -d.matrix))
+            for face, sign, edge in cofaces:
+                e = edge.maps.get(n - 1 + k)
+                if e is not None:
+                    pieces.append((below[c], here[face], e.matrix if sign > 0 else -e.matrix))
+        return _map_from_pieces(source, target, pieces)
 
-
-def _tot_differential(ti: _TotIndex, n: int) -> SortedMap:
-    # only blocks that exist are placed; a sign copies the block it negates
-    pieces = []
-    for idx, (k, value, cofaces) in enumerate(ti.table):
-        to = ti.offsets[(n - 1, idx)]
-        # inner differential with sign (-1)^k
-        d = value.diffs.get(n + k)
-        if d is not None:
-            pieces.append((to, ti.offsets[(n, idx)], d.matrix if k % 2 == 0 else -d.matrix))
-        for pos, sign, edge in cofaces:
-            e = edge.maps.get(n - 1 + k)
-            if e is not None:
-                pieces.append((to, ti.offsets[(n, pos)], e.matrix if sign > 0 else -e.matrix))
-    return _map_from_pieces(ti.module(n), ti.module(n - 1), pieces)
-
-
-@dataclass
-class HolimResult:
-    complex: SortedComplex
-    _index: _TotIndex
+    def _base(self) -> list:
+        # the level-zero cells by their top vertex: where the cone legs live
+        return [(self.top(c), c, value) for c, k, value, _ in self.table if k == 0]
 
     @cached_property
     def legs(self) -> dict:
@@ -276,17 +273,17 @@ class HolimResult:
         A larger cube vertex S gets the leg of its least label pushed
         along the diagram. A full cube's totalization has no legs.
         """
-        ti, tot = self._index, self.complex
-        projections = {}
-        for x, idx in ti.base.items():
-            vx = ti.diagram.vertex(x)
-            maps = {n: _map_from_pieces(tot.module(n), vx.module(n), [
-                (0, ti.offsets[(n, idx)], ExactMatrix.identity(vx.module(n).total_rank))])
-                for n in vx.modules}
+        if () in self.cells:
+            raise InputError("a full cube's totalization has no legs")
+        tot, projections = self.complex, {}
+        for x, c, vx in self._base():
+            maps = {n: _map_from_pieces(tot.module(n), m, [
+                (0, self.offsets[n][c], ExactMatrix.identity(m.total_rank))])
+                for n, m in vx.modules.items()}
             projections[x] = ComplexMap._trusted(tot, vx, maps)
         return {x: projections[x] if x in projections
-                else ti.diagram.hom(x[:1], x).compose(projections[x[:1]])
-                for x in ti.diagram.shape.elements}
+                else self.diagram.hom(x[:1], x).compose(projections[x[:1]])
+                for x in self.diagram.shape.elements}
 
     def cone_map(self, apex: SortedComplex, legs: dict) -> ComplexMap:
         """Canonical comparison from a strict cone into the totalization.
@@ -295,26 +292,40 @@ class HolimResult:
         lands in the level-zero cells. Only the endpoints of the legs are
         checked.
         """
-        ti = self._index
-        for x in ti.base:
-            if legs[x].source != apex or legs[x].target != ti.diagram.vertex(x):
+        base = self._base()
+        for x, _, vx in base:
+            if x not in legs:
+                raise InputError(f"missing leg at vertex {x!r}")
+            if legs[x].source != apex or legs[x].target != vx:
                 raise InputError(f"leg at {x!r} has wrong endpoints")
         maps = {n: _map_from_pieces(apex.module(n), m, [
-            (ti.offsets[(n, idx)], 0, legs[x].maps[n].matrix)
-            for x, idx in ti.base.items() if n in legs[x].maps])
+            (self.offsets[n][c], 0, legs[x].maps[n].matrix)
+            for x, c, _ in base if n in legs[x].maps])
             for n, m in self.complex.modules.items()}
         return ComplexMap._trusted(apex, self.complex, maps)
 
 
-def _totalize(diagram: PosetDiagram, cells, top) -> HolimResult:
-    ti = _TotIndex(diagram, cells, top)
-    mods = {n: ti.module(n) for n in ti.degrees}
-    diffs = {}
-    for n in ti.degrees:
-        if ti.module(n).is_empty() or ti.module(n - 1).is_empty():
+def _place(src: HolimResult, dst: HolimResult, blocks) -> dict:
+    """Degreewise maps between two totalizations, placed cell by cell.
+
+    Each block (source cell, target cell, f) joins two cells of one level
+    k; in degree n it places f at degree n + k from the source cell's term
+    into the target cell's. Nothing is checked: f must map the value at
+    the source cell to the value at the target cell.
+    """
+    maps = {}
+    for n, here in src.offsets.items():
+        there = dst.offsets.get(n)
+        if there is None:
             continue
-        diffs[n] = _tot_differential(ti, n)
-    return HolimResult(SortedComplex._trusted(mods, diffs), ti)
+        pieces = []
+        for a, b, f in blocks:
+            m = f.maps.get(n + len(a) - 1)
+            if m is not None:
+                pieces.append((there[b], here[a], m.matrix))
+        if pieces:
+            maps[n] = _map_from_pieces(src.complex.module(n), dst.complex.module(n), pieces)
+    return maps
 
 
 def nerve_limit(diagram: PosetDiagram) -> HolimResult:
@@ -324,7 +335,7 @@ def nerve_limit(diagram: PosetDiagram) -> HolimResult:
     totalizations restrict strictly; the cube engine has no such maps.
     """
     chains = [c for level in diagram.shape.strict_chains() for c in level]
-    return _totalize(diagram, chains, lambda c: c[-1])
+    return HolimResult(diagram, chains, lambda c: c[-1])
 
 
 def _is_punctured_cube(shape: FinitePoset) -> bool:
@@ -345,7 +356,7 @@ def homotopy_limit(diagram: PosetDiagram) -> HolimResult:
     over the strict chains of its nerve.
     """
     if _is_punctured_cube(diagram.shape):
-        return _totalize(diagram, diagram.shape.elements, lambda s: s)
+        return HolimResult(diagram, diagram.shape.elements, lambda s: s)
     return nerve_limit(diagram)
 
 
@@ -355,31 +366,19 @@ def map_between_totalizations(src: HolimResult, dst: HolimResult,
 
     Both totalizations must live over the same cells; components maps
     each vertex of the source diagram to the matching vertex of the
-    destination diagram.
+    destination diagram. A caller's components need not be natural, so
+    the result goes through the checked chain-map constructor.
     """
-    sti, dti = src._index, dst._index
-    if sti.cells != dti.cells:
+    if src.cells != dst.cells:
         raise InputError("totalizations have different cells")
-    tops = [sti.top(c) for _, c in sti.cells]
-    for x in dict.fromkeys(tops):
+    for x in dict.fromkeys(map(src.top, src.cells)):
         f = components.get(x)
         if f is None:
             raise InputError(f"missing component at vertex {x!r}")
-        if f.source != sti.diagram.vertex(x) or f.target != dti.diagram.vertex(x):
+        if f.source != src.diagram.vertex(x) or f.target != dst.diagram.vertex(x):
             raise InputError(f"component at {x!r} has wrong endpoints")
-    comps = [components[x] for x in tops]
-    maps = {}
-    for n in set(src.complex.modules) | set(dst.complex.modules):
-        pieces = []
-        for idx, ((k, _), f) in enumerate(zip(sti.cells, comps)):
-            comp = f.maps.get(n + k)
-            if comp is not None:
-                pieces.append((dti.offsets[(n, idx)], sti.offsets[(n, idx)], comp.matrix))
-        if pieces:
-            s_mod, d_mod = src.complex.module(n), dst.complex.module(n)
-            maps[n] = SortedMap.from_dense(s_mod, d_mod, ExactMatrix.assemble(
-                d_mod.total_rank, s_mod.total_rank, pieces))
-    return ComplexMap(src.complex, dst.complex, maps)
+    return ComplexMap(src.complex, dst.complex, _place(
+        src, dst, [(c, c, components[src.top(c)]) for c in src.cells]))
 
 
 # --- strict limits --------------------------------------------------------------
@@ -486,7 +485,7 @@ def cube_totalization(diagram: PosetDiagram) -> HolimResult:
     This is the cone of the corner map into the punctured limit.
     """
     cube_labels(diagram, punctured=False)
-    return _totalize(diagram, diagram.shape.elements, lambda s: s)
+    return HolimResult(diagram, diagram.shape.elements, lambda s: s)
 
 
 def total_fiber(diagram: PosetDiagram) -> SortedComplex:
@@ -540,19 +539,11 @@ def limit_extended_cube(punctured: PosetDiagram) -> PosetDiagram:
         upset = [u for u in punctured.shape.elements if set(s) <= set(u)]
         results[s] = nerve_limit(punctured.restrict(upset))
     verts = {s: results[s].complex for s in full.elements}
-    edges = {}
-    for (s, s2) in full.covering_pairs():
-        sti = results[s]._index
-        dti = results[s2]._index
-        maps = {}
-        for n in set(verts[s].modules) | set(verts[s2].modules):
-            # identity on every chain surviving the restriction
-            pieces = [(dti.offsets[(n, idx)], sti.offsets[(n, sti.cell_pos[c])],
-                       ExactMatrix.identity(dti.table[idx][1].module(n + k).total_rank))
-                      for idx, (k, c) in enumerate(dti.cells)
-                      if (n, idx) in dti.offsets and (n, sti.cell_pos[c]) in sti.offsets]
-            maps[n] = _map_from_pieces(verts[s].module(n), verts[s2].module(n), pieces)
-        edges[(s, s2)] = ComplexMap._trusted(verts[s], verts[s2], maps)
+    ident = {x: ComplexMap.identity(v) for x, v in punctured.vertices.items()}
+    # the identity on every chain surviving the restriction
+    edges = {(s, s2): ComplexMap._trusted(verts[s], verts[s2], _place(
+        results[s], results[s2], [(c, c, ident[c[-1]]) for c in results[s2].cells]))
+        for (s, s2) in full.covering_pairs()}
     return PosetDiagram._trusted(full, verts, edges)
 
 
@@ -577,12 +568,13 @@ def tfib_direction_cube(diagram: PosetDiagram, t_prime) -> PosetDiagram:
     verts = {sp: shift(tot.complex, -1) for sp, tot in tots.items()}
     edges = {}
     for (sp, sp2) in outer_shape.covering_pairs():
-        comps = {s: diagram.hom(canonical_subset(s + sp), canonical_subset(s + sp2))
-                 for s in subset_poset(rest).elements}
-        # the shifted map over the vertices already shifted above
-        f = map_between_totalizations(tots[sp], tots[sp2], comps)
+        # diagram composites, natural by construction; the map shifted
+        # over the vertices already shifted above
+        maps = _place(tots[sp], tots[sp2], [
+            (s, s, diagram.hom(canonical_subset(s + sp), canonical_subset(s + sp2)))
+            for s in tots[sp].cells])
         edges[(sp, sp2)] = ComplexMap._trusted(verts[sp], verts[sp2],
-                                               {n - 1: m for n, m in f.maps.items()})
+                                               {n - 1: m for n, m in maps.items()})
     return PosetDiagram._trusted(outer_shape, verts, edges)
 
 
@@ -611,9 +603,8 @@ def punctured_limit_recursive(diagram: PosetDiagram, t) -> SortedComplex:
     b_diag = _face(diagram, (t,), rest, punctured=True)
     a, b = homotopy_limit(a_diag), homotopy_limit(b_diag)
     c = diagram.vertex((t,))
-    phi = map_between_totalizations(
-        a, b, {s: diagram.hom(s, canonical_subset(s + (t,)))
-               for s in a_diag.shape.elements})
+    phi = ComplexMap._trusted(a.complex, b.complex, _place(
+        a, b, [(s, s, diagram.hom(s, canonical_subset(s + (t,)))) for s in a.cells]))
     psi = b.cone_map(c, {s: diagram.hom((t,), canonical_subset(s + (t,)))
                          for s in b_diag.shape.elements})
     square = PosetDiagram._trusted(subset_poset((1, 2), punctured=True),

@@ -221,17 +221,17 @@ def canonical_subset(s) -> tuple:
         raise InputError(f"{s!r} is not an iterable of labels") from None
 
 
-def subset_poset(labels, punctured: bool = False,
-                 max_size: int = DEFAULT_MAX_GENERATORS) -> FinitePoset:
+def subset_poset(labels, punctured: bool = False) -> FinitePoset:
     """Poset of subsets of a finite label set, ordered by inclusion.
 
     With punctured=True the empty set is left out. Subsets are encoded as
     sorted tuples; elements are listed by (size, lexicographic) order.
-    Posets are immutable, so each one is built once and shared.
+    Posets are immutable, so each one is built once and shared. More than
+    DEFAULT_MAX_GENERATORS labels are refused, built before or not.
     """
     base = canonical_subset(labels)
-    if len(base) > max_size:
-        raise InputError(f"label set of size {len(base)} exceeds cap {max_size}")
+    if len(base) > DEFAULT_MAX_GENERATORS:
+        raise InputError(f"label set of size {len(base)} exceeds cap {DEFAULT_MAX_GENERATORS}")
     return _subset_poset(base, bool(punctured))
 
 

@@ -320,6 +320,20 @@ class TestCallerDataChecked:
         with pytest.raises(InputError, match=r"missing component at vertex \(1, 2\)"):
             map_between_totalizations(hl, hl, comps)
 
+    def test_missing_leg_names_the_vertex(self):
+        hl = homotopy_limit(punctured_restriction(initial_corner_cube(self.z, (1, 2))))
+        with pytest.raises(InputError, match=r"missing leg at vertex \(1,\)"):
+            hl.cone_map(self.z, {})
+        zero = SortedComplex.zero()
+        with pytest.raises(InputError, match=r"missing leg at vertex \(2,\)"):
+            hl.cone_map(self.z, {(1,): ComplexMap.zero(self.z, zero)})
+
+    def test_full_cube_totalization_has_no_legs(self):
+        arrow = PosetDiagram(subset_poset((1,)), {(): self.z, (1,): self.z},
+                             {((), (1,)): ComplexMap.identity(self.z)})
+        with pytest.raises(InputError, match="full cube's totalization has no legs"):
+            cube_totalization(arrow).legs
+
 
 def label_free_diagram(elements):
     """Spheres and identities over elements ordered by inclusion."""

@@ -9,6 +9,7 @@ from fracturecube.posets import (
     FinitePoset,
     PosetMap,
     SimplicialComplexData,
+    _subset_poset,
     certify_initial,
     comma_poset,
     is_dismantlable,
@@ -77,18 +78,20 @@ class TestSubsetPoset:
         assert len(p.covering_pairs()) == 9
 
     def test_size_cap(self):
-        with pytest.raises(InputError):
-            subset_poset(range(13))
-        subset_poset(range(13), max_size=13)
+        thirteen = tuple(range(13))
+        with pytest.raises(InputError, match="exceeds cap 12"):
+            subset_poset(thirteen)
+        # the cap holds for a label set that is already built
+        _subset_poset(thirteen, False)
+        with pytest.raises(InputError, match="exceeds cap 12"):
+            subset_poset(thirteen)
+        _subset_poset.cache_clear()
 
     def test_shared_across_label_spellings(self):
         p = subset_poset((1, 2, 3))
         assert subset_poset([3, 1, 2]) is p and subset_poset([1, 2, 2, 3]) is p
         assert subset_poset((1, 2, 3), punctured=True) != p
         assert subset_poset((1, 2, 3), punctured=True).elements == p.elements[1:]
-        # the cap holds for a label set that is already built
-        with pytest.raises(InputError, match="exceeds cap"):
-            subset_poset((1, 2, 3), max_size=2)
 
 
 class TestOrderComplex:

@@ -32,6 +32,7 @@ from fracturecube.holim import (
     homotopy_limit,
     initial_corner_cube,
     is_quasi_iso,
+    limit_extended_cube,
     nerve_limit,
     punctured_limit_recursive,
     punctured_restriction,
@@ -329,3 +330,43 @@ def test_kernel_builds_no_zero_blocks(monkeypatch):
         for t in (1, 2, 3):
             punctured_limit_recursive(g, t)
     assert len(calls) == 0
+
+
+def test_totalization_layer_builds_nothing_checked(monkeypatch):
+    # the package's own totalized maps are natural by construction, so
+    # none goes through a public constructor that re-checks it
+    rng = random.Random(54)
+    cubes = [random_cube(rng, (1, 2, 3), sort=ZLOC, max_rank=3) for _ in range(2)]
+    cubes += ZERO_PATTERN_CUBES[-4:]
+    punctured = [punctured_restriction(d) for d in cubes]
+    fams = [LocalizationFamily(primes) for primes in ((2,), (2, 3), (2, 3, 5))]
+    xs = [random_complex(rng, deg_hi=2, max_rank=3) for _ in range(2)]
+    objects = [(fracture_diagram(e_localize(x, fam), fam), fam) for x in xs for fam in fams]
+    calls = []
+    checked_map = ComplexMap.__init__
+    from_dense = SortedMap.from_dense.__func__
+
+    def counted_map(self, source, target, maps):
+        calls.append("ComplexMap")
+        checked_map(self, source, target, maps)
+
+    def counted_dense(cls, source, target, dense):
+        calls.append("from_dense")
+        return from_dense(cls, source, target, dense)
+
+    monkeypatch.setattr(ComplexMap, "__init__", counted_map)
+    monkeypatch.setattr(SortedMap, "from_dense", classmethod(counted_dense))
+    for d in cubes:
+        cube_totalization(d)
+        for tp in subset_poset(max(d.shape.elements, key=len)).elements:
+            total_fiber_iterated(d, tp)
+    for g in punctured:
+        limit_extended_cube(g)
+        for t in (1, 2, 3):
+            punctured_limit_recursive(g, t)
+    for x in xs:
+        for fam in fams:
+            verify_fracture(x, fam)
+    for obj, fam in objects:
+        roundtrip_check(obj, fam)
+    assert calls == []

@@ -43,6 +43,7 @@ from fracturecube.holim import (
     localize_diagram,
     map_between_totalizations,
     nerve_limit,
+    punctured_limit_recursive,
     punctured_restriction,
     strict_limit,
     strict_total_fiber,
@@ -226,6 +227,9 @@ class TestHolimBuilders:
                 recheck_diagram(tfib_direction_cube(d, tp))
             punct = punctured_restriction(d)
             recheck_diagram(limit_extended_cube(punct))
+            # phi is placed trusted; a wrong block would break d^2 = 0 here
+            for t in (1, 2, 3):
+                recheck_complex(punctured_limit_recursive(punct, t))
             recheck_complex(cube_totalization(d).complex)
             recheck_diagram(_face(d, (2,), (1, 3)))
             recheck_diagram(_face(punct, (2,), (1, 3), punctured=True))

@@ -6,9 +6,10 @@ carrying the value at its top vertex, with the coface from the face
 without position i entering with sign (-1)^i along the map between the
 two tops. Every sorted complex is fibrant here (all terms are free of
 finite rank), so this computes the derived limit. Each totalization
-is one HolimResult: its coface table lists per cell its value and, per
-face that is a cell, the face, the sign and that map; its layout lists
-per degree only the cells with a term there, with each term's basis
+is one HolimResult: its coface table lists per nonzero cell its value
+and, per nonzero face that is a cell, the face, the sign and that map,
+so a zero cell costs no row and no composite; its layout lists per
+degree only the cells with a term there, with each term's basis
 offset. Every differential reads both and places only the blocks that
 exist. One placement builds every map between two totalizations, one
 chain map per pair of cells at one level: the totalized natural
@@ -40,6 +41,9 @@ Cubes of localizations grow one index at a time: attach_localization
 sets a diagram on label subsets next to its localization at one table,
 on the subsets with a new label added, joined by the units. The
 fracture cube and every fracture-object builder fold this one step.
+Orthogonality makes most of the fracture cube zero (12 of its 64
+vertices are nonzero at |P| = 5), and a zero vertex is neither
+localized nor totalized: its image is zero and so are its edges.
 """
 
 from __future__ import annotations
@@ -110,15 +114,15 @@ class PosetDiagram:
     def _assign(self, shape, vertices, edges, covers):
         # edges in covering order; a missing edge at a zero vertex is zero
         self.shape = shape
-        self.vertices = dict(vertices)
-        self.edges = {}
-        self._successors = {x: [] for x in shape.elements}
-        for (x, y) in covers:
-            e = edges.get((x, y))
-            self.edges[(x, y)] = e if e is not None else \
-                ComplexMap.zero(self.vertices[x], self.vertices[y])
-            self._successors[x].append(y)
-        self._hom_cache = dict(self.edges)
+        self.vertices = verts = dict(vertices)
+        self.edges = out = {}
+        self._successors = succ = {x: [] for x in shape.elements}
+        for pair in covers:
+            x, y = pair
+            e = edges.get(pair)
+            out[pair] = e if e is not None else ComplexMap.zero(verts[x], verts[y])
+            succ[x].append(y)
+        self._hom_cache = dict(out)
 
     def vertex(self, x) -> SortedComplex:
         return self.vertices[x]
@@ -175,11 +179,13 @@ class PosetDiagram:
 
 
 def localize_diagram(d: PosetDiagram, table: LocalizationTable) -> PosetDiagram:
-    """Localize each vertex once and each edge over its localized endpoints."""
-    loc = {x: _localize(c, (table,)) for x, c in d.vertices.items()}
+    """Localize each nonzero vertex once and each nonzero edge over its
+    localized endpoints; what is zero stays zero."""
+    loc = {x: _localize(c, (table,)) for x, c in d.vertices.items() if c.modules}
+    verts = {x: loc[x][0] if x in loc else c for x, c in d.vertices.items()}
     edges = {(x, y): _localize_chain_map(e, loc[x], loc[y])
-             for (x, y), e in d.edges.items()}
-    return PosetDiagram._trusted(d.shape, {x: v[0] for x, v in loc.items()}, edges)
+             for (x, y), e in d.edges.items() if e.maps}
+    return PosetDiagram._trusted(d.shape, verts, edges)
 
 
 def attach_localization(d: PosetDiagram, table: LocalizationTable, label) -> PosetDiagram:
@@ -187,21 +193,38 @@ def attach_localization(d: PosetDiagram, table: LocalizationTable, label) -> Pos
 
     The vertices of d are label subsets and label occurs in none of them.
     The value at S + {label} is the localization of the value at S, the
-    edge S -> S + {label} is the unit, and each edge of d is localized
-    over its endpoints' passes: one localization pass per vertex of d.
-    The shape lists the subsets in (size, lex) order, as subset_poset does.
+    edge S -> S + {label} is the unit, and each nonzero edge of d is
+    localized over its endpoints' passes: one localization pass per
+    nonzero vertex of d. A zero vertex is not localized, its image is
+    zero and so are the edges at it. The shape lists the subsets in
+    (size, lex) order, as subset_poset does: the shared poset itself
+    when the vertices fill it.
     """
-    if any(label in s for s in d.shape.elements):
+    for s in d.shape.elements:
+        if canonical_subset(s) != s:
+            raise InputError(f"shape element {s!r} is not a sorted label tuple")
+    labels = set().union(*d.shape.elements)
+    try:
+        top = canonical_subset((*labels, label))
+    except InputError:
+        raise InputError(f"label {label!r} does not sort with the labels "
+                         f"{tuple(sorted(labels))!r}") from None
+    if label in labels:
         raise InputError(f"label {label!r} already occurs in a vertex")
     up = {s: canonical_subset(s + (label,)) for s in d.shape.elements}
-    loc = {s: _localize(c, (table,)) for s, c in d.vertices.items()}
+    loc = {s: _localize(c, (table,)) for s, c in d.vertices.items() if c.modules}
     verts, edges = dict(d.vertices), dict(d.edges)
     for s, c in d.vertices.items():
-        verts[up[s]] = loc[s][0]
-        edges[(s, up[s])] = _unit(c, loc[s])
+        if s in loc:
+            verts[up[s]] = loc[s][0]
+            edges[(s, up[s])] = _unit(c, loc[s])
+        else:
+            verts[up[s]] = c
     for (x, y), e in d.edges.items():
-        edges[(up[x], up[y])] = _localize_chain_map(e, loc[x], loc[y])
-    shape = subset_poset(set().union(*d.shape.elements, {label})).subposet(verts)
+        if e.maps:
+            edges[(up[x], up[y])] = _localize_chain_map(e, loc[x], loc[y])
+    whole = subset_poset(top)
+    shape = whole if len(verts) == len(whole) else whole.subposet(verts)
     return PosetDiagram._trusted(shape, verts, edges)
 
 
@@ -225,9 +248,12 @@ class HolimResult:
         self.diagram = diagram
         self.top = top
         self.cells = list(cells)
-        known = set(self.cells)
+        # a zero cell has no term and no coface: the table leaves it out
+        vertices = diagram.vertices
+        nonzero = [(c, v) for c in self.cells if (v := vertices[top(c)]).modules]
+        known = {c for c, _ in nonzero}
         self.table = []
-        for c in self.cells:
+        for c, value in nonzero:
             k, cofaces = len(c) - 1, []
             for i in range(k + 1):
                 face = c[:i] + c[i + 1:]
@@ -235,7 +261,7 @@ class HolimResult:
                     edge = diagram.hom(top(face), top(c))
                     if edge.maps:
                         cofaces.append((face, -1 if i % 2 else 1, edge))
-            self.table.append((c, k, diagram.vertex(top(c)), cofaces))
+            self.table.append((c, k, value, cofaces))
         self.offsets, summands, used = {}, {}, {}
         for c, k, value, _ in self.table:
             for m, module in value.modules.items():
@@ -263,8 +289,10 @@ class HolimResult:
         return _map_from_pieces(source, target, pieces)
 
     def _base(self) -> list:
-        # the level-zero cells by their top vertex: where the cone legs live
-        return [(self.top(c), c, value) for c, k, value, _ in self.table if k == 0]
+        # the level-zero cells by their top vertex, zero ones too: where
+        # the cone legs live
+        tops = [(self.top(c), c) for c in self.cells if len(c) == 1]
+        return [(x, c, self.diagram.vertices[x]) for x, c in tops]
 
     @cached_property
     def legs(self) -> dict:

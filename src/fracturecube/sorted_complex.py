@@ -490,7 +490,10 @@ class ComplexMap:
 
     @classmethod
     def zero(cls, source, target) -> "ComplexMap":
-        return cls._trusted(source, target, {})
+        # built directly: a cube's zero edges are most of its edges
+        f = object.__new__(cls)
+        f.source, f.target, f.maps = source, target, {}
+        return f
 
     def compose(self, other: "ComplexMap") -> "ComplexMap":
         """self after other."""
@@ -756,13 +759,22 @@ def _rational_exactness(dims: dict, mats: dict):
 
 
 def _residue(c: SortedComplex, survives):
-    """Dimensions and differentials of the summands whose sort survives."""
-    keep = {n: [i for i in range(len(m.summands)) if survives(m.sort(i))]
+    """Dimensions and differentials of the summands whose sort survives.
+
+    A differential with no surviving summand at one end has rank 0 and
+    is left out; one whose ends survive whole is kept as it is.
+    """
+    keep = {n: [i for i, (s, _) in enumerate(m.summands) if survives(s)]
             for n, m in c.modules.items()}
-    dims = {n: sum(c.module(n).rank(i) for i in keep[n]) for n in c.modules}
-    mats = {n: d.matrix.submatrix(d.target.basis(keep.get(n - 1, [])),
-                                  d.source.basis(keep[n]))
-            for n, d in c.diffs.items()}
+    dims = {n: sum(m.summands[i][1] for i in keep[n]) for n, m in c.modules.items()}
+    mats = {}
+    for n, d in c.diffs.items():
+        rows, cols = dims[n - 1], dims[n]
+        if (rows, cols) == (d.matrix.rows, d.matrix.cols):
+            mats[n] = d.matrix
+        elif rows and cols:
+            mats[n] = d.matrix.submatrix(d.target.basis(keep[n - 1]),
+                                         d.source.basis(keep[n]))
     return dims, mats
 
 

@@ -301,6 +301,21 @@ def reference_hofib(f: ComplexMap) -> SortedComplex:
     return shift(reference_cone(f), -1)
 
 
+def reference_residue(c: SortedComplex, survives):
+    """Dimensions and differentials of the summands whose sort survives.
+
+    The closed form: every differential restricted to the surviving
+    basis, empty and whole restrictions included.
+    """
+    keep = {n: [i for i in range(len(m.summands)) if survives(m.sort(i))]
+            for n, m in c.modules.items()}
+    dims = {n: sum(c.module(n).rank(i) for i in keep[n]) for n in c.modules}
+    mats = {n: d.matrix.submatrix(d.target.basis(keep.get(n - 1, [])),
+                                  d.source.basis(keep[n]))
+            for n, d in c.diffs.items()}
+    return dims, mats
+
+
 # --- reference composites ----------------------------------------------------------
 
 def unit_of_tables(c: SortedComplex, tables) -> ComplexMap:

@@ -17,11 +17,13 @@ from fracturecube.sorted_complex import (
     SortedMap,
     Z,
     ZLOC,
+    apply_localization,
     canonical_unit,
     complete,
     direct_sum,
     homology_p_local,
     is_acyclic,
+    localize_chain_map_tables,
 )
 from fracturecube.fracture import (
     LocalizationFamily,
@@ -53,6 +55,7 @@ from fracturecube.holim import (
 )
 
 from genutil import (
+    _upset_cube,
     nerve_total_fiber,
     random_complex,
     random_cube,
@@ -148,6 +151,40 @@ class TestAttachLocalization:
         d = initial_corner_cube(sphere(), (1, 2))
         with pytest.raises(InputError, match="label 2 already occurs"):
             attach_localization(d, RATIONALIZE, 2)
+
+    @pytest.mark.parametrize("table", [RATIONALIZE, complete(2)])
+    @pytest.mark.parametrize("upset", [False, True], ids=["corner", "upset"])
+    def test_zero_vertices_stay_zero(self, table, upset):
+        # the zero vertices are not localized, and their images and the
+        # edges at them are zero
+        x = random_complex(random.Random(7), deg_hi=2, max_rank=3)
+        labels = (2, 3)
+        d = (_upset_cube(subset_poset(labels), labels, (3,), x) if upset
+             else initial_corner_cube(x, labels))
+        assert any(c.is_zero_complex() for c in d.vertices.values())
+        out, loc = attach_localization(d, table, 1), localize_diagram(d, table)
+        assert out.shape is subset_poset((1,) + labels)
+        assert list(out.edges) == out.shape.covering_pairs()
+        for s, c in d.vertices.items():
+            up = canonical_subset(s + (1,))
+            assert out.vertex(up) == loc.vertex(s) == apply_localization(c, table)
+            assert out.edges[(s, up)] == canonical_unit(c, table)
+        for (a, b), e in d.edges.items():
+            want = localize_chain_map_tables(e, (table,))
+            assert out.edges[(canonical_subset(a + (1,)), canonical_subset(b + (1,)))] \
+                == loc.edges[(a, b)] == want
+
+    def test_shape_of_non_labels_rejected(self):
+        x = sphere()
+        d = PosetDiagram(FinitePoset("ab", [("a", "b")]), {"a": x, "b": x},
+                         {("a", "b"): ComplexMap.identity(x)})
+        with pytest.raises(InputError, match="'a' is not a sorted label tuple"):
+            attach_localization(d, RATIONALIZE, 1)
+
+    def test_label_that_does_not_sort_is_named(self):
+        d = initial_corner_cube(sphere(), (1,))
+        with pytest.raises(InputError, match="label 'z' does not sort with the labels"):
+            attach_localization(d, RATIONALIZE, "z")
 
 
 class TestHomotopyLimit:

@@ -15,10 +15,12 @@ import random
 
 import pytest
 
+from fracturecube import holim
 from fracturecube.exact_linalg import ExactMatrix
 from fracturecube.cube_categories import fracture_diagram, roundtrip_check
 from fracturecube.fracture import (
     LocalizationFamily,
+    build_fracture_cube,
     completion_pair_square,
     e_localize,
     verify_fracture,
@@ -33,6 +35,7 @@ from fracturecube.holim import (
     initial_corner_cube,
     is_quasi_iso,
     limit_extended_cube,
+    localize_diagram,
     nerve_limit,
     punctured_limit_recursive,
     punctured_restriction,
@@ -47,9 +50,11 @@ from fracturecube.sorted_complex import (
     SortedMap,
     SortedModule,
     RATIONALIZE,
+    Z,
     ZLOC,
     canonical_unit,
     direct_sum,
+    homology_p_local,
     shift,
 )
 
@@ -214,6 +219,41 @@ def test_punctured_limit_matches_the_reference(k):
     assert homotopy_limit(g).complex == cube_reference(g).complex
 
 
+def fracture_cubes():
+    """Fracture cubes of seeded raw-Z inputs for |P| = 1..4, the cubes
+    with the most zero vertices; the input at |P| = 3 is torsion only."""
+    rng = random.Random(56)
+    primes = (2, 3, 5, 7)
+    for k in range(1, 5):
+        fam = LocalizationFamily(primes[:k])
+        if k == 3:
+            x = SortedComplex.two_term(Z, ExactMatrix.from_rows([
+                [rng.choice((2, 6, 15, 9)), 0], [0, rng.choice((4, 10, 35))]]))
+        else:
+            x = random_complex(rng, deg_hi=2, max_rank=3)
+        yield build_fracture_cube(e_localize(x, fam), fam)
+
+
+FRACTURE_CUBES = list(fracture_cubes())
+
+
+def test_fracture_cubes_are_mostly_zero():
+    # 2k + 2 of the 2^(k + 1) vertices are nonzero at |P| = k
+    for k, d in enumerate(FRACTURE_CUBES, start=1):
+        assert len(d.shape) == 2 ** (k + 1)
+        assert sum(not c.is_zero_complex() for c in d.vertices.values()) == 2 * k + 2
+    torsion = homology_p_local(FRACTURE_CUBES[2].vertex(()), (2, 3, 5))
+    assert torsion and all(inv.free_rank == 0 for inv in torsion.values())
+
+
+@pytest.mark.parametrize("k", range(len(FRACTURE_CUBES)))
+def test_fracture_cube_totalization_matches_the_reference(k):
+    d = FRACTURE_CUBES[k]
+    assert cube_totalization(d).complex == cube_reference(d).complex
+    g = punctured_restriction(d)
+    assert homotopy_limit(g).complex == cube_reference(g).complex
+
+
 @pytest.mark.parametrize("k", range(len(NERVE_DIAGRAMS)))
 def test_nerve_totalization_matches_the_reference(k):
     d = NERVE_DIAGRAMS[k]
@@ -370,3 +410,29 @@ def test_totalization_layer_builds_nothing_checked(monkeypatch):
     for obj, fam in objects:
         roundtrip_check(obj, fam)
     assert calls == []
+
+
+def test_zero_vertices_cost_nothing(monkeypatch):
+    # at |P| = 5, 12 of the fracture cube's 64 vertices are nonzero: only
+    # they are localized, and only they enter the coface table
+    x = random_complex(random.Random(54), deg_hi=2, max_rank=3)
+    fam = LocalizationFamily((2, 3, 5, 7, 11))
+    calls = []
+    localize = holim._localize
+
+    def counted(c, tables):
+        calls.append(c)
+        return localize(c, tables)
+
+    monkeypatch.setattr(holim, "_localize", counted)
+    cube = build_fracture_cube(e_localize(x, fam), fam)
+    assert sum(not c.is_zero_complex() for c in cube.vertices.values()) == 12
+    # one pass per nonzero vertex of the cubes on 0, 1, ..., 5 labels
+    assert len(calls) == 21
+    assert not any(c.is_zero_complex() for c in calls)
+    assert len(cube_totalization(cube).table) == 12
+    calls.clear()
+    localize_diagram(cube, fam.table(1))
+    assert len(calls) == 12
+    # every covering pair keeps its edge, zero or not
+    assert list(cube.edges) == cube.shape.covering_pairs()

@@ -1,7 +1,8 @@
 """Object-level category of fracture diagrams and its decomposition.
 
-A fracture object over the family indices 1..n is a punctured-cube
-diagram whose vertex at S is local for the smallest index of S and
+A fracture object over the family indices 1..n is a diagram on the
+punctured subset poset of its indices, that poset and no other order on
+its elements, whose vertex at S is local for the smallest index of S and
 whose edges in the minimal direction are literally localization units.
 Such objects are equivalent to single local complexes: the limit
 functor and the fracture-diagram functor are mutually inverse up to
@@ -17,7 +18,9 @@ validate their output again. Locality is sorted_complex.is_local.
 
 The decomposition combinatorics splits the index poset above a subset
 into a gap part between the two minima and an anchored part above the
-larger minimum; diagrams push forward along that splitting.
+larger minimum; diagrams push forward along that splitting. Both parts
+are the shared subset poset of their free labels relabeled by the
+labels every member holds, so they carry its order and its size cap.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .posets import FinitePoset, PosetMap, canonical_subset, subset_poset
 from .sorted_complex import (
     ComplexMap,
     SortedComplex,
+    Violation,
     apply_localization,
     is_acyclic,
     is_local,
@@ -56,25 +60,16 @@ class FractureObject:
     labels: tuple = ()
 
     def __post_init__(self):
-        if not self.labels:
-            object.__setattr__(self, "labels", self.family.labels())
-        self.labels = canonical_subset(self.labels)
+        self.labels = canonical_subset(self.labels or self.family.labels())
         if not set(self.labels) <= set(self.family.labels()):
             raise InputError(f"labels {self.labels} are not indices of the family "
                              f"{self.family.labels()}")
-        expect = subset_poset(self.labels, punctured=True)
-        if self.diagram.shape.elements != expect.elements:
+        if self.diagram.shape != subset_poset(self.labels, punctured=True):
             raise InputError(
                 f"shape is not the punctured subset poset on {self.labels}")
 
     def vertex(self, s) -> SortedComplex:
         return self.diagram.vertex(canonical_subset(s))
-
-
-@dataclass(frozen=True)
-class ObjectViolation:
-    location: str
-    message: str
 
 
 def validate_fracture_object(g: FractureObject) -> list:
@@ -87,8 +82,7 @@ def validate_fracture_object(g: FractureObject) -> list:
     for s in g.diagram.shape.elements:
         table = fam.table(min(s))
         if not is_local(g.vertex(s), table):
-            out.append(ObjectViolation(f"vertex {s}",
-                                       f"not fixed by {table.label()}"))
+            out.append(Violation(f"vertex {s}", f"not fixed by {table.label()}"))
     for k, i in enumerate(g.labels[:-1]):
         # the face away from i, with its localization at i attached
         rest = subset_poset(g.labels[k + 1:], punctured=True)
@@ -97,18 +91,18 @@ def validate_fracture_object(g: FractureObject) -> list:
         for v in rest.elements:
             iv = canonical_subset((i,) + v)
             if g.vertex(iv) != want.vertex(iv):
-                out.append(ObjectViolation(
+                out.append(Violation(
                     f"vertex {iv}",
                     f"must equal the {table.label()} localization of {v}"))
                 continue
             if g.diagram.hom(v, iv) != want.edges[(v, iv)]:
-                out.append(ObjectViolation(
+                out.append(Violation(
                     f"edge {v} -> {iv}", "must be the localization unit"))
         for (v, w) in rest.covering_pairs():
             iv = canonical_subset((i,) + v)
             iw = canonical_subset((i,) + w)
             if g.diagram.hom(iv, iw) != want.edges[(iv, iw)]:
-                out.append(ObjectViolation(
+                out.append(Violation(
                     f"edge {iv} -> {iw}",
                     f"must be the {table.label()} localization of {v} -> {w}"))
     return out
@@ -220,12 +214,7 @@ def _check_containment(s, s2, t):
 def anchored_supersets(s, t) -> FinitePoset:
     """Subsets of t containing s and sharing its minimum, by inclusion."""
     s, _, t = _check_containment(s, s, t)
-    free = [x for x in t if x > min(s) and x not in s]
-    elems = [canonical_subset(s + u) for u in _all_subsets(free)]
-    elems.sort(key=lambda e: (len(e), e))
-    index = {e: i for i, e in enumerate(elems)}
-    up = [{index[f] for f in elems if set(e) <= set(f)} for e in elems]
-    return FinitePoset._trusted(elems, up)
+    return _relabeled(s, [x for x in t if x > min(s) and x not in s])
 
 
 def gap_subsets(s, s2, t) -> FinitePoset:
@@ -238,19 +227,18 @@ def gap_subsets(s, s2, t) -> FinitePoset:
     lo, hi = min(s2), min(s)
     interval = [x for x in t if lo <= x < hi]
     forced = tuple(x for x in s2 if lo <= x < hi)
-    free = [x for x in interval if x not in forced]
-    elems = [canonical_subset(forced + u) for u in _all_subsets(free)]
-    elems.sort(key=lambda e: (len(e), e))
-    index = {e: i for i, e in enumerate(elems)}
-    up = [{index[f] for f in elems if set(e) <= set(f)} for e in elems]
-    return FinitePoset._trusted(elems, up)
+    return _relabeled(forced, [x for x in interval if x not in forced])
 
 
-def _all_subsets(xs):
-    out = [()]
-    for x in xs:
-        out += [u + (x,) for u in out]
-    return out
+def _relabeled(fixed, free) -> FinitePoset:
+    """subset_poset(free) relabeled u -> fixed + u, for fixed disjoint from free.
+
+    Inclusion is unchanged, and so is the (size, lex) order: the first
+    label where two same-size u differ is the first where fixed + u do.
+    """
+    base = subset_poset(free)
+    return FinitePoset._trusted([canonical_subset(fixed + u) for u in base.elements],
+                                base._up)
 
 
 def anchor_split(s, s2, t):
@@ -389,7 +377,7 @@ def glue_fracture_object(split: SplitData, fam: LocalizationFamily) -> FractureO
                          "index below every top label")
     labels = canonical_subset((first,) + rest)
     bottom_shape = anchored_supersets((first,), labels)
-    if set(split.bottom.shape.elements) != set(bottom_shape.elements):
+    if split.bottom.shape != bottom_shape:
         raise InputError(f"bottom face is not the anchored poset on {labels}")
     table = fam.table(first)
     bad = validate_fracture_object(top)

@@ -575,16 +575,10 @@ def integer_homology(ranks: dict, diffs: dict) -> dict[int, AbelianInvariants]:
     a missing differential is zero. Each differential is reduced once by
     snf_diagonal. H_n then has free rank dim C_n - rank d_n - rank d_{n+1},
     and its torsion is the elementary divisors of d_{n+1} greater than 1.
-    Returns an entry, trivial or not, for every degree of ranks.
+    Returns an entry, trivial or not, for every degree of ranks. The
+    input must be an integral complex of matching shapes; this is not
+    checked, as every caller builds one (integer_homology_at checks).
     """
-    for n, d in diffs.items():
-        if (d.rows, d.cols) != (ranks.get(n - 1, 0), ranks.get(n, 0)):
-            raise InputError(f"shape mismatch: d_{n} is {d.rows}x{d.cols}")
-        if not d.is_integral():
-            raise InputError("matrix has a non-integral entry")
-    for n, d in diffs.items():
-        if n + 1 in diffs and not (d * diffs[n + 1]).is_zero():
-            raise InputError(f"composite d_{n} * d_{n + 1} is nonzero")
     divisors = {n: [x for x in snf_diagonal(d) if x] for n, d in diffs.items()}
     out = {}
     for n, dim in ranks.items():
@@ -602,5 +596,9 @@ def integer_homology_at(d_in: ExactMatrix, d_out: ExactMatrix) -> AbelianInvaria
     """
     if d_out.cols != d_in.rows:
         raise InputError("shape mismatch: d_out.cols must equal d_in.rows")
+    if not (d_in.is_integral() and d_out.is_integral()):
+        raise InputError("matrix has a non-integral entry")
+    if not (d_out * d_in).is_zero():
+        raise InputError("composite d_0 * d_1 is nonzero")
     ranks = {-1: d_out.rows, 0: d_out.cols, 1: d_in.cols}
     return integer_homology(ranks, {0: d_out, 1: d_in})[0]

@@ -87,8 +87,8 @@ def is_e_local(x: SortedComplex, fam: LocalizationFamily) -> bool:
     return is_local(x, LOCALIZE)
 
 
-def _require_valid(x: SortedComplex, fam: LocalizationFamily):
-    bad = validate(x, fam.primes)
+def _require_valid(x: SortedComplex, primes):
+    bad = validate(x, primes)
     if bad:
         raise InputError(f"input complex invalid: {bad[0].message}")
 
@@ -100,7 +100,7 @@ def build_fracture_cube(x: SortedComplex, fam: LocalizationFamily) -> PosetDiagr
     the next smaller index along the units. The vertex at S comes out as
     the ordered composite localization of x at S.
     """
-    _require_valid(x, fam)
+    _require_valid(x, fam.primes)
     cube = PosetDiagram._trusted(subset_poset(()), {(): x}, {})
     for i in reversed(fam.labels()):
         cube = attach_localization(cube, fam.table(i), i)
@@ -123,7 +123,7 @@ def comparison_map(x: SortedComplex, fam: LocalizationFamily):
     Its legs are the cube's edges out of the corner, the composite
     localization units.
     """
-    _require_valid(x, fam)
+    _require_valid(x, fam.primes)
     cube = build_fracture_cube(e_localize(x, fam), fam)
     punct = punctured_restriction(cube)
     hl = homotopy_limit(punct)
@@ -154,7 +154,7 @@ def verify_fracture(x: SortedComplex, fam: LocalizationFamily) -> FractureReport
         if s.kind != "Z":
             raise InputError("verify_fracture expects raw Z sorts; "
                              f"found {s}")
-    _require_valid(x, fam)
+    _require_valid(x, fam.primes)
     cube = build_fracture_cube(e_localize(x, fam), fam)
     rep = is_acyclic(cube_totalization(cube).complex, fam.primes)
     limit_hom = homology_p_local(cube.vertex(()), fam.primes) if rep.acyclic else {}
@@ -231,6 +231,7 @@ def rational_pair_square(x: SortedComplex, p: int) -> PosetDiagram:
     the corner; Cartesian exactly because the fracture property holds.
     """
     fam = LocalizationFamily((p,))
+    _require_valid(x, fam.primes)
     return build_fracture_cube(e_localize(x, fam), fam)
 
 
@@ -243,8 +244,11 @@ def completion_pair_square(x: SortedComplex, p: int, q: int) -> PosetDiagram:
     """
     if p == q:
         raise InputError("need two distinct primes")
-    xp = apply_localization(x, complete(p))
-    xq = apply_localization(x, complete(q))
+    # the tables check the primes before validate divides by them
+    tp, tq = complete(p), complete(q)
+    _require_valid(x, (p, q))
+    xp = apply_localization(x, tp)
+    xq = apply_localization(x, tq)
     punct = PosetDiagram._trusted(subset_poset((1, 2), punctured=True),
                                   {(1,): xq, (2,): xp, (1, 2): SortedComplex.zero()}, {})
     lim = homotopy_limit(punct)

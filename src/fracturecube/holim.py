@@ -19,7 +19,10 @@ and skip the chain-map check; a caller's components do not.
 
 A punctured cube is totalized over its vertices: one summand
 G(S)[-(|S| - 1)] per nonempty S, the cubical formula for the limit.
-Every other shape is totalized over the strict chains of its nerve. The
+Every other shape is totalized over the strict chains of its nerve. A
+shape is a (punctured) cube only when it equals the shared subset poset
+of its labels, elements and order both; cube_labels is that one check,
+for homotopy_limit and every cube entry point alike. The
 punctured-cube recursion in one direction t is the limit of one
 punctured square A -> B <- G({t}), with A and B two such totalizations.
 
@@ -366,16 +369,6 @@ def nerve_limit(diagram: PosetDiagram) -> HolimResult:
     return HolimResult(diagram, chains, lambda c: c[-1])
 
 
-def _is_punctured_cube(shape: FinitePoset) -> bool:
-    """Whether the shape is the punctured subset poset of its labels."""
-    if not all(isinstance(s, tuple) and all(isinstance(x, int) for x in s)
-               for s in shape.elements):
-        return False
-    labels = set().union(*shape.elements)
-    return (len(shape) == 2 ** len(labels) - 1
-            and shape == subset_poset(labels, punctured=True))
-
-
 def homotopy_limit(diagram: PosetDiagram) -> HolimResult:
     """Derived limit of a finite poset diagram, with its projection cone.
 
@@ -383,9 +376,12 @@ def homotopy_limit(diagram: PosetDiagram) -> HolimResult:
     vertices, vertex S in cosimplicial level |S| - 1; every other shape
     over the strict chains of its nerve.
     """
-    if _is_punctured_cube(diagram.shape):
-        return HolimResult(diagram, diagram.shape.elements, lambda s: s)
-    return nerve_limit(diagram)
+    if diagram.shape.elements:
+        try:
+            cube_labels(diagram, punctured=True)
+        except InputError:
+            return nerve_limit(diagram)
+    return HolimResult(diagram, diagram.shape.elements, lambda s: s)
 
 
 def map_between_totalizations(src: HolimResult, dst: HolimResult,
@@ -472,14 +468,17 @@ def strict_limit(diagram: PosetDiagram) -> StrictLimitResult:
 # --- cubes -----------------------------------------------------------------------
 
 def cube_labels(diagram: PosetDiagram, punctured: bool):
-    """Recover T from a (punctured) subset-poset shape, validating it."""
-    elems = diagram.shape.elements
-    if not elems:
+    """The labels T of a shape equal to subset_poset(T, punctured).
+
+    Elements and order must both match; any other shape is refused. A
+    subset poset lists its top last, and one of another size is never
+    built.
+    """
+    shape = diagram.shape
+    if not shape.elements:
         raise InputError("empty shape")
-    # a subset poset lists its top last
-    top = canonical_subset(elems[-1])
-    expect = subset_poset(top, punctured=punctured)
-    if expect.elements != elems:
+    top = canonical_subset(shape.elements[-1])
+    if len(shape) != 2 ** len(top) - punctured or shape != subset_poset(top, punctured):
         kind = "punctured subset poset" if punctured else "full subset poset"
         raise InputError(f"shape is not the {kind} on {top!r}")
     return top
@@ -496,9 +495,10 @@ def initial_corner_cube(x: SortedComplex, labels) -> PosetDiagram:
 
 def _face(diagram: PosetDiagram, fixed, free, punctured: bool = False) -> PosetDiagram:
     """The face S -> diagram(S + fixed) over the subsets S of free."""
+    # a covering pair of the face is one of the diagram: read its edge
     shape = subset_poset(free, punctured=punctured)
     verts = {s: diagram.vertex(canonical_subset(s + fixed)) for s in shape.elements}
-    edges = {(a, b): diagram.hom(canonical_subset(a + fixed), canonical_subset(b + fixed))
+    edges = {(a, b): diagram.edges[(canonical_subset(a + fixed), canonical_subset(b + fixed))]
              for (a, b) in shape.covering_pairs()}
     return PosetDiagram._trusted(shape, verts, edges)
 
@@ -596,11 +596,12 @@ def tfib_direction_cube(diagram: PosetDiagram, t_prime) -> PosetDiagram:
     verts = {sp: shift(tot.complex, -1) for sp, tot in tots.items()}
     edges = {}
     for (sp, sp2) in outer_shape.covering_pairs():
-        # diagram composites, natural by construction; the map shifted
-        # over the vertices already shifted above
-        maps = _place(tots[sp], tots[sp2], [
-            (s, s, diagram.hom(canonical_subset(s + sp), canonical_subset(s + sp2)))
-            for s in tots[sp].cells])
+        # S + sp -> S + sp2 is a covering pair: its diagram edge, natural by
+        # construction, placed where nonzero; the map shifted over the
+        # vertices already shifted above
+        blocks = [(s, s, e) for s in tots[sp].cells if (e := diagram.edges[
+            (canonical_subset(s + sp), canonical_subset(s + sp2))]).maps]
+        maps = _place(tots[sp], tots[sp2], blocks)
         edges[(sp, sp2)] = ComplexMap._trusted(verts[sp], verts[sp2],
                                                {n - 1: m for n, m in maps.items()})
     return PosetDiagram._trusted(outer_shape, verts, edges)
@@ -686,4 +687,4 @@ def adjunction_check(x: SortedComplex, diagram: PosetDiagram, primes) -> bool:
             if bi is not None:
                 entries[(bi, ai)] = v
     t = ExactMatrix(len(side_b.positions), len(side_a.positions), entries)
-    return comparison_is_isomorphism(side_a, side_b, lambda m: t * m, primes)
+    return comparison_is_isomorphism(side_a, side_b, t, primes)

@@ -1,7 +1,10 @@
 """Finite posets, subset posets, order complexes, and initiality certificates.
 
 Subsets of an integer label set are always encoded as strictly increasing
-tuples so that every enumeration in the package is deterministic.
+tuples so that every enumeration in the package is deterministic. Order
+questions are read off a poset's up-sets: each subset poset is built
+once and shared, and dismantling looks for a minimum above or a maximum
+below an element without building a subposet to ask.
 """
 
 from __future__ import annotations
@@ -68,15 +71,6 @@ class FinitePoset:
     def lt(self, x, y) -> bool:
         return x != y and self.leq(x, y)
 
-    def strict_up_set(self, x):
-        i = self._index[x]
-        return tuple(self.elements[j] for j in sorted(self._up[i] - {i}))
-
-    def strict_down_set(self, x):
-        i = self._index[x]
-        return tuple(y for y in self.elements
-                     if y != x and self.leq(y, x))
-
     def covering_pairs(self):
         """Pairs (x, y) with x < y and nothing strictly between, as a new list."""
         # a poset never changes, so its pairs are found once
@@ -138,7 +132,9 @@ class FinitePoset:
     def __eq__(self, other):
         if not isinstance(other, FinitePoset):
             return NotImplemented
-        return self.elements == other.elements and self._up == other._up
+        # shared posets, such as subset_poset's, compare without a walk
+        return self is other or (self.elements == other.elements
+                                 and self._up == other._up)
 
     __hash__ = None
 
@@ -294,17 +290,13 @@ def reduced_homology(k: SimplicialComplexData) -> dict[int, AbelianInvariants]:
 # --- dismantlability and initiality --------------------------------------------
 
 def _irreducible(p: FinitePoset, x) -> bool:
-    up = p.strict_up_set(x)
-    if up:
-        sub = p.subposet(up)
-        if sub.minimum() is not None:
-            return True
-    down = p.strict_down_set(x)
-    if down:
-        sub = p.subposet(down)
-        if sub.maximum() is not None:
-            return True
-    return False
+    # read off the up-sets: a minimum above x lies below everything above
+    # x, a maximum below x lies above everything below x
+    up, i = p._up, p.index(x)
+    above = up[i] - {i}
+    below = [j for j, u in enumerate(up) if i in u and j != i]
+    return (any(above <= up[j] for j in above)
+            or any(all(j in up[k] for k in below) for j in below))
 
 
 def is_dismantlable(p: FinitePoset):

@@ -948,16 +948,17 @@ def chain_map_group(a: SortedComplex, b: SortedComplex,
 
 
 def comparison_is_isomorphism(src_group: ChainMapGroup, dst_group: ChainMapGroup,
-                              transform, primes) -> bool:
+                              transform: ExactMatrix, primes) -> bool:
     """Whether a linear comparison identifies two chain map groups.
 
-    `transform` sends an ambient coordinate vector of `src_group` to one
-    of `dst_group`. The comparison is an isomorphism exactly when the
-    matrix expressing the transformed basis in the destination basis has
-    unit elementary divisors over the sort ring: all 1 over Z, prime to
-    P over ZlocP, and so on. Fields only need invertibility.
+    The matrix `transform` sends an ambient coordinate vector of
+    `src_group` to one of `dst_group`. The comparison is an isomorphism
+    exactly when the matrix expressing the transformed basis in the
+    destination basis has unit elementary divisors over the sort ring:
+    all 1 over Z, prime to P over ZlocP, and so on. Fields only need
+    invertibility.
     """
-    image = transform(src_group.basis)
+    image = transform * src_group.basis
     if dst_group.rank != src_group.rank:
         return False
     if src_group.rank == 0:

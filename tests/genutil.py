@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 from fracturecube.exact_linalg import ExactMatrix
+from fracturecube.posets import FinitePoset, canonical_subset
 from fracturecube.sorted_complex import (
     Sort,
     SortedComplex,
@@ -314,6 +315,59 @@ def reference_residue(c: SortedComplex, survives):
                                   d.source.basis(keep[n]))
             for n, d in c.diffs.items()}
     return dims, mats
+
+
+# --- closed-form index posets --------------------------------------------------------
+
+def _all_subsets(xs):
+    out = [()]
+    for x in xs:
+        out += [u + (x,) for u in out]
+    return out
+
+
+def _inclusion_poset(elems) -> FinitePoset:
+    # (size, lex) order, inclusion tested pairwise
+    elems = sorted(elems, key=lambda e: (len(e), e))
+    index = {e: i for i, e in enumerate(elems)}
+    up = [{index[f] for f in elems if set(e) <= set(f)} for e in elems]
+    return FinitePoset._trusted(elems, up)
+
+
+def reference_anchored_supersets(s, t) -> FinitePoset:
+    """Subsets of t containing s and sharing its minimum, by inclusion."""
+    s, t = canonical_subset(s), canonical_subset(t)
+    free = [x for x in t if x > min(s) and x not in s]
+    return _inclusion_poset([canonical_subset(s + u) for u in _all_subsets(free)])
+
+
+def reference_gap_subsets(s, s2, t) -> FinitePoset:
+    """Subsets of the gap [min(s2), min(s)) of t that contain s2's part there."""
+    s, s2, t = canonical_subset(s), canonical_subset(s2), canonical_subset(t)
+    lo, hi = min(s2), min(s)
+    interval = [x for x in t if lo <= x < hi]
+    forced = tuple(x for x in s2 if lo <= x < hi)
+    free = [x for x in interval if x not in forced]
+    return _inclusion_poset([canonical_subset(forced + u) for u in _all_subsets(free)])
+
+
+def reference_irreducible(p: FinitePoset, x) -> bool:
+    """Whether the strict up-set of x has a minimum or its strict down-set
+    a maximum, each read off its own subposet."""
+    up = [y for y in p.elements if p.lt(x, y)]
+    down = [y for y in p.elements if p.lt(y, x)]
+    return bool((up and p.subposet(up).minimum() is not None)
+                or (down and p.subposet(down).maximum() is not None))
+
+
+def random_poset(rng: random.Random, n: int, density: float = 0.4) -> FinitePoset:
+    """Random order on range(n): the transitive closure of random pairs i < j."""
+    above = [set() for _ in range(n)]
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                above[i] |= {j} | above[j]
+    return FinitePoset(range(n), [(i, j) for i in range(n) for j in above[i]])
 
 
 # --- reference composites ----------------------------------------------------------

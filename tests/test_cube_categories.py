@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -40,7 +41,12 @@ from fracturecube.sorted_complex import (
     localize_chain_map_tables,
 )
 
-from genutil import random_complex, sum_inclusions
+from genutil import (
+    random_complex,
+    reference_anchored_supersets,
+    reference_gap_subsets,
+    sum_inclusions,
+)
 
 FAM2 = LocalizationFamily((2,))
 FAM3 = LocalizationFamily((2, 3))
@@ -154,6 +160,14 @@ class TestValidate:
             LocalizationFamily(()), (1,))
         report = validate_fracture_object(g)
         assert report and "not fixed" in report[0].message
+
+    def test_shape_order_checked(self):
+        # the punctured square's elements, ordered as a chain (1,) < (2,) < (1, 2)
+        chain = FinitePoset([(1,), (2,), (1, 2)],
+                            [((1,), (2,)), ((2,), (1, 2)), ((1,), (1, 2))])
+        d = PosetDiagram(chain, {s: SortedComplex.zero() for s in chain.elements}, {})
+        with pytest.raises(InputError, match="not the punctured subset poset on"):
+            FractureObject(d, FAM2)
 
 
 class TestGenerators:
@@ -399,6 +413,30 @@ class TestIndexCombinatorics:
         for n in (2, 3, 4):
             assert anchored_cover_identity(n)
 
+    def test_relabeled_posets_match_the_closed_form(self):
+        # every (s, t) and (s, s2, t) up to six labels: elements and order
+        cases = 0
+        for n in range(1, 7):
+            t = tuple(range(1, n + 1))
+            subsets = [u for u in subset_poset(t).elements if u]
+            for s in subsets:
+                assert anchored_supersets(s, t) == reference_anchored_supersets(s, t)
+                cases += 1
+                for s2 in subsets:
+                    if set(s) <= set(s2):
+                        assert gap_subsets(s, s2, t) == reference_gap_subsets(s, s2, t)
+                        cases += 1
+        assert cases == 1086
+
+    def test_size_cap_comes_first(self):
+        # 13 free labels each: refused before any subset is listed
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="exceeds cap"):
+            anchored_supersets((1,), range(1, 15))
+        with pytest.raises(InputError, match="exceeds cap"):
+            gap_subsets((15,), (1, 15), range(1, 16))
+        assert time.perf_counter() - start < 1
+
     def test_containment_validated(self):
         with pytest.raises(InputError):
             anchor_split((1,), (2,), (1, 2))
@@ -540,6 +578,15 @@ class TestSplitGlue:
         with pytest.raises(InputError, match=r"edge \(3,\) -> \(1, 3\): must be the "
                                              "localization unit"):
             split_fracture_object(obj)
+
+    def test_bottom_order_checked(self):
+        # the anchored elements in their order, but as an antichain
+        sp = split_fracture_object(fracture_diagram(local_sphere(FAM3), FAM3))
+        flat = FinitePoset(sp.bottom.shape.elements, [])
+        bottom = PosetDiagram(flat, sp.bottom.vertices, {})
+        with pytest.raises(InputError, match=r"bottom face is not the anchored poset "
+                                             r"on \(1, 2, 3\)"):
+            glue_fracture_object(SplitData(sp.top, bottom, sp.witness), FAM3)
 
     def test_non_local_anchor_rejected(self):
         sp = split_fracture_object(fracture_diagram(local_sphere(FAM2), FAM2))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -246,6 +247,17 @@ class TestPairSquares:
     def test_completion_pair_needs_distinct_primes(self):
         with pytest.raises(InputError):
             completion_pair_square(SortedComplex.single(Z), 3, 3)
+
+    def test_pair_squares_validate_their_input(self):
+        # 1/2 is no map of Z: refused as by every other fracture entry point
+        x = SortedComplex.two_term(Z, ExactMatrix.from_rows([[Fraction(1, 2)]]))
+        msg = r"input complex invalid: block \(0,0\): denominator 2 not a unit in Z"
+        with pytest.raises(InputError, match=msg):
+            verify_fracture(x, LocalizationFamily((3,)))
+        with pytest.raises(InputError, match=msg):
+            rational_pair_square(x, 3)
+        with pytest.raises(InputError, match=msg):
+            completion_pair_square(x, 3, 5)
 
     def test_pair_squares_on_random_inputs(self):
         rng = random.Random(3)

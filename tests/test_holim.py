@@ -127,6 +127,49 @@ class TestPosetDiagram:
             cube_labels(punctured_restriction(d), punctured=False)
 
 
+def _chain_ordered(elements, value):
+    """value at every element of a chain, joined by identities."""
+    shape = FinitePoset(elements, [(a, b) for i, a in enumerate(elements)
+                                   for b in elements[i + 1:]])
+    ident = ComplexMap.identity(value)
+    return PosetDiagram(shape, {x: value for x in elements},
+                        {pair: ident for pair in shape.covering_pairs()})
+
+
+class TestCubeShape:
+    # a subset poset's elements in their order, but ordered as a chain
+    def test_chain_ordered_cube_refused(self):
+        d = _chain_ordered([(), (1,), (2,), (1, 2)], sphere())
+        for entry in (cube_totalization, total_fiber, lambda d: is_cartesian(d, PRIMES),
+                      punctured_restriction, lambda d: tfib_direction_cube(d, (1,))):
+            with pytest.raises(InputError, match=r"shape is not the full subset poset "
+                                                 r"on \(1, 2\)"):
+                entry(d)
+        # the nerve of a chain of four
+        assert len(homotopy_limit(d).cells) == 15
+
+    def test_chain_ordered_punctured_square_refused(self):
+        d = _chain_ordered([(1,), (2,), (1, 2)], sphere())
+        for entry in (limit_extended_cube, lambda d: punctured_limit_recursive(d, 1)):
+            with pytest.raises(InputError, match=r"shape is not the punctured subset "
+                                                 r"poset on \(1, 2\)"):
+                entry(d)
+        assert homotopy_limit(d).cells == nerve_limit(d).cells
+        assert len(homotopy_limit(d).cells) == 7
+        square = PosetDiagram(subset_poset((1, 2), punctured=True), d.vertices, {
+            pair: ComplexMap.identity(sphere()) for pair in [((1,), (1, 2)), ((2,), (1, 2))]})
+        assert homotopy_limit(square).cells == [(1,), (2,), (1, 2)]
+
+    def test_no_larger_subset_poset_built(self):
+        # a top of 13 labels on three elements: refused, not sent to the cap
+        big = tuple(range(1, 14))
+        shape = FinitePoset([(), (1,), big], [((), (1,)), ((), big), ((1,), big)])
+        d = PosetDiagram(shape, {x: SortedComplex.zero() for x in shape.elements}, {})
+        with pytest.raises(InputError, match="shape is not the full subset poset"):
+            cube_labels(d, punctured=False)
+        assert len(homotopy_limit(d).cells) == len(nerve_limit(d).cells)
+
+
 class TestAttachLocalization:
     @pytest.mark.parametrize("table", [RATIONALIZE, complete(2)])
     @pytest.mark.parametrize("label, labels, punctured", [

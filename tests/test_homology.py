@@ -1,5 +1,6 @@
 """Homology read off Smith diagonals, against the kernel -> coordinates -> SNF chain."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -10,6 +11,7 @@ from fracturecube import exact_linalg
 from fracturecube.exact_linalg import (
     AbelianInvariants,
     ExactMatrix,
+    InputError,
     integer_homology_at,
     kernel_basis,
     p_part,
@@ -161,6 +163,29 @@ class TestOneDiagonalPerDifferential:
         k = SimplicialComplexData((0, 1, 2), frozenset(
             frozenset(e) for e in combinations(range(3), 2)))
         assert reduced_homology(k) == {1: AbelianInvariants(1)}
+
+    def test_no_product_on_complexes_built_by_the_caller(self, monkeypatch):
+        # d^2 = 0 holds for a sorted complex and a boundary: not re-checked
+        c = sorted_complex_of({0: 2, 1: 2, 2: 1},
+                              {1: ExactMatrix.from_rows([[2, 0], [0, 0]]),
+                               2: ExactMatrix.from_rows([[0], [3]])})
+        k = SimplicialComplexData((0, 1, 2, 3), frozenset(
+            frozenset(f) for f in combinations(range(4), 3)))
+
+        def forbidden(*args):
+            raise AssertionError("homology must not multiply matrices")
+
+        monkeypatch.setattr(ExactMatrix, "__mul__", forbidden)
+        assert homology_p_local(c) == {0: AbelianInvariants(1, (2,)),
+                                       1: AbelianInvariants(0, (3,))}
+        assert reduced_homology(k) == {2: AbelianInvariants(1)}
+
+    def test_raw_matrices_are_checked(self):
+        with pytest.raises(InputError, match="non-integral"):
+            integer_homology_at(ExactMatrix.from_rows([[Fraction(1, 2)]]),
+                                ExactMatrix.zeros(0, 1))
+        with pytest.raises(InputError, match=r"composite d_0 \* d_1 is nonzero"):
+            integer_homology_at(ExactMatrix.from_rows([[1]]), ExactMatrix.from_rows([[1]]))
 
 
 small_matrices = st.integers(1, 5).flatmap(lambda c: st.lists(

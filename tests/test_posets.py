@@ -9,6 +9,7 @@ from fracturecube.posets import (
     FinitePoset,
     PosetMap,
     SimplicialComplexData,
+    _irreducible,
     _subset_poset,
     certify_initial,
     comma_poset,
@@ -18,6 +19,8 @@ from fracturecube.posets import (
     reduced_homology,
     subset_poset,
 )
+
+from genutil import random_poset, reference_irreducible
 
 
 def antichain(n):
@@ -215,6 +218,25 @@ class TestDismantlable:
             ok, _ = is_dismantlable(p)
             if ok:
                 assert reduced_homology(order_complex(p)) == {}
+
+
+    def test_irreducible_matches_the_reference(self):
+        # every element of seeded random posets, and of each poset met
+        # while dismantling them, against the subposet reading
+        rng = random.Random(11)
+        for _ in range(300):
+            p = random_poset(rng, rng.randint(1, 8), rng.choice((0.2, 0.4, 0.6)))
+            for x in p.elements:
+                assert _irreducible(p, x) == reference_irreducible(p, x)
+            ok, witness = is_dismantlable(p)
+            current = p
+            for w in witness:
+                assert reference_irreducible(current, w)
+                current = current.subposet([y for y in current.elements if y != w])
+            assert ok == (len(current) == 1)
+            if not ok:
+                assert not any(reference_irreducible(current, y)
+                               for y in current.elements)
 
 
 class TestCommaAndInitiality:

@@ -436,3 +436,24 @@ def test_zero_vertices_cost_nothing(monkeypatch):
     assert len(calls) == 12
     # every covering pair keeps its edge, zero or not
     assert list(cube.edges) == cube.shape.covering_pairs()
+
+
+def test_direction_cubes_read_covering_edges(monkeypatch):
+    # faces and direction-cube edges read diagram.edges, and no zero edge
+    # is placed: hom runs only for the coface tables of nonzero cells
+    x = random_complex(random.Random(54), deg_hi=2, max_rank=3)
+    fam = LocalizationFamily((2, 3, 5))
+    cube = build_fracture_cube(e_localize(x, fam), fam)
+    want = total_fiber_iterated(cube, (1, 2))
+    calls = []
+    hom = PosetDiagram.hom
+
+    def counted(self, a, b):
+        calls.append((self.vertices[a].is_zero_complex()
+                      or self.vertices[b].is_zero_complex()))
+        return hom(self, a, b)
+
+    monkeypatch.setattr(PosetDiagram, "hom", counted)
+    assert total_fiber_iterated(cube, (1, 2)) == want
+    assert len(calls) == 8
+    assert not any(calls)

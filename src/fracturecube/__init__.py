@@ -16,7 +16,6 @@ from .exact_linalg import (
     integer_homology_at,
     kernel_basis,
     rank_over_field,
-    smith_normal_form,
 )
 from .posets import (
     FinitePoset,

@@ -50,13 +50,23 @@ def _load(path: str, expected_kind=None):
     return serialize.unwrap(doc, expected_kind)
 
 
-def _emit(doc: dict, output, out_stream):
-    text = json.dumps(doc, indent=2, sort_keys=True)
+def _family(args) -> LocalizationFamily:
+    """The family of --primes, within the cube dimension cap."""
+    fam = LocalizationFamily(_parse_primes(args.primes))
+    check_dimension(fam.size)
+    return fam
+
+
+def _write(text: str, output, out_stream):
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         out_stream.write(text + "\n")
+
+
+def _emit(doc: dict, output, out_stream):
+    _write(json.dumps(doc, indent=2, sort_keys=True), output, out_stream)
 
 
 def _invariants_json(hom: dict) -> list:
@@ -178,18 +188,14 @@ def _cmd_poset_check_initial(args, out):
 
 def _cmd_fracture_build(args, out):
     _, x = _load(args.input, "complex")
-    fam = LocalizationFamily(_parse_primes(args.primes))
-    check_dimension(fam.size)
-    cube = build_fracture_cube(x, fam)
+    cube = build_fracture_cube(x, _family(args))
     _emit(serialize.wrap("diagram", cube), args.output, out)
     return 0
 
 
 def _cmd_fracture_verify(args, out):
     _, x = _load(args.input, "complex")
-    fam = LocalizationFamily(_parse_primes(args.primes))
-    check_dimension(fam.size)
-    rep = verify_fracture(x, fam)
+    rep = verify_fracture(x, _family(args))
     payload = {
         "verdict": "pass" if rep.verdict else "fail",
         "residues": [{"kind": c.kind, "prime": c.prime, "passed": c.passed,
@@ -214,12 +220,9 @@ def _cmd_cat_validate(args, out):
 def _cmd_cat_roundtrip(args, out):
     kind, obj = _load(args.input)
     if kind == "fracture-object":
-        fam = obj.family
-        ok = roundtrip_check(obj, fam)
+        ok = roundtrip_check(obj, obj.family)
     elif kind == "complex":
-        fam = LocalizationFamily(_parse_primes(args.primes))
-        check_dimension(fam.size)
-        ok = roundtrip_check(obj, fam)
+        ok = roundtrip_check(obj, _family(args))
     else:
         raise SchemaError("$.kind", "roundtrip expects a complex or a "
                           "fracture-object document")
@@ -262,11 +265,7 @@ def _cmd_emit_dot(args, out):
                               "fracture-object document")
         text = emit_dot(diagram, with_homology=args.homology,
                         primes=_parse_primes(args.primes))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        out.write(text + "\n")
+    _write(text, args.output, out)
     return 0
 
 
@@ -274,6 +273,10 @@ def _add_io(p, needs_input=True):
     if needs_input:
         p.add_argument("input", help="input document (fracture/1 JSON)")
     p.add_argument("-o", "--output", help="write the result here instead of stdout")
+
+
+def _add_primes(p):
+    # only the subcommands that read the prime set take it
     p.add_argument("--primes", default="", help="comma separated prime set, e.g. 2,3")
 
 
@@ -290,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homology", help="homology invariants of a complex")
     _add_io(p)
+    _add_primes(p)
     p.set_defaults(fn=_cmd_homology)
 
     p = sub.add_parser("holim", help="homotopy limit of a poset diagram")
@@ -313,11 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
     fsub = p.add_subparsers(dest="fracture_command", required=True)
     fb = fsub.add_parser("build", help="build the localization cube of a complex")
     _add_io(fb)
+    _add_primes(fb)
     fb.set_defaults(fn=_cmd_fracture_build)
     fv = fsub.add_parser("verify",
                          help="verify the joint localization against the "
                               "punctured-cube limit")
     _add_io(fv)
+    _add_primes(fv)
     fv.set_defaults(fn=_cmd_fracture_verify)
 
     p = sub.add_parser("cat", help="fracture object category operations")
@@ -330,12 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
             ("glue", _cmd_cat_glue, "reassemble a split object")):
         cp = csub.add_parser(name, help=help_text)
         _add_io(cp)
+        if name == "roundtrip":  # a complex input needs the family
+            _add_primes(cp)
         cp.set_defaults(fn=fn)
 
     p = sub.add_parser("emit-dot", help="render a diagram as DOT text")
     p.add_argument("input", nargs="?", help="diagram or fracture-object document")
-    p.add_argument("-o", "--output")
-    p.add_argument("--primes", default="")
+    _add_io(p, needs_input=False)
+    _add_primes(p)
     p.add_argument("--homology", action="store_true",
                    help="label vertices with homology invariants")
     p.add_argument("--category-cube", type=int, default=None, metavar="N",

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact_linalg import InputError
-from .fracture import LocalizationFamily, build_fracture_cube, is_e_local
+from .fracture import LocalizationFamily, build_fracture_cube
 from .holim import (
     PosetDiagram,
     attach_localization,
@@ -39,6 +39,7 @@ from .holim import (
 )
 from .posets import FinitePoset, PosetMap, canonical_subset, subset_poset
 from .sorted_complex import (
+    LOCALIZE,
     ComplexMap,
     SortedComplex,
     Violation,
@@ -166,7 +167,7 @@ def fracture_limit(g: FractureObject) -> SortedComplex:
 
 
 def _local_fracture_cube(x: SortedComplex, fam: LocalizationFamily) -> PosetDiagram:
-    if not is_e_local(x, fam):
+    if not is_local(x, LOCALIZE):
         raise InputError("input complex is not local for the family")
     return build_fracture_cube(x, fam)
 

@@ -334,41 +334,6 @@ def _smith(a, rows: int, cols: int) -> None:
         t += 1
 
 
-def smith_normal_form(m: ExactMatrix):
-    """Exact Smith decomposition m = u * d * v.
-
-    u and v are unimodular, d is diagonal with nonnegative entries
-    d1 | d2 | ... Raises InputError on non-integral input.
-    """
-    a = [row + e for row, e in zip(_int_rows(m), _eye(m.rows))] + _eye(m.cols)
-    _smith(a, m.rows, m.cols)
-    n = min(m.rows, m.cols)
-    d = ExactMatrix._trusted(m.rows, m.cols, {(i, i): a[i][i] for i in range(n) if a[i][i]})
-    return _inverse([row[m.cols:] for row in a[:m.rows]]), d, _inverse(a[m.rows:])
-
-
-def _inverse(rows) -> ExactMatrix:
-    """Inverse of an invertible square integer row list, by Gauss-Jordan over Q.
-
-    Not by solve_in_span: the Smith transforms of a dense integer matrix
-    can carry entries of a thousand digits, and a second Smith elimination
-    grows them further, orders of magnitude slower than this.
-    """
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for t in range(n):
-        p = next(i for i in range(t, n) if a[i][t])
-        a[t], a[p] = a[p], a[t]
-        pivot = a[t][t]
-        a[t] = [x / pivot for x in a[t]]
-        for i in range(n):
-            if i != t and a[i][t]:
-                c = a[i][t]
-                a[i] = [x - c * y for x, y in zip(a[i], a[t])]
-    return ExactMatrix(n, n, {(i, j): a[i][n + j] for i in range(n) for j in range(n)})
-
-
 def snf_diagonal(m: ExactMatrix) -> list[int]:
     a = _int_rows(m)
     _smith(a, m.rows, m.cols)
@@ -379,9 +344,10 @@ def kernel_basis(m: ExactMatrix) -> ExactMatrix:
     """Basis of the integer kernel as matrix columns.
 
     The basis spans a saturated sublattice, so it also gives the kernel
-    over any localization of Z and over Q.
+    over any localization of Z and over Q. The kernel of den * m is that
+    of m, so the numerators serve for any denominator.
     """
-    a = _int_rows(m) + _eye(m.cols)
+    a = _num_rows(m) + _eye(m.cols)
     _smith(a, m.rows, m.cols)
     n = min(m.rows, m.cols)
     ker_cols = [j for j in range(m.cols) if j >= n or a[j][j] == 0]

@@ -37,7 +37,6 @@ from .sorted_complex import (
     complete,
     homology_p_local,
     is_acyclic,
-    is_local,
     validate,
 )
 
@@ -81,10 +80,6 @@ class LocalizationFamily:
 def e_localize(x: SortedComplex, fam: LocalizationFamily) -> SortedComplex:
     """Localization at the whole family: invert all primes outside P."""
     return apply_localization(x, LOCALIZE)
-
-
-def is_e_local(x: SortedComplex, fam: LocalizationFamily) -> bool:
-    return is_local(x, LOCALIZE)
 
 
 def _require_valid(x: SortedComplex, primes):
@@ -138,9 +133,6 @@ class FractureReport:
     verdict: bool
     checks: tuple  # residue checks from the quasi-isomorphism test
     limit_homology: dict  # degree -> AbelianInvariants of the localized input
-
-    def describe(self) -> list:
-        return [c.describe() for c in self.checks]
 
 
 def verify_fracture(x: SortedComplex, fam: LocalizationFamily) -> FractureReport:

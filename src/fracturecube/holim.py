@@ -575,15 +575,6 @@ def limit_extended_cube(punctured: PosetDiagram) -> PosetDiagram:
     return PosetDiagram._trusted(full, verts, edges)
 
 
-def vertex_projection(extended: PosetDiagram, punctured: PosetDiagram, s):
-    """Quasi-isomorphism from an extended vertex back to the original one."""
-    upset = [u for u in punctured.shape.elements if set(s) <= set(u)]
-    hl = nerve_limit(punctured.restrict(upset))
-    if hl.complex != extended.vertex(s):
-        raise InputError("extended cube does not match the punctured diagram")
-    return hl.legs[s]
-
-
 def tfib_direction_cube(diagram: PosetDiagram, t_prime) -> PosetDiagram:
     """Cube on P(T') of total fibers of the complementary subcubes."""
     labels = cube_labels(diagram, punctured=False)

@@ -289,12 +289,11 @@ def reduced_homology(k: SimplicialComplexData) -> dict[int, AbelianInvariants]:
 
 # --- dismantlability and initiality --------------------------------------------
 
-def _irreducible(p: FinitePoset, x) -> bool:
-    # read off the up-sets: a minimum above x lies below everything above
-    # x, a maximum below x lies above everything below x
-    up, i = p._up, p.index(x)
-    above = up[i] - {i}
-    below = [j for j, u in enumerate(up) if i in u and j != i]
+def _irreducible(up, live, i) -> bool:
+    # read off the up-sets, live indices only: a minimum above i lies below
+    # everything above i, a maximum below i lies above everything below i
+    above = (up[i] & live) - {i}
+    below = [j for j in live if i in up[j] and j != i]
     return (any(above <= up[j] for j in above)
             or any(all(j in up[k] for k in below) for j in below))
 
@@ -305,22 +304,19 @@ def is_dismantlable(p: FinitePoset):
     An element is removable when its strict up-set has a minimum or its
     strict down-set has a maximum. Reaching a single point this way
     certifies that the order complex is contractible. Removal order does
-    not affect the outcome, so the greedy search is complete.
+    not affect the outcome, so the greedy search is complete. Removed
+    elements leave the set of live indices; the up-sets stay as they are.
     """
     if len(p) == 0:
         raise InputError("empty poset")
-    current = p
+    live = set(range(len(p)))
     witness = []
-    while len(current) > 1:
-        removable = None
-        for x in current.elements:
-            if _irreducible(current, x):
-                removable = x
-                break
+    while len(live) > 1:
+        removable = next((i for i in sorted(live) if _irreducible(p._up, live, i)), None)
         if removable is None:
             return False, witness
-        witness.append(removable)
-        current = current.subposet([y for y in current.elements if y != removable])
+        witness.append(p.elements[removable])
+        live.remove(removable)
     return True, witness
 
 
@@ -343,9 +339,6 @@ class InitialityReport:
     overall: bool
     certificates: dict
     inconclusive: tuple = ()
-
-    def failed(self):
-        return tuple(i for i, c in self.certificates.items() if c == CERT_FAIL)
 
 
 def certify_initial(f: PosetMap) -> InitialityReport:

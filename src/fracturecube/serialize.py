@@ -31,7 +31,7 @@ DEFAULT_MAX_T = 6
 MAX_DIGITS = 4300  # digits of a numerator or denominator in a document
 _DIGIT_CAP = 10 ** MAX_DIGITS
 _OVER_CAP = f"more than MAX_DIGITS={MAX_DIGITS} digits in a numerator or denominator"
-KINDS = ("complex", "diagram", "fracture-object", "poset", "report", "matrix")
+KINDS = ("complex", "diagram", "fracture-object", "report", "matrix")
 
 
 class SchemaError(InputError):
@@ -236,35 +236,6 @@ def complex_from_json(d, path="$") -> SortedComplex:
         raise SchemaError(path, str(exc)) from None
 
 
-# --- posets -------------------------------------------------------------------------
-
-def poset_to_json(p: FinitePoset) -> dict:
-    elems = [label_to_str(x) for x in p.elements]
-    leq = sorted([i, j] for i, x in enumerate(p.elements)
-                 for j, y in enumerate(p.elements) if p.leq(x, y))
-    return {"elements": elems, "leq": leq}
-
-
-def poset_from_json(d, path="$") -> FinitePoset:
-    _only_keys(d, ("elements", "leq"), (), path)
-    elems = _expect(d["elements"], list, f"{path}.elements")
-    for i, e in enumerate(elems):
-        _expect(e, str, f"{path}.elements[{i}]")
-    pairs = []
-    for k, pair in enumerate(_expect(d["leq"], list, f"{path}.leq")):
-        _expect(pair, list, f"{path}.leq[{k}]")
-        if len(pair) != 2 or not all(type(v) is int for v in pair):
-            raise SchemaError(f"{path}.leq[{k}]", "expected [i, j] index pair")
-        i, j = pair
-        if not (0 <= i < len(elems) and 0 <= j < len(elems)):
-            raise SchemaError(f"{path}.leq[{k}]", "index out of range")
-        pairs.append((elems[i], elems[j]))
-    try:
-        return FinitePoset(elems, pairs)
-    except InputError as exc:
-        raise SchemaError(path, str(exc)) from None
-
-
 # --- diagrams -----------------------------------------------------------------------
 
 def _complex_map_components_to_json(m: ComplexMap) -> dict:
@@ -407,7 +378,6 @@ _ENCODERS = {
     "complex": complex_to_json,
     "diagram": diagram_to_json,
     "fracture-object": fracture_object_to_json,
-    "poset": poset_to_json,
     "report": lambda payload: payload,
 }
 
@@ -416,7 +386,6 @@ _DECODERS = {
     "complex": complex_from_json,
     "diagram": diagram_from_json,
     "fracture-object": fracture_object_from_json,
-    "poset": poset_from_json,
     "report": lambda payload, path="$": payload,
 }
 

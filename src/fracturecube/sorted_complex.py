@@ -610,20 +610,6 @@ def complete(p: int) -> LocalizationTable:
     return LocalizationTable("complete", p)
 
 
-def all_sorts(primes):
-    out = [Z, ZLOC, Q]
-    for p in primes:
-        out += [Zp(p), Qp(p)]
-    return out
-
-
-def composite_kills_all(second: LocalizationTable, first: LocalizationTable,
-                        primes) -> bool:
-    """Whether applying first then second sends every sort to Zero."""
-    return all(second.apply_sort(first.apply_sort(s)) == ZERO
-               for s in all_sorts(primes))
-
-
 def _localize_module(m: SortedModule, tables):
     """The summand indices the table composite keeps, and the localized module."""
     kept, out = [], []
@@ -672,11 +658,6 @@ def apply_localization(c: SortedComplex, table: LocalizationTable) -> SortedComp
     map would allow it), which is what makes the drop exact.
     """
     return _localize(c, (table,))[0]
-
-
-def apply_tables(c: SortedComplex, tables) -> SortedComplex:
-    """The localization along a table list, in application order."""
-    return _localize(c, tables)[0]
 
 
 def localize_chain_map_tables(f: ComplexMap, tables) -> ComplexMap:

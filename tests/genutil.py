@@ -4,9 +4,15 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from fracturecube.exact_linalg import ExactMatrix
+from fracturecube.exact_linalg import ExactMatrix, _eye, _int_rows, _smith
+from fracturecube.holim import nerve_limit, punctured_restriction
 from fracturecube.posets import FinitePoset, canonical_subset
 from fracturecube.sorted_complex import (
+    ZERO,
+    ZLOC,
+    Q,
+    Qp,
+    Zp,
     Sort,
     SortedComplex,
     SortedModule,
@@ -14,6 +20,7 @@ from fracturecube.sorted_complex import (
     ComplexMap,
     EMPTY_MODULE,
     Z,
+    _localize,
     _map_from_pieces,
     canonical_unit,
     chain_map_group,
@@ -248,7 +255,6 @@ def random_cube(rng: random.Random, labels, sort: Sort = Z, deg_lo: int = 0,
 
 def nerve_total_fiber(d):
     """Total fiber through the nerve totalization: the reference oracle."""
-    from fracturecube.holim import nerve_limit, punctured_restriction
     punct = punctured_restriction(d)
     legs = {s: d.hom((), s) for s in punct.shape.elements}
     return reference_hofib(nerve_limit(punct).cone_map(d.vertex(()), legs))
@@ -360,6 +366,21 @@ def reference_irreducible(p: FinitePoset, x) -> bool:
                 or (down and p.subposet(down).maximum() is not None))
 
 
+def reference_is_dismantlable(p: FinitePoset):
+    """The greedy dismantling loop on a new subposet after every removal,
+    each element asked through the subposet reading."""
+    current = p
+    witness = []
+    while len(current) > 1:
+        removable = next((x for x in current.elements
+                          if reference_irreducible(current, x)), None)
+        if removable is None:
+            return False, witness
+        witness.append(removable)
+        current = current.subposet([y for y in current.elements if y != removable])
+    return True, witness
+
+
 def random_poset(rng: random.Random, n: int, density: float = 0.4) -> FinitePoset:
     """Random order on range(n): the transitive closure of random pairs i < j."""
     above = [set() for _ in range(n)]
@@ -371,6 +392,33 @@ def random_poset(rng: random.Random, n: int, density: float = 0.4) -> FinitePose
 
 
 # --- reference composites ----------------------------------------------------------
+
+def apply_tables(c: SortedComplex, tables) -> SortedComplex:
+    """The localization along a table list, in application order: the
+    closed-form reference for cube vertices."""
+    return _localize(c, tables)[0]
+
+
+def all_sorts(primes):
+    out = [Z, ZLOC, Q]
+    for p in primes:
+        out += [Zp(p), Qp(p)]
+    return out
+
+
+def composite_kills_all(second, first, primes) -> bool:
+    """Whether applying the table first then second sends every sort to Zero."""
+    return all(second.apply_sort(first.apply_sort(s)) == ZERO
+               for s in all_sorts(primes))
+
+
+def vertex_projection(extended, punctured, s) -> ComplexMap:
+    """Quasi-isomorphism from an extended vertex back to the original one."""
+    upset = [u for u in punctured.shape.elements if set(s) <= set(u)]
+    hl = nerve_limit(punctured.restrict(upset))
+    assert hl.complex == extended.vertex(s), "extended cube does not match the punctured diagram"
+    return hl.legs[s]
+
 
 def unit_of_tables(c: SortedComplex, tables) -> ComplexMap:
     """The composite of the localization units along a list of tables."""
@@ -474,6 +522,42 @@ def frac_submatrix(a, row_idx, col_idx):
     return len(row_idx), len(col_idx), {
         (ii, jj): a[2][(i, j)] for ii, i in enumerate(row_idx)
         for jj, j in enumerate(col_idx) if (i, j) in a[2]}
+
+
+def smith_normal_form(m: ExactMatrix):
+    """Exact Smith decomposition m = u * d * v, the transforms inverted.
+
+    u and v are unimodular, d is diagonal with nonnegative entries
+    d1 | d2 | ... Raises InputError on non-integral input. The reference
+    for the transform bookkeeping of exact_linalg._smith.
+    """
+    a = [row + e for row, e in zip(_int_rows(m), _eye(m.rows))] + _eye(m.cols)
+    _smith(a, m.rows, m.cols)
+    n = min(m.rows, m.cols)
+    d = ExactMatrix._trusted(m.rows, m.cols, {(i, i): a[i][i] for i in range(n) if a[i][i]})
+    return _inverse([row[m.cols:] for row in a[:m.rows]]), d, _inverse(a[m.rows:])
+
+
+def _inverse(rows) -> ExactMatrix:
+    """Inverse of an invertible square integer row list, by Gauss-Jordan over Q.
+
+    Not by solve_in_span: the Smith transforms of a dense integer matrix
+    can carry entries of a thousand digits, and a second Smith elimination
+    grows them further, orders of magnitude slower than this.
+    """
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for t in range(n):
+        p = next(i for i in range(t, n) if a[i][t])
+        a[t], a[p] = a[p], a[t]
+        pivot = a[t][t]
+        a[t] = [x / pivot for x in a[t]]
+        for i in range(n):
+            if i != t and a[i][t]:
+                c = a[i][t]
+                a[i] = [x - c * y for x, y in zip(a[i], a[t])]
+    return ExactMatrix(n, n, {(i, j): a[i][n + j] for i in range(n) for j in range(n)})
 
 
 def assert_canonical(m: ExactMatrix):

@@ -41,11 +41,10 @@ from fracturecube.posets import (
 from fracturecube.sorted_complex import (
     ZLOC,
     Z,
-    composite_kills_all,
     homology_p_local,
 )
 
-from genutil import nerve_total_fiber, random_complex, random_cube
+from genutil import composite_kills_all, nerve_total_fiber, random_complex, random_cube
 
 PRIME_SETS = ((2,), (2, 3), (2, 3, 5))
 

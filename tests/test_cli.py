@@ -12,14 +12,14 @@ import fracturecube
 from fracturecube import serialize
 from fracturecube.cli import emit_dot, run
 from fracturecube.cube_categories import FractureObject, fracture_diagram, split_fracture_object
-from fracturecube.exact_linalg import ExactMatrix, smith_normal_form
+from fracturecube.exact_linalg import ExactMatrix
 from fracturecube.fracture import LocalizationFamily, build_fracture_cube, e_localize
 from fracturecube.posets import subset_poset
 from fracturecube.serialize import SchemaError
 from fracturecube.holim import PosetDiagram
 from fracturecube.sorted_complex import ZLOC, ComplexMap, Q, SortedComplex, SortedMap, Z
 
-from genutil import random_complex, random_cube
+from genutil import random_complex, random_cube, smith_normal_form
 
 
 def cli(*argv):
@@ -69,12 +69,6 @@ class TestRoundTrips:
         _, back = serialize.unwrap(serialize.wrap("fracture-object", g))
         assert back.diagram.vertices == g.diagram.vertices
         assert back.family.primes == (2,)
-
-    def test_poset_round_trip(self):
-        p = subset_poset((1, 2), punctured=True)
-        _, back = serialize.unwrap(serialize.wrap("poset", p))
-        assert len(back) == 3
-        assert back.leq("1", "1,2")
 
     def test_unknown_fields_rejected(self):
         doc = serialize.wrap("complex", SortedComplex.single(Z))
@@ -321,6 +315,17 @@ class TestErrors:
         assert "4 is not prime" in err
         # without --homology the primes are not read
         assert cli("emit-dot", path, "--primes", "4")[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["snf", "m.json"], ["holim", "d.json"], ["tfib", "d.json"],
+        ["poset", "check-initial", "--T", "3", "--t", "1"],
+        ["cat", "validate", "g.json"], ["cat", "split", "g.json"],
+        ["cat", "glue", "s.json"]])
+    def test_primes_only_where_read(self, argv):
+        # a subcommand that would ignore a prime set refuses to take one
+        code, out, err = cli(*argv, "--primes", "2,3")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --primes 2,3" in err
 
     def test_homology_refuses_primes_past_the_exact_bound(self, tmp_path):
         # a strong pseudoprime to the bases 2..37, so Miller-Rabin on them passes it
@@ -713,11 +718,16 @@ def test_split_of_a_face_glues_back_to_its_bytes(tmp_path):
         assert out == tpath.read_text(encoding="utf-8")
 
 
-def test_boolean_poset_index_is_rejected():
-    doc = serialize.wrap("poset", subset_poset((1,)))
-    doc["payload"]["leq"][0][0] = True
-    with pytest.raises(SchemaError, match=r"^\$\.payload\.leq\[0\]: "):
-        serialize.unwrap(doc)
+def test_poset_is_not_a_document_kind(tmp_path):
+    # no command reads or writes a poset, so no document has that kind
+    doc = {"version": "fracture/1", "kind": "poset",
+           "payload": {"elements": ["1"], "leq": [[0, 0]]}}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["cat", "roundtrip", str(path)], ["emit-dot", str(path)]):
+        assert cli(*argv) == (2, "", "schema error: $.kind: unknown kind 'poset'\n")
+    with pytest.raises(SchemaError, match="unknown kind"):
+        serialize.wrap("poset", subset_poset((1,)))
 
 
 def _object_doc(tmp_path, primes, edit):

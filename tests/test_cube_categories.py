@@ -34,7 +34,6 @@ from fracturecube.sorted_complex import (
     Z,
     Zp,
     apply_localization,
-    apply_tables,
     canonical_unit,
     complete,
     direct_sum,
@@ -42,6 +41,7 @@ from fracturecube.sorted_complex import (
 )
 
 from genutil import (
+    apply_tables,
     random_complex,
     reference_anchored_supersets,
     reference_gap_subsets,

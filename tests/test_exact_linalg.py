@@ -17,7 +17,6 @@ from fracturecube.exact_linalg import (
     kernel_basis,
     rank_lower_bound,
     rank_over_field,
-    smith_normal_form,
     snf_diagonal,
     solve_in_span,
 )
@@ -34,6 +33,7 @@ from genutil import (
     frac_sub,
     frac_submatrix,
     frac_transpose,
+    smith_normal_form,
 )
 
 
@@ -399,6 +399,11 @@ class TestKernelAndSolve:
         assert (m * k).is_zero()
         # saturated: the columns span a direct summand of Z^cols
         assert all(x == 1 for x in snf_diagonal(k))
+
+    @settings(max_examples=100, deadline=None)
+    @given(shapes.flatmap(lambda s: int_matrices(*s, 6)), st.integers(1, 12))
+    def test_kernel_ignores_a_common_denominator(self, m, k):
+        assert kernel_basis(m.scale(Fraction(1, k))) == kernel_basis(m)
 
     @settings(max_examples=150, deadline=None)
     @given(shapes.flatmap(lambda s: st.tuples(

@@ -10,13 +10,13 @@ from fracturecube.fracture import (
     comparison_map,
     completion_pair_square,
     e_localize,
-    is_e_local,
     localization_collapse_check,
     rational_pair_square,
     verify_fracture,
 )
 from fracturecube.holim import PosetDiagram, cube_totalization, is_cartesian, is_quasi_iso
 from fracturecube.sorted_complex import (
+    LOCALIZE,
     Q,
     Qp,
     SortedComplex,
@@ -25,14 +25,19 @@ from fracturecube.sorted_complex import (
     Zp,
     ComplexMap,
     apply_localization,
-    apply_tables,
     complete,
-    composite_kills_all,
     homology_p_local,
     is_acyclic,
+    is_local,
 )
 
-from genutil import leg_compatibility, random_complex, sum_inclusions
+from genutil import (
+    apply_tables,
+    composite_kills_all,
+    leg_compatibility,
+    random_complex,
+    sum_inclusions,
+)
 
 
 def moore(k):
@@ -72,7 +77,7 @@ class TestELocalize:
         fam = LocalizationFamily((2,))
         x = SortedComplex.single(Q)
         assert e_localize(x, fam) == x
-        assert is_e_local(x, fam)
+        assert is_local(x, LOCALIZE)
 
     def test_sphere(self):
         fam = LocalizationFamily((2,))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -48,10 +49,10 @@ from fracturecube.holim import (
     punctured_limit_recursive,
     punctured_restriction,
     strict_limit,
+    strict_total_fiber,
     tfib_direction_cube,
     total_fiber,
     total_fiber_iterated,
-    vertex_projection,
 )
 
 from genutil import (
@@ -62,6 +63,7 @@ from genutil import (
     reference_hofib,
     sum_inclusions,
     unit_of_tables,
+    vertex_projection,
 )
 
 PRIMES = (2, 3)
@@ -364,6 +366,21 @@ class TestStrictLimit:
             hl = homotopy_limit(d)
             assert homology_p_local(lim.complex, PRIMES) == \
                 homology_p_local(hl.complex, PRIMES)
+
+
+    @pytest.mark.parametrize("sort, k", [(Q, Fraction(1, 2)), (ZLOC, Fraction(2, 5))])
+    def test_unit_denominators(self, sort, k):
+        # Q --1/2--> Q and ZlocP --2/5--> ZlocP: denominators that are units
+        c = sphere(sort)
+        d = PosetDiagram(subset_poset((1,)), {(): c, (1,): c},
+                         {((), (1,)): scalar_map(c, k)})
+        lim = strict_limit(d)
+        assert lim.complex == c
+        assert d.hom((), (1,)).compose(lim.legs[()]) == lim.legs[(1,)]
+        if sort == Q:
+            assert lim.legs == {(): scalar_map(c, 2), (1,): scalar_map(c, 1)}
+        assert strict_total_fiber(d)[0] == SortedComplex.zero()
+        assert adjunction_check(c, d, PRIMES)
 
 
 class TestCallerDataChecked:

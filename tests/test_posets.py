@@ -20,7 +20,7 @@ from fracturecube.posets import (
     subset_poset,
 )
 
-from genutil import random_poset, reference_irreducible
+from genutil import random_poset, reference_irreducible, reference_is_dismantlable
 
 
 def antichain(n):
@@ -226,8 +226,9 @@ class TestDismantlable:
         rng = random.Random(11)
         for _ in range(300):
             p = random_poset(rng, rng.randint(1, 8), rng.choice((0.2, 0.4, 0.6)))
+            live = set(range(len(p)))
             for x in p.elements:
-                assert _irreducible(p, x) == reference_irreducible(p, x)
+                assert _irreducible(p._up, live, p.index(x)) == reference_irreducible(p, x)
             ok, witness = is_dismantlable(p)
             current = p
             for w in witness:
@@ -237,6 +238,20 @@ class TestDismantlable:
             if not ok:
                 assert not any(reference_irreducible(current, y)
                                for y in current.elements)
+
+    def test_witnesses_match_the_subposet_loop(self):
+        # the same verdict and removal order as a new subposet per removal
+        rng = random.Random(13)
+        posets = [random_poset(rng, rng.randint(1, 9), rng.choice((0.2, 0.4, 0.6)))
+                  for _ in range(200)]
+        for n in range(2, 6):
+            labels = tuple(range(1, n + 1))
+            for t in labels:
+                f = pcubelim_index_map(labels, t)
+                posets += [comma_poset(f, i) for i in f.target.elements]
+        for p in posets:
+            if len(p):
+                assert is_dismantlable(p) == reference_is_dismantlable(p)
 
 
 class TestCommaAndInitiality:

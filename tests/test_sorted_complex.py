@@ -20,11 +20,9 @@ from fracturecube.sorted_complex import (
     ZLOC,
     Zp,
     apply_localization,
-    apply_tables,
     canonical_unit,
     chain_map_group,
     complete,
-    composite_kills_all,
     direct_sum,
     homology_p_local,
     is_acyclic,
@@ -34,7 +32,13 @@ from fracturecube.sorted_complex import (
     validate,
 )
 
-from genutil import _direct_sum_map, random_complex, random_chain_map
+from genutil import (
+    _direct_sum_map,
+    apply_tables,
+    composite_kills_all,
+    random_chain_map,
+    random_complex,
+)
 
 
 def two_term(sort, k, top=1):

@@ -59,7 +59,6 @@ from fracturecube.sorted_complex import (
     Z,
     ZLOC,
     apply_localization,
-    apply_tables,
     canonical_unit,
     complete,
     direct_sum,
@@ -68,6 +67,7 @@ from fracturecube.sorted_complex import (
 )
 
 from genutil import (
+    apply_tables,
     assert_canonical,
     leg_compatibility,
     random_chain_map,

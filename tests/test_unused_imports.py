@@ -1,5 +1,6 @@
 """Every module of the package and of the test suite reads each name it imports,
-and every private module-level name of the package is read somewhere in it.
+every private module-level name of the package is read somewhere in it, and
+every public one is reached by the package or the benchmark or kept on purpose.
 
 The package's `__init__` imports only to re-export, so it is left out of
 the import check. A name counts as read when it appears as a name
@@ -17,6 +18,50 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "fracturecube").glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+
+# Public names that no package code and no benchmark reads, each kept on
+# purpose: the tests reach them, and a reader of the paper or a caller of
+# the library looks for them.
+KEPT_PUBLIC = {
+    "cube_categories.anchor_split": "paper construct: the gap times anchored splitting",
+    "cube_categories.anchor_split_onto_product":
+        "paper construct: when that splitting hits the whole product",
+    "cube_categories.anchored_cover_identity":
+        "paper construct: the anchored posets cover the punctured one",
+    "cube_categories.build_from_generators":
+        "paper construct: a fracture object from its generators and mixing maps",
+    "cube_categories.diagram_functor": "paper construct: the pushforward along the splitting",
+    "cube_categories.fracture_limit":
+        "paper construct: the limit functor, inverse to fracture_diagram",
+    "fracture.comparison_map": "paper construct: the map from the joint localization "
+                               "into the punctured limit",
+    "fracture.localization_collapse_check":
+        "paper construct: one localization collapses the extended cube",
+    "fracture.rational_pair_square": "paper construct: the arithmetic square at one prime",
+    "fracture.completion_pair_square": "paper construct: the square of two completions",
+    "holim.adjunction_check": "paper construct: maps into the total fiber are maps of cubes",
+    "holim.hofib": "paper construct: the homotopy fiber, a 1-cube's total fiber",
+    "holim.initial_corner_cube": "paper construct: the cube with one nonzero corner",
+    "holim.punctured_limit_recursive":
+        "paper construct: the punctured limit as one pullback in a direction",
+    "sorted_complex.canonical_unit": "paper construct: the unit of a localization",
+    "exact_linalg.integer_homology_at": "checked constructor: homology of raw matrices, "
+                                        "shapes, integrality and d^2 = 0 checked",
+    "holim.map_between_totalizations":
+        "checked constructor: a caller's components go through the chain-map check",
+    "sorted_complex.SortedComplex.single": "checked constructor: a sphere on one sort",
+    "sorted_complex.SortedComplex.two_term": "checked constructor: a one-differential complex",
+    "sorted_complex.SortedMap.from_dense":
+        "checked constructor: the trust boundary for dense caller matrices",
+    "exact_linalg.ExactMatrix.column": "accessor",
+    "exact_linalg.ExactMatrix.entry": "accessor",
+    "exact_linalg.ExactMatrix.transpose": "accessor",
+    "posets.FinitePoset.maximum": "accessor",
+    "posets.FinitePoset.minimum": "accessor",
+    "sorted_complex.ChainMapGroup.element": "accessor: the chain map at given coordinates",
+    "sorted_complex.ResidueCheck.describe": "accessor: one line on a residue check",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -88,3 +133,46 @@ def test_guard_sees_a_dead_private_helper():
 def test_no_dead_private_helpers():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert dead_private_names(sources) == []
+
+
+def unread_public_names(sources: dict, readers: dict) -> list:
+    """(module, name) for each public module-level function or class of the
+    modules in sources, and each public method as Class.method, read nowhere
+    but in its own definition, over sources and the modules in readers.
+
+    As in dead_private_names a read is matched by name alone, so a method
+    that shares its name with one read elsewhere counts as read."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    total = sum((_reads(ast.parse(src)) for src in readers.values()),
+                sum((_reads(tree) for tree in trees.values()), Counter()))
+    unread = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{m.name}", m) for m in node.body
+                         if isinstance(m, ast.FunctionDef)]
+            unread += [(mod, qual) for qual, d in defs
+                       if not d.name.startswith("_") and total[d.name] == _reads(d)[d.name]]
+    return sorted(unread)
+
+
+def test_guard_sees_an_unread_public_name():
+    sources = {
+        "a": "def used():\n    return 1\n\n\ndef unread(n):\n    return unread(n - 1)\n\n\n"
+             "class Box:\n    def get(self):\n        return 2\n\n    def put(self):\n"
+             "        return self.put()\n",
+        "b": "from a import Box, used\n\n\ndef main():\n    return Box().get() + used()\n",
+    }
+    readers = {"run.py": "import b\n\nb.main()\n"}
+    assert unread_public_names(sources, readers) == [("a", "Box.put"), ("a", "unread")]
+
+
+def test_every_public_name_is_reached_or_kept():
+    # __init__ re-exports, which is not a read
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE if p.name != "__init__.py"}
+    readers = {p.name: p.read_text(encoding="utf-8") for p in BENCH}
+    unread = {f"{mod}.{name}" for mod, name in unread_public_names(sources, readers)}
+    assert unread == set(KEPT_PUBLIC)

@@ -66,7 +66,7 @@ def _write(text: str, output, out_stream):
 
 
 def _emit(doc: dict, output, out_stream):
-    _write(json.dumps(doc, indent=2, sort_keys=True), output, out_stream)
+    _write(serialize.dumps(doc), output, out_stream)
 
 
 def _invariants_json(hom: dict) -> list:
@@ -248,6 +248,8 @@ def _cmd_cat_glue(args, out):
 
 
 def _cmd_emit_dot(args, out):
+    if args.primes and not args.homology:
+        raise InputError("--primes needs --homology")
     if args.category_cube is not None:
         check_dimension(args.category_cube)
         text = emit_category_cube_dot(args.category_cube)

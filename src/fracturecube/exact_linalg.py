@@ -118,12 +118,6 @@ class ExactMatrix:
     def items(self):
         return ((k, Fraction(v, self.den)) for k, v in self._n.items())
 
-    def to_rows(self):
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.items():
-            out[i][j] = v
-        return out
-
     @property
     def nnz(self) -> int:
         return len(self._n)
@@ -365,15 +359,15 @@ def solve_in_span(k: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """
     if k.rows != b.rows:
         raise InputError("shape mismatch in solve_in_span")
-    # b rides along on the right as its numerators, den * b
-    a = [row + r for row, r in zip(_int_rows(k), _num_rows(b))] + _eye(k.cols)
+    # k * x = b is (k.den * k) * x = k.den * b; b's numerators ride on the right
+    a = [row + r for row, r in zip(_num_rows(k), _num_rows(b))] + _eye(k.cols)
     _smith(a, k.rows, k.cols)
-    # y = diag(d)^-1 * (transformed numerators) / den, over lcm(d) * den
+    # y = diag(d)^-1 * (transformed numerators) * k.den / b.den, over lcm(d) * b.den
     divs = [a[i][i] if i < k.cols else 0 for i in range(k.rows)]
     if any(d == 0 and any(a[i][k.cols:]) for i, d in enumerate(divs)):
         raise InputError("target outside column span")
     mult = lcm(*(x for x in divs if x))
-    y = {(i, j): val * (mult // divs[i]) for i in range(k.rows)
+    y = {(i, j): val * (mult // divs[i]) * k.den for i in range(k.rows)
          for j, val in enumerate(a[i][k.cols:]) if val}
     vinv = ExactMatrix._trusted(k.cols, k.cols, {
         (i, j): x for i, row in enumerate(a[k.rows:]) for j, x in enumerate(row) if x})

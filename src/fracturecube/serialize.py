@@ -9,8 +9,10 @@ fields are rejected with the JSON path of the offender.
 
 from __future__ import annotations
 
+import json
 import os
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .cube_categories import FractureObject, SplitData, anchored_supersets
 from .exact_linalg import ExactMatrix, InputError
@@ -131,8 +133,10 @@ def label_to_str(x) -> str:
 # --- matrices ---------------------------------------------------------------------
 
 def matrix_to_json(m: ExactMatrix) -> dict:
-    return {"rows": m.rows, "cols": m.cols,
-            "entries": [[rational_to_str(v) for v in row] for row in m.to_rows()]}
+    entries = [["0"] * m.cols for _ in range(m.rows)]
+    for (i, j), v in m.items():
+        entries[i][j] = rational_to_str(v)
+    return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
 
 def matrix_from_json(d, path="$") -> ExactMatrix:
@@ -142,15 +146,15 @@ def matrix_from_json(d, path="$") -> ExactMatrix:
     entries = _expect(d["entries"], list, f"{path}.entries")
     if len(entries) != rows:
         raise SchemaError(f"{path}.entries", f"expected {rows} rows")
-    data = []
+    nonzero = {}
     for i, row in enumerate(entries):
         _expect(row, list, f"{path}.entries[{i}]")
         if len(row) != cols:
             raise SchemaError(f"{path}.entries[{i}]", f"expected {cols} columns")
-        data.append([rational_from_str(v, f"{path}.entries[{i}][{j}]")
-                     for j, v in enumerate(row)])
-    return ExactMatrix(rows, cols, {(i, j): v for i, row in enumerate(data)
-                                    for j, v in enumerate(row)})
+        for j, v in enumerate(row):
+            if v != "0":  # the one spelling of zero; every other entry is parsed
+                nonzero[(i, j)] = rational_from_str(v, f"{path}.entries[{i}][{j}]")
+    return ExactMatrix(rows, cols, nonzero)
 
 
 # --- complexes ----------------------------------------------------------------------
@@ -255,14 +259,11 @@ def _complex_map_from_json(d, source, target, path) -> ComplexMap:
 
 
 def diagram_to_json(d: PosetDiagram) -> dict:
-    verts = {}
-    for s in d.shape.elements:
-        verts[label_to_str(s)] = complex_to_json(d.vertex(s))
-    edges = []
-    for (x, y) in sorted(d.edges, key=lambda p: (label_to_str(p[0]),
-                                                 label_to_str(p[1]))):
-        edges.append({"from": label_to_str(x), "to": label_to_str(y),
-                      "components": _complex_map_components_to_json(d.edges[(x, y)])})
+    keys = {s: label_to_str(s) for s in d.shape.elements}
+    verts = {keys[s]: complex_to_json(d.vertex(s)) for s in d.shape.elements}
+    edges = [{"from": keys[x], "to": keys[y],
+              "components": _complex_map_components_to_json(d.edges[(x, y)])}
+             for x, y in sorted(d.edges, key=lambda p: (keys[p[0]], keys[p[1]]))]
     return {"vertices": verts, "edges": edges}
 
 
@@ -280,12 +281,18 @@ def _diagram_over(shape: FinitePoset, payloads: dict, d, path) -> PosetDiagram:
                           f"poset on {label_to_str(max(shape.elements, key=len))}")
     verts = {s: complex_from_json(v, f"{path}.vertices.{k}")
              for s, (k, v) in payloads.items()}
+    subsets = {k: s for s, (k, _) in payloads.items()}
+
+    def endpoint(key, epath):  # a vertex key is canonical, so it names its vertex
+        return subsets[key] if isinstance(key, str) and key in subsets \
+            else subset_from_str(key, epath)
+
     edges = {}
     for k, e in enumerate(_expect(d["edges"], list, f"{path}.edges")):
         epath = f"{path}.edges[{k}]"
         _only_keys(e, ("from", "to", "components"), (), epath)
-        x = subset_from_str(e["from"], f"{epath}.from")
-        y = subset_from_str(e["to"], f"{epath}.to")
+        x = endpoint(e["from"], f"{epath}.from")
+        y = endpoint(e["to"], f"{epath}.to")
         if x not in verts or y not in verts:
             raise SchemaError(epath, "edge endpoint is not a vertex")
         if (x, y) in edges:
@@ -394,6 +401,62 @@ def wrap(kind: str, obj) -> dict:
     if kind not in KINDS:
         raise SchemaError("$.kind", f"unknown kind {kind!r}")
     return {"version": FORMAT_VERSION, "kind": kind, "payload": _ENCODERS[kind](obj)}
+
+
+def dumps(doc) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True), without the pure-Python
+    encoder json selects to indent. json itself writes values other than
+    containers, str and int, and keys other than str, so those get its bytes
+    and errors; a container inside itself exhausts the recursion limit."""
+    parts = []
+    put = parts.append
+    seps = [",\n"]  # seps[n]: a comma, a newline and the indent of depth n
+
+    def write(v, n):
+        t = type(v)
+        if t is str:
+            put(_quote(v))
+        elif t is int:
+            put(int.__repr__(v))
+        elif not isinstance(v, (dict, list, tuple)):
+            put(json.dumps(v))
+        elif not v:
+            put("{}" if isinstance(v, dict) else "[]")
+        else:
+            if len(seps) == n + 1:
+                seps.append(seps[n] + "  ")
+            sep, end = seps[n + 1], seps[n][1:]
+            if isinstance(v, dict):
+                lead = "{" + sep[1:]
+                for k, x in sorted(v.items()):
+                    put(lead)
+                    put(_quote(k) if type(k) is str else _key(k))
+                    put(": ")
+                    if type(x) is str:
+                        put(_quote(x))
+                    else:
+                        write(x, n + 1)
+                    lead = sep
+                put(end + "}")
+            elif all(type(x) is str for x in v) or all(type(x) is int for x in v):
+                text = _quote if type(v[0]) is str else int.__repr__
+                put("[" + sep[1:] + sep.join(map(text, v)) + end + "]")
+            else:
+                lead = "[" + sep[1:]
+                for x in v:
+                    put(lead)
+                    write(x, n + 1)
+                    lead = sep
+                put(end + "]")
+
+    write(doc, 0)
+    return "".join(parts)
+
+
+def _key(k) -> str:
+    if isinstance(k, (str, int, float)) or k is None:
+        return _quote(k if isinstance(k, str) else json.dumps(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
 def unwrap(doc, expected_kind=None):

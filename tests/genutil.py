@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from fracturecube.exact_linalg import ExactMatrix, _eye, _int_rows, _smith
-from fracturecube.holim import nerve_limit, punctured_restriction
+from fracturecube import serialize
+from fracturecube.exact_linalg import ExactMatrix, InputError, _eye, _int_rows, _smith
+from fracturecube.holim import PosetDiagram, nerve_limit, punctured_restriction
 from fracturecube.posets import FinitePoset, canonical_subset
 from fracturecube.sorted_complex import (
     ZERO,
@@ -111,7 +112,6 @@ def random_chain_map(rng: random.Random, a: SortedComplex, b: SortedComplex,
 # --- random cubes ----------------------------------------------------------------
 
 def _upset_cube(shape, labels, corner, x: SortedComplex):
-    from fracturecube.holim import PosetDiagram
     zero = SortedComplex.zero()
     verts = {}
     for s in shape.elements:
@@ -125,7 +125,6 @@ def _upset_cube(shape, labels, corner, x: SortedComplex):
 
 def _scalar_cube(shape, labels, x: SortedComplex, scalars: dict):
     """Constant vertex with direction edges acting by fixed integers."""
-    from fracturecube.holim import PosetDiagram
     verts = {s: x for s in shape.elements}
     edges = {}
     for (a, b) in shape.covering_pairs():
@@ -139,7 +138,6 @@ def _scalar_cube(shape, labels, x: SortedComplex, scalars: dict):
 
 def _collapse_cube(rng, shape, labels, t, base, target):
     """Source half arbitrary in direction t, target half one constant complex."""
-    from fracturecube.holim import PosetDiagram
     f = random_chain_map(rng, base.vertex(max(base.shape.elements, key=len)), target)
     top = max(base.shape.elements, key=len)
     verts = {}
@@ -171,7 +169,6 @@ def _direct_sum_map(f: ComplexMap, g: ComplexMap) -> ComplexMap:
 
 
 def cube_direct_sum(d1, d2):
-    from fracturecube.holim import PosetDiagram
     verts = {s: direct_sum(d1.vertex(s), d2.vertex(s)) for s in d1.shape.elements}
     edges = {k: _direct_sum_map(d1.edges[k], d2.edges[k]) for k in d1.edges}
     return PosetDiagram._trusted(d1.shape, verts, edges)
@@ -179,7 +176,6 @@ def cube_direct_sum(d1, d2):
 
 def _conjugate_cube(d, rng):
     """Change basis at every vertex by a signed permutation per degree."""
-    from fracturecube.holim import PosetDiagram
 
     def scramble(c: SortedComplex):
         perms = {}
@@ -222,7 +218,6 @@ def random_cube(rng: random.Random, labels, sort: Sort = Z, deg_lo: int = 0,
                 pieces: int = 3):
     """Seeded strictly functorial cube with genuinely mixed edge maps."""
     from fracturecube.posets import subset_poset
-    from fracturecube.holim import PosetDiagram
 
     labels = tuple(sorted(labels))
     shape = subset_poset(labels, punctured=False)
@@ -466,7 +461,7 @@ def dense_assemble(rows: int, cols: int, pieces) -> ExactMatrix:
     """Sum of placed pieces, accumulated entry by entry in a list of lists."""
     out = [[0] * cols for _ in range(rows)]
     for ro, co, m in pieces:
-        for i, row in enumerate(m.to_rows()):
+        for i, row in enumerate(to_rows(m)):
             for j, v in enumerate(row):
                 out[ro + i][co + j] += v
     return ExactMatrix(rows, cols, {(i, j): v for i, row in enumerate(out)
@@ -479,6 +474,14 @@ def dense_assemble(rows: int, cols: int, pieces) -> ExactMatrix:
 
 def frac_of(m: ExactMatrix):
     return m.rows, m.cols, dict(m.items())
+
+
+def to_rows(m: ExactMatrix):
+    """Dense rows of m as Fractions, zeros included."""
+    out = [[Fraction(0)] * m.cols for _ in range(m.rows)]
+    for (i, j), v in m.items():
+        out[i][j] = v
+    return out
 
 
 def _nonzero(rows, cols, d):
@@ -566,3 +569,67 @@ def assert_canonical(m: ExactMatrix):
     assert all(type(v) is int and v for v in m._n.values())
     assert all(0 <= i < m.rows and 0 <= j < m.cols for i, j in m._n)
     assert gcd(m.den, *m._n.values()) == 1
+
+
+# --- the codec as it parsed and formatted every entry and label ------------------------
+# Reference versions of the serialize functions that now skip zero entries
+# and look labels up once; the new ones must agree with them.
+
+def reference_matrix_to_json(m: ExactMatrix) -> dict:
+    return {"rows": m.rows, "cols": m.cols,
+            "entries": [[serialize.rational_to_str(v) for v in row] for row in to_rows(m)]}
+
+
+def reference_matrix_from_json(d, path="$") -> ExactMatrix:
+    serialize._only_keys(d, ("rows", "cols", "entries"), (), path)
+    rows = serialize._expect(d["rows"], int, f"{path}.rows")
+    cols = serialize._expect(d["cols"], int, f"{path}.cols")
+    entries = serialize._expect(d["entries"], list, f"{path}.entries")
+    if len(entries) != rows:
+        raise serialize.SchemaError(f"{path}.entries", f"expected {rows} rows")
+    data = []
+    for i, row in enumerate(entries):
+        serialize._expect(row, list, f"{path}.entries[{i}]")
+        if len(row) != cols:
+            raise serialize.SchemaError(f"{path}.entries[{i}]", f"expected {cols} columns")
+        data.append([serialize.rational_from_str(v, f"{path}.entries[{i}][{j}]")
+                     for j, v in enumerate(row)])
+    return ExactMatrix(rows, cols, {(i, j): v for i, row in enumerate(data)
+                                    for j, v in enumerate(row)})
+
+
+def reference_diagram_to_json(d) -> dict:
+    label = serialize.label_to_str
+    verts = {}
+    for s in d.shape.elements:
+        verts[label(s)] = serialize.complex_to_json(d.vertex(s))
+    edges = []
+    for (x, y) in sorted(d.edges, key=lambda p: (label(p[0]), label(p[1]))):
+        edges.append({"from": label(x), "to": label(y),
+                      "components": serialize._complex_map_components_to_json(d.edges[(x, y)])})
+    return {"vertices": verts, "edges": edges}
+
+
+def reference_diagram_over(shape, payloads: dict, d, path):
+    SchemaError = serialize.SchemaError
+    if set(payloads) != set(shape.elements):
+        raise SchemaError(f"{path}.vertices", "keys do not form the diagram's "
+                          f"poset on {serialize.label_to_str(max(shape.elements, key=len))}")
+    verts = {s: serialize.complex_from_json(v, f"{path}.vertices.{k}")
+             for s, (k, v) in payloads.items()}
+    edges = {}
+    for k, e in enumerate(serialize._expect(d["edges"], list, f"{path}.edges")):
+        epath = f"{path}.edges[{k}]"
+        serialize._only_keys(e, ("from", "to", "components"), (), epath)
+        x = serialize.subset_from_str(e["from"], f"{epath}.from")
+        y = serialize.subset_from_str(e["to"], f"{epath}.to")
+        if x not in verts or y not in verts:
+            raise SchemaError(epath, "edge endpoint is not a vertex")
+        if (x, y) in edges:
+            raise SchemaError(epath, "repeated edge")
+        edges[(x, y)] = serialize._complex_map_from_json(e["components"], verts[x], verts[y],
+                                                         f"{epath}.components")
+    try:
+        return PosetDiagram(shape, verts, edges)
+    except InputError as exc:
+        raise SchemaError(path, str(exc)) from None

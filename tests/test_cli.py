@@ -313,8 +313,13 @@ class TestErrors:
         code, out, err = cli("emit-dot", path, "--homology", "--primes", "4")
         assert (code, out) == (2, "")
         assert "4 is not prime" in err
-        # without --homology the primes are not read
-        assert cli("emit-dot", path, "--primes", "4")[0] == 0
+        # without --homology the primes would not be read, so they are refused
+        assert cli("emit-dot", path, "--primes", "4") == (
+            2, "", "input error: --primes needs --homology\n")
+
+    def test_emit_dot_category_cube_refuses_primes(self):
+        code, out, err = cli("emit-dot", "--category-cube", "3", "--primes", "2")
+        assert (code, out, err) == (2, "", "input error: --primes needs --homology\n")
 
     @pytest.mark.parametrize("argv", [
         ["snf", "m.json"], ["holim", "d.json"], ["tfib", "d.json"],

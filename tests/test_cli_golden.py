@@ -201,6 +201,17 @@ def test_cli_bytes_match_golden(results, name):
     assert results[name] == golden[name]
 
 
+def test_no_case_reaches_the_pure_python_encoder(tmp_path, monkeypatch):
+    # json falls back to its pure-Python encoder when asked to indent
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder was called")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    _fixed_environment(monkeypatch)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert run_cases(tmp_path) == golden
+
+
 def test_golden_covers_every_case():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert sorted(golden) == sorted(name for name, _, _ in CASES)

@@ -34,6 +34,7 @@ from genutil import (
     frac_submatrix,
     frac_transpose,
     smith_normal_form,
+    to_rows,
 )
 
 
@@ -291,7 +292,7 @@ MOD_PRIMES = (2, 3, 5, 7, 2147483629, 2147483659)
 def gauss_rank_mod(m: ExactMatrix, p: int) -> int:
     """Plain Gaussian elimination on the dense residues of den * m."""
     assert m.is_integral()
-    work = [[int(x) % p for x in row] for row in m.to_rows()]
+    work = [[int(x) % p for x in row] for row in to_rows(m)]
     rank = 0
     for col in range(m.cols):
         piv = next((r for r in range(rank, m.rows) if work[r][col]), None)
@@ -418,6 +419,23 @@ class TestKernelAndSolve:
         assert x.is_integral()
         half = solve_in_span(k, b.scale(Fraction(1, 2)))
         assert k * half == b.scale(Fraction(1, 2))
+
+    def test_solve_with_a_denominator_in_k(self):
+        x = solve_in_span(ExactMatrix.from_rows([[Fraction(1, 2)]]), ExactMatrix.from_rows([[1]]))
+        assert x == ExactMatrix.from_rows([[2]])
+
+    @settings(max_examples=100, deadline=None)
+    @given(shapes.flatmap(lambda s: st.tuples(
+        int_matrices(*s, 6),
+        st.integers(0, 3).flatmap(lambda n: frac_matrices(s[1], n)))),
+        st.integers(1, 12))
+    def test_solve_against_k_with_a_denominator(self, mx, d):
+        m, x0 = mx
+        k = m.scale(Fraction(1, d))
+        b = k * x0
+        x = solve_in_span(k, b)
+        assert (x.rows, x.cols) == (k.cols, b.cols)
+        assert k * x == b
 
     @settings(max_examples=100, deadline=None)
     @given(shapes.flatmap(lambda s: int_matrices(*s, 6)))

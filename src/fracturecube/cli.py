@@ -251,6 +251,8 @@ def _cmd_emit_dot(args, out):
     if args.primes and not args.homology:
         raise InputError("--primes needs --homology")
     if args.category_cube is not None:
+        if args.input or args.homology:
+            raise InputError("--category-cube takes no input document and no --homology")
         check_dimension(args.category_cube)
         text = emit_category_cube_dot(args.category_cube)
     else:

@@ -666,16 +666,5 @@ def adjunction_check(x: SortedComplex, diagram: PosetDiagram, primes) -> bool:
     side_a = chain_map_group(x, fib)
     kill = [diagram.hom((), (lab,)) for lab in labels]
     side_b = chain_map_group(x, corner, postcompose_zero=kill)
-
-    amb_index_b = {pos: i for i, pos in enumerate(side_b.positions)}
-    entries = {}
-    for ai, (n, r, c) in enumerate(side_a.positions):
-        inc = inclusion.map_at(n).matrix
-        for (rr, r2), v in inc.items():
-            if r2 != r:
-                continue
-            bi = amb_index_b.get((n, rr, c))
-            if bi is not None:
-                entries[(bi, ai)] = v
-    t = ExactMatrix(len(side_b.positions), len(side_a.positions), entries)
-    return comparison_is_isomorphism(side_a, side_b, t, primes)
+    return comparison_is_isomorphism(side_a, side_b,
+                                     side_a.postcompose(inclusion, side_b), primes)

@@ -26,6 +26,7 @@ from .sorted_complex import (
     SortedComplex,
     SortedMap,
     SortedModule,
+    ZERO,
 )
 
 FORMAT_VERSION = "fracture/1"
@@ -174,8 +175,10 @@ def _module_from_json(d, path) -> SortedModule:
         rank = _expect(pair[1], int, f"{path}[{i}][1]")
         try:
             sort = Sort.from_tag(tag)
-        except (InputError, ValueError) as exc:
+        except InputError as exc:
             raise SchemaError(f"{path}[{i}][0]", str(exc)) from None
+        if sort == ZERO:  # never written; dropping it would shift the block indices
+            raise SchemaError(f"{path}[{i}][0]", "a Zero summand is never written")
         summands.append((sort, rank))
     return SortedModule(summands)
 

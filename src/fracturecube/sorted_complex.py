@@ -35,6 +35,7 @@ from .exact_linalg import (
     AbelianInvariants,
     ExactMatrix,
     InputError,
+    _PRIME_BOUND,
     _is_prime,
     _rank_fp,
     _require_primes,
@@ -73,10 +74,16 @@ class Sort:
 
     @classmethod
     def from_tag(cls, tag: str) -> "Sort":
-        if ":" in tag:
-            kind, p = tag.split(":", 1)
-            return cls(kind, int(p))
-        return cls(tag)
+        """The sort whose tag() is exactly tag; any other spelling is refused."""
+        kind, colon, p = tag.partition(":")
+        if not colon:
+            return cls(kind)
+        # no prime the package decides has more digits than the bound
+        if p.isascii() and p.isdigit() and len(p) <= len(str(_PRIME_BOUND)):
+            sort = cls(kind, int(p))
+            if sort.tag() == tag:
+                return sort
+        raise InputError(f"sort tag {tag!r} is not in the form tag() writes")
 
     def __str__(self):
         return self.tag()
@@ -115,23 +122,20 @@ def sort_map_exists(src: Sort, tgt: Sort) -> bool:
     raise InputError(f"unknown sort {src!r}")
 
 
-def _denominator_violation(den: int, tgt: Sort, primes) -> str | None:
-    if den == 1:
-        return None
-    if tgt.kind == "Z":
-        return f"denominator {den} not a unit in Z"
-    if tgt.kind == "Zp":
-        if den % tgt.prime == 0:
-            return f"denominator {den} not invertible in Zp({tgt.prime})"
-        return None
-    if tgt.kind == "ZlocP":
-        if primes is None:
-            return None
-        for p in primes:
-            if den % p == 0:
-                return f"denominator {den} divisible by {p}, not a unit in ZlocP"
-        return None
-    return None  # Q and Qp take anything
+def _is_unit(n: int, sort: Sort, primes) -> bool:
+    """Whether the integer n is a unit of the sort's ring.
+
+    ZlocP units are prime to every p in P, and without P it is not checked.
+    """
+    if n == 0:
+        return False
+    if sort.kind == "Z":
+        return abs(n) == 1
+    if sort.kind == "Zp":
+        return n % sort.prime != 0
+    if sort.kind == "ZlocP":
+        return primes is None or all(n % p for p in primes)
+    return True  # Q and Qp are fields
 
 
 # --- modules and maps ----------------------------------------------------------
@@ -299,11 +303,9 @@ class SortedMap:
         out = []
         for (i, j), m in self.blocks().items():
             tgt = self.target.sort(j)
-            for den in m.denominators():
-                msg = _denominator_violation(den, tgt, primes)
-                if msg:
-                    out.append(f"block ({i},{j}): {msg}")
-                    break
+            bad = [den for den in m.denominators() if not _is_unit(den, tgt, primes)]
+            if bad:
+                out.append(f"block ({i},{j}): denominator {bad[0]} not a unit in {tgt}")
         return out
 
     def __eq__(self, other):
@@ -808,7 +810,7 @@ def homology_p_local(c: SortedComplex, primes=None) -> dict[int, AbelianInvarian
         if d.den != 1:
             if primes is None:
                 raise InputError("integer homology needs integral matrices")
-            if any(d.den % p == 0 for p in primes):
+            if not _is_unit(d.den, ZLOC, primes):
                 raise InputError("denominator is not a unit of ZlocP")
         dense[n] = ExactMatrix._trusted(d.rows, d.cols, d._n)
     ranks = {n: m.total_rank for n, m in c.modules.items()}
@@ -836,17 +838,26 @@ def uniform_sort(*complexes) -> Sort | None:
     return sorts.pop()
 
 
+def _kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """Kronecker product: entry (i b.rows + k, j b.cols + l) is a[i, j] b[k, l]."""
+    return ExactMatrix._trusted(a.rows * b.rows, a.cols * b.cols, {
+        (i * b.rows + k, j * b.cols + l): u * v
+        for (i, j), u in a._n.items() for (k, l), v in b._n.items()}, a.den * b.den)
+
+
 @dataclass
 class ChainMapGroup:
     """Free presentation of the group of chain maps between two complexes.
 
     The columns of `basis` are coordinate vectors in the ambient space of
-    all degreewise matrix entries; `positions` names the coordinates.
+    all degreewise matrix entries: `layout[n] = (offset, rows, cols)`
+    stores the rows x cols matrix of f_n row-major from `offset` on, so
+    entry (r, c) is coordinate offset + r cols + c.
     """
 
     source: SortedComplex
     target: SortedComplex
-    positions: list  # (degree, row, col) into dense degreewise matrices
+    layout: dict
     basis: ExactMatrix
 
     @property
@@ -855,17 +866,25 @@ class ChainMapGroup:
 
     def element(self, coeffs) -> ComplexMap:
         vec = self.basis * ExactMatrix.from_rows([[c] for c in coeffs])
-        per_degree = {}
-        for (idx, _), v in sorted(vec._n.items()):
-            n, r, c = self.positions[idx]
-            per_degree.setdefault(n, {})[(r, c)] = v
         maps = {}
-        for n, entries in per_degree.items():
-            maps[n] = SortedMap._trusted(
-                self.source.module(n), self.target.module(n), ExactMatrix._trusted(
-                    self.target.module(n).total_rank, self.source.module(n).total_rank,
-                    entries, vec.den))
+        for n, (off, rows, cols) in self.layout.items():
+            entries = {divmod(i - off, cols): v for (i, _), v in vec._n.items()
+                       if off <= i < off + rows * cols}
+            maps[n] = SortedMap._trusted(self.source.module(n), self.target.module(n),
+                                         ExactMatrix._trusted(rows, cols, entries, vec.den))
         return ComplexMap(self.source, self.target, maps)
+
+    def postcompose(self, h: ComplexMap, onto: "ChainMapGroup") -> ExactMatrix:
+        """Matrix of f -> h f from these coordinates to those of onto.
+
+        h runs from this group's target to onto's, over the same source;
+        in degree n the block is h_n (x) I.
+        """
+        if (h.source, h.target, onto.source) != (self.target, onto.target, self.source):
+            raise InputError("postcompose needs h: target -> onto.target over one source")
+        return ExactMatrix.assemble(onto.basis.rows, self.basis.rows, [
+            (onto.layout[n][0], off, _kron(h.map_at(n).matrix, ExactMatrix.identity(cols)))
+            for n, (off, _, cols) in self.layout.items() if n in onto.layout])
 
 
 def chain_map_group(a: SortedComplex, b: SortedComplex,
@@ -876,56 +895,35 @@ def chain_map_group(a: SortedComplex, b: SortedComplex,
     g f = 0; this is how maps into a strict fiber are carved out.
     """
     uniform_sort(a, b, *(g.target for g in postcompose_zero))
-    positions = []
-    pos_index = {}
+    layout, dim = {}, 0
     for n in sorted(set(a.modules) & set(b.modules)):
-        rows = b.module(n).total_rank
+        rows, cols = b.module(n).total_rank, a.module(n).total_rank
+        layout[n] = (dim, rows, cols)
+        dim += rows * cols
+    # d_b f_n - f_{n-1} d_a = 0 in each degree, then g f_n = 0, each block
+    # row-major in (row, column) of its product. The constraints are cleared
+    # by the denominators of their matrices; this is harmless, since those
+    # are units of the sort ring (admissibility) or the sort ring is a field
+    pieces, top = [], 0
+    for n in sorted(set(a.modules) | set(b.modules)):
+        db, da = b.diff(n).matrix, a.diff(n).matrix
         cols = a.module(n).total_rank
-        for r in range(rows):
-            for c in range(cols):
-                pos_index[(n, r, c)] = len(positions)
-                positions.append((n, r, c))
-    rows = []
-
-    # constraints are cleared by the denominators of their matrices; this
-    # is harmless, since those are units of the sort ring (admissibility)
-    # or the sort ring is a field
-    def add_rows(n_src, left, right, n_tgt_rows, n_cols):
-        # constraint: left * f_{n_src} - f_{n_src - 1} * right = 0
-        for r in range(n_tgt_rows):
-            for c in range(n_cols):
-                row = {}
-                for (rr, k), v in left._n.items():
-                    if rr != r:
-                        continue
-                    idx = pos_index.get((n_src, k, c))
-                    if idx is not None:
-                        row[idx] = row.get(idx, 0) + v * right.den
-                for (k, cc), v in right._n.items():
-                    if cc != c:
-                        continue
-                    idx = pos_index.get((n_src - 1, r, k))
-                    if idx is not None:
-                        row[idx] = row.get(idx, 0) - v * left.den
-                if row:
-                    rows.append(row)
-
-    degs = sorted(set(a.modules) | set(b.modules))
-    for n in degs:
-        left = b.diff(n).matrix
-        right = a.diff(n).matrix
-        add_rows(n, left, right,
-                 b.module(n - 1).total_rank, a.module(n).total_rank)
+        if n in layout:
+            pieces.append((top, layout[n][0], _kron(
+                db, ExactMatrix.identity(cols)).scale(db.den * da.den)))
+        if n - 1 in layout:
+            pieces.append((top, layout[n - 1][0], _kron(
+                ExactMatrix.identity(db.rows), da.transpose()).scale(-db.den * da.den)))
+        top += db.rows * cols
     for g in postcompose_zero:
-        for n in sorted(set(a.modules) & set(b.modules)):
-            # g f_n - f_{n-1} 0 = 0
-            zero = ExactMatrix.zeros(a.module(n - 1).total_rank, a.module(n).total_rank)
-            add_rows(n, g.map_at(n).matrix, zero,
-                     g.target.module(n).total_rank, a.module(n).total_rank)
-    int_mat = ExactMatrix._trusted(len(rows), len(positions), {
-        (i, j): v for i, row in enumerate(rows) for j, v in row.items() if v})
-    basis = kernel_basis(int_mat)
-    return ChainMapGroup(a, b, positions, basis)
+        for n, (off, _, cols) in layout.items():
+            gn = g.map_at(n).matrix
+            pieces.append((top, off, _kron(gn, ExactMatrix.identity(cols)).scale(gn.den)))
+            top += gn.rows * cols
+    m = ExactMatrix.assemble(top, dim, pieces)
+    # empty rows go: they change no kernel, but the basis kernel_basis picks
+    m = m.submatrix(sorted({r for r, _ in m._n}), range(dim))
+    return ChainMapGroup(a, b, layout, kernel_basis(m))
 
 
 def comparison_is_isomorphism(src_group: ChainMapGroup, dst_group: ChainMapGroup,
@@ -935,9 +933,7 @@ def comparison_is_isomorphism(src_group: ChainMapGroup, dst_group: ChainMapGroup
     The matrix `transform` sends an ambient coordinate vector of
     `src_group` to one of `dst_group`. The comparison is an isomorphism
     exactly when the matrix expressing the transformed basis in the
-    destination basis has unit elementary divisors over the sort ring:
-    all 1 over Z, prime to P over ZlocP, and so on. Fields only need
-    invertibility.
+    destination basis is invertible over the sort ring.
     """
     image = transform * src_group.basis
     if dst_group.rank != src_group.rank:
@@ -948,18 +944,8 @@ def comparison_is_isomorphism(src_group: ChainMapGroup, dst_group: ChainMapGroup
         m = solve_in_span(dst_group.basis, image)
     except InputError:
         return False
-    if not m.is_integral():
-        return False
-    diag = snf_diagonal(m)
-    if len(diag) < src_group.rank or any(d == 0 for d in diag):
-        return False
+    # m = num / den is invertible over the ring when den and the elementary
+    # divisors of num are units; m is rank x rank, so num's diagonal has them all
     sort = uniform_sort(src_group.source, src_group.target) or Z
-    for d in diag:
-        if sort.kind == "Z" and abs(d) != 1:
-            return False
-        if sort.kind == "ZlocP" and p_part(abs(d), primes) != 1:
-            return False
-        if sort.kind == "Zp" and abs(d) % sort.prime == 0:
-            return False
-        # field sorts: any nonzero diagonal is a unit
-    return True
+    return _is_unit(m.den, sort, primes) and all(
+        _is_unit(d, sort, primes) for d in snf_diagonal(m.scale(m.den)))

@@ -1,11 +1,19 @@
 """Seeded generators shared by the unit and acceptance suites."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from fracturecube import serialize
-from fracturecube.exact_linalg import ExactMatrix, InputError, _eye, _int_rows, _smith
+from fracturecube.exact_linalg import (
+    ExactMatrix,
+    InputError,
+    _eye,
+    _int_rows,
+    _smith,
+    kernel_basis,
+)
 from fracturecube.holim import PosetDiagram, nerve_limit, punctured_restriction
 from fracturecube.posets import FinitePoset, canonical_subset
 from fracturecube.sorted_complex import (
@@ -107,6 +115,88 @@ def random_chain_map(rng: random.Random, a: SortedComplex, b: SortedComplex,
     group = chain_map_group(a, b)
     coeffs = [rng.randint(-coeff_bound, coeff_bound) for _ in range(group.rank)]
     return group.element(coeffs)
+
+
+@dataclass
+class ReferenceGroup:
+    """A chain map group over named coordinates: `positions[i]` is the
+    (degree, row, col) entry that coordinate i holds."""
+
+    source: SortedComplex
+    target: SortedComplex
+    positions: list
+    constraints: ExactMatrix
+    basis: ExactMatrix
+
+    @property
+    def rank(self) -> int:
+        return self.basis.cols
+
+    def element(self, coeffs) -> ComplexMap:
+        vec = self.basis * ExactMatrix.from_rows([[c] for c in coeffs])
+        per_degree = {}
+        for (idx, _), v in sorted(vec._n.items()):
+            n, r, c = self.positions[idx]
+            per_degree.setdefault(n, {})[(r, c)] = v
+        return ComplexMap(self.source, self.target, {
+            n: SortedMap._trusted(self.source.module(n), self.target.module(n),
+                                  ExactMatrix._trusted(self.target.module(n).total_rank,
+                                                       self.source.module(n).total_rank,
+                                                       entries, vec.den))
+            for n, entries in per_degree.items()})
+
+    def postcompose(self, h: ComplexMap, onto: "ReferenceGroup") -> ExactMatrix:
+        """f -> h f entry by entry, the adjunction check's first transform."""
+        index = {pos: i for i, pos in enumerate(onto.positions)}
+        entries = {}
+        for ai, (n, r, c) in enumerate(self.positions):
+            for (rr, r2), v in h.map_at(n).matrix.items():
+                bi = index.get((n, rr, c))
+                if r2 == r and bi is not None:
+                    entries[(bi, ai)] = v
+        return ExactMatrix(len(onto.positions), len(self.positions), entries)
+
+
+def reference_chain_map_group(a: SortedComplex, b: SortedComplex,
+                              postcompose_zero=()) -> ReferenceGroup:
+    """Chain maps a -> b solved entry by entry: one constraint row per
+    (row, column) of each product, walking the matrices for each row.
+    The closed-form oracle for chain_map_group."""
+    positions, pos_index = [], {}
+    for n in sorted(set(a.modules) & set(b.modules)):
+        for r in range(b.module(n).total_rank):
+            for c in range(a.module(n).total_rank):
+                pos_index[(n, r, c)] = len(positions)
+                positions.append((n, r, c))
+    rows = []
+
+    def add_rows(n_src, left, right, n_tgt_rows, n_cols):
+        # left * f_{n_src} - f_{n_src - 1} * right = 0, cleared of denominators
+        for r in range(n_tgt_rows):
+            for c in range(n_cols):
+                row = {}
+                for (rr, k), v in left._n.items():
+                    idx = pos_index.get((n_src, k, c))
+                    if rr == r and idx is not None:
+                        row[idx] = row.get(idx, 0) + v * right.den
+                for (k, cc), v in right._n.items():
+                    idx = pos_index.get((n_src - 1, r, k))
+                    if cc == c and idx is not None:
+                        row[idx] = row.get(idx, 0) - v * left.den
+                if row:
+                    rows.append(row)
+
+    for n in sorted(set(a.modules) | set(b.modules)):
+        add_rows(n, b.diff(n).matrix, a.diff(n).matrix,
+                 b.module(n - 1).total_rank, a.module(n).total_rank)
+    for g in postcompose_zero:
+        for n in sorted(set(a.modules) & set(b.modules)):
+            zero = ExactMatrix.zeros(a.module(n - 1).total_rank, a.module(n).total_rank)
+            add_rows(n, g.map_at(n).matrix, zero,
+                     g.target.module(n).total_rank, a.module(n).total_rank)
+    constraints = ExactMatrix._trusted(len(rows), len(positions), {
+        (i, j): v for i, row in enumerate(rows) for j, v in row.items() if v})
+    return ReferenceGroup(a, b, positions, constraints, kernel_basis(constraints))
 
 
 # --- random cubes ----------------------------------------------------------------

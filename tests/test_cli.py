@@ -321,6 +321,13 @@ class TestErrors:
         code, out, err = cli("emit-dot", "--category-cube", "3", "--primes", "2")
         assert (code, out, err) == (2, "", "input error: --primes needs --homology\n")
 
+    @pytest.mark.parametrize("extra", [
+        ["--homology"], ["missing.json"], ["--homology", "--primes", "4"]])
+    def test_emit_dot_category_cube_refuses_what_it_would_ignore(self, extra):
+        # the category cube reads no document and labels no homology
+        assert cli("emit-dot", "--category-cube", "2", *extra) == (
+            2, "", "input error: --category-cube takes no input document and no --homology\n")
+
     @pytest.mark.parametrize("argv", [
         ["snf", "m.json"], ["holim", "d.json"], ["tfib", "d.json"],
         ["poset", "check-initial", "--T", "3", "--t", "1"],
@@ -659,6 +666,25 @@ def test_non_canonical_rational_entry(tmp_path, entry, canonical):
     assert (code, out) == (2, "")
     assert err.startswith("schema error: $.payload.entries[0][0]: ")
     assert f"is not written as {canonical!r}" in err
+
+
+@pytest.mark.parametrize("tag", ["Zp:02", "Zp: 3", "Zp:+5", "Zp:1_1", "Qp:\u0663", "Zp:x"])
+def test_non_canonical_sort_tag(tmp_path, tag):
+    payload = {"modules": {"0": [[tag, 1]]}, "differentials": {}}
+    code, out, err = cli("cat", "roundtrip", _payload_doc(tmp_path, "complex", payload),
+                         "--primes", "2,3,5")
+    assert (code, out) == (2, "")
+    assert err == (f"schema error: $.payload.modules.0[0][0]: sort tag {tag!r} "
+                   "is not in the form tag() writes\n")
+
+
+def test_zero_summand_is_refused(tmp_path):
+    # dropping it would shift the summand index of the Z block behind it
+    payload = _line_complex(("0", "1"), ("1",))
+    payload["modules"]["1"] = [["Zero", 1], ["Z", 1]]
+    code, out, err = cli("homology", _payload_doc(tmp_path, "complex", payload))
+    assert (code, out) == (2, "")
+    assert err == "schema error: $.payload.modules.1[0][0]: a Zero summand is never written\n"
 
 
 NON_CANONICAL_DEGREES = ["1_0", "+1", "01", " 1"]

@@ -1,10 +1,18 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from fracturecube.exact_linalg import AbelianInvariants, ExactMatrix, InputError
 from fracturecube.fracture import LocalizationFamily
-from fracturecube.holim import PosetDiagram, cone, hofib, is_cartesian, is_quasi_iso
+from fracturecube.holim import (
+    PosetDiagram,
+    cone,
+    hofib,
+    is_cartesian,
+    is_quasi_iso,
+    strict_total_fiber,
+)
 from fracturecube.posets import subset_poset
 from fracturecube.sorted_complex import (
     LOCALIZE,
@@ -22,6 +30,7 @@ from fracturecube.sorted_complex import (
     apply_localization,
     canonical_unit,
     chain_map_group,
+    comparison_is_isomorphism,
     complete,
     direct_sum,
     homology_p_local,
@@ -29,6 +38,7 @@ from fracturecube.sorted_complex import (
     localize_chain_map_tables,
     shift,
     sort_map_exists,
+    Violation,
     validate,
 )
 
@@ -38,6 +48,8 @@ from genutil import (
     composite_kills_all,
     random_chain_map,
     random_complex,
+    random_cube,
+    reference_chain_map_group,
 )
 
 
@@ -74,6 +86,14 @@ class TestSorts:
     def test_tags_round_trip(self):
         for s in (Z, ZLOC, Q, Zp(2), Qp(5)):
             assert Sort.from_tag(s.tag()) == s
+
+    @pytest.mark.parametrize("tag", [
+        "Zp:02", "Zp: 3", "Zp:+5", "Zp:1_1", "Qp:\u0663", "Zp:x", "Zp:", "Z:", "Zp:" + "9" * 5000])
+    def test_only_the_written_tag_decodes(self, tag):
+        # int() would read each prime spelling here, "Zp:1_1" as Zp:11 and
+        # the Arabic-Indic digit three as 3
+        with pytest.raises(InputError, match="not in the form tag\\(\\) writes"):
+            Sort.from_tag(tag)
 
     def test_completed_sorts_need_primes(self):
         with pytest.raises(InputError):
@@ -135,6 +155,21 @@ class TestValidation:
         half = SortedMap(m, m, {(0, 0): ExactMatrix.from_rows([["1/2"]])})
         c = SortedComplex({0: m, 1: m}, {1: half})
         assert any("not a unit in Z" in v.message for v in validate(c))
+
+    @pytest.mark.parametrize("sort, k, primes, message", [
+        (Zp(3), "1/3", (3,), "denominator 3 not a unit in Zp:3"),
+        (Zp(3), "1/2", (3,), None),
+        (ZLOC, "1/6", (2, 3), "denominator 6 not a unit in ZlocP"),
+        (ZLOC, "1/6", (5,), None),
+        (ZLOC, "1/6", None, None),
+        (Q, "1/6", (2, 3), None),
+        (Qp(2), "1/2", (2,), None),
+    ])
+    def test_one_unit_rule_per_sort(self, sort, k, primes, message):
+        c = two_term(sort, k)
+        want = [] if message is None else [
+            Violation("differential at degree 1", f"block (0,0): {message}")]
+        assert validate(c, primes) == want
 
 
 def bare(ranks):
@@ -439,3 +474,110 @@ class TestChainMapGroup:
         b = SortedComplex.single(Q)
         with pytest.raises(InputError):
             chain_map_group(a, b)
+
+
+def scaled(c, k):
+    """c with every differential scaled by k; still d^2 = 0."""
+    return SortedComplex(c.modules, {n: d.scale(k) for n, d in c.diffs.items()})
+
+
+def scaled_cube(d, k):
+    """The cube with every vertex's differentials scaled by k: each edge
+    commutes with them as before."""
+    verts = {s: scaled(d.vertex(s), k) for s in d.shape.elements}
+    return PosetDiagram(d.shape, verts, {
+        (s, t): ComplexMap(verts[s], verts[t], e.maps) for (s, t), e in d.edges.items()})
+
+
+def assert_group_pinned(group, ref, rng):
+    assert group.rank == ref.rank and group.basis == ref.basis
+    # the layout names the reference's coordinates, in its order
+    assert [(n, r, c) for n, (off, rows, cols) in group.layout.items()
+            for r in range(rows) for c in range(cols)] == ref.positions
+    assert all(off == ref.positions.index((n, 0, 0))
+               for n, (off, _, _) in group.layout.items())
+    coeffs = [rng.randint(-3, 3) for _ in range(group.rank)]
+    assert group.element(coeffs) == ref.element(coeffs)
+
+
+class TestChainMapGroupPin:
+    """chain_map_group against the entry-by-entry solver it replaced
+    (genutil.reference_chain_map_group): same rank, basis and elements."""
+
+    @pytest.mark.parametrize("sort, k", [(Z, 1), (ZLOC, 1), (ZLOC, Fraction(1, 5)), (Q, 1),
+                                         (Q, Fraction(1, 5))])
+    def test_random_pairs(self, sort, k):
+        rng = random.Random(24)
+        for _ in range(12):
+            a, b = (random_complex(rng, sort=sort, deg_hi=3, max_rank=3) for _ in range(2))
+            if rng.random() < 0.5:
+                a = scaled(a, k)
+            else:
+                b = scaled(b, k)
+            assert_group_pinned(chain_map_group(a, b), reference_chain_map_group(a, b), rng)
+
+    @pytest.mark.parametrize("labels", [(1,), (1, 2)])
+    @pytest.mark.parametrize("k", [1, Fraction(1, 5)])
+    def test_adjunction_shaped(self, labels, k):
+        rng = random.Random(7)
+        ranks = []
+        for _ in range(8):
+            d = scaled_cube(random_cube(rng, labels, sort=ZLOC, max_rank=3, pieces=4), k)
+            x = scaled(random_complex(rng, sort=ZLOC, deg_hi=2, max_rank=3), k)
+            fib, inclusion = strict_total_fiber(d)
+            kill = [d.hom((), (lab,)) for lab in labels]
+            side_a, ref_a = chain_map_group(x, fib), reference_chain_map_group(x, fib)
+            side_b = chain_map_group(x, d.vertex(()), postcompose_zero=kill)
+            ref_b = reference_chain_map_group(x, d.vertex(()), postcompose_zero=kill)
+            assert_group_pinned(side_a, ref_a, rng)
+            assert_group_pinned(side_b, ref_b, rng)
+            assert side_a.postcompose(inclusion, side_b) == ref_a.postcompose(inclusion, ref_b)
+            ranks.append(side_a.rank)
+        assert sum(r > 0 for r in ranks) >= 3, ranks
+
+    def test_postcompose_checks_its_ends(self):
+        c = SortedComplex.single(Z)
+        g = chain_map_group(c, c)
+        other = chain_map_group(c, SortedComplex.single(Z, 2))
+        with pytest.raises(InputError, match="postcompose"):
+            g.postcompose(ComplexMap.identity(c), other)
+
+
+class TestComparison:
+    """comparison_is_isomorphism says no exactly where the sort ring lacks a unit."""
+
+    @pytest.mark.parametrize("sort, c, primes, want", [
+        (ZLOC, 2, (2, 3), False), (ZLOC, 3, (2, 3), False), (ZLOC, 5, (2, 3), True),
+        (Z, 5, (), False), (Z, -1, (), True),
+        (Zp(5), 5, (5,), False), (Zp(5), 2, (5,), True),
+        (Q, 2, (), True),
+        # a unit with a denominator: 1/7 is one in all but Z
+        (Z, Fraction(1, 7), (), False), (ZLOC, Fraction(1, 7), (2, 3), True),
+        (ZLOC, Fraction(1, 2), (2, 3), False), (Zp(5), Fraction(1, 7), (5,), True),
+        (Q, Fraction(1, 7), (), True),
+    ])
+    def test_scalar_on_the_sphere(self, sort, c, primes, want):
+        sphere = SortedComplex.single(sort)
+        g = chain_map_group(sphere, sphere)
+        assert g.rank == 1
+        t = ExactMatrix.from_rows([[c]])
+        assert comparison_is_isomorphism(g, g, t, primes) is want
+
+    def test_rank_mismatch(self):
+        sphere = SortedComplex.single(Z)
+        one = chain_map_group(sphere, sphere)
+        two = chain_map_group(sphere, SortedComplex.single(Z, 2))
+        assert two.rank == 2
+        assert not comparison_is_isomorphism(one, two, ExactMatrix.from_rows([[1], [0]]), ())
+
+    def test_transform_outside_the_span(self):
+        # maps into Z^2 killed by (1, -1) are the diagonal, spanned by (1, 1)
+        sphere, plane = SortedComplex.single(Z), SortedComplex.single(Z, 2)
+        diff = ComplexMap(plane, sphere, {0: SortedMap.from_dense(
+            plane.module(0), sphere.module(0), ExactMatrix.from_rows([[1, -1]]))})
+        diagonal = chain_map_group(sphere, plane, postcompose_zero=[diff])
+        one = chain_map_group(sphere, sphere)
+        assert diagonal.rank == 1
+        assert comparison_is_isomorphism(one, diagonal, ExactMatrix.from_rows([[1], [1]]), ())
+        assert not comparison_is_isomorphism(one, diagonal,
+                                             ExactMatrix.from_rows([[1], [0]]), ())

@@ -48,7 +48,6 @@ from .sorted_complex import (
     direct_sum,
     homology_p_local,
     is_acyclic,
-    shift,
     validate,
 )
 from .holim import (

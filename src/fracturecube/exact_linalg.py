@@ -98,14 +98,19 @@ class ExactMatrix:
     @classmethod
     def assemble(cls, rows: int, cols: int, pieces) -> "ExactMatrix":
         """Sum of (row offset, column offset, matrix) pieces placed in a rows x cols matrix."""
-        pieces = list(pieces)
-        den = lcm(*(m.den for _, _, m in pieces))
+        return cls.assemble_signed(rows, cols, [(ro, co, m, 1) for ro, co, m in pieces])
+
+    @classmethod
+    def assemble_signed(cls, rows: int, cols: int, pieces) -> "ExactMatrix":
+        """Sum of (row offset, column offset, matrix, sign) pieces, no negated copies:
+        over the lcm of the denominators, each numerator scaled by sign * lcm / den."""
+        den = lcm(*(m.den for _, _, m, _ in pieces))
         d = {}
-        for ro, co, m in pieces:
+        for ro, co, m, sign in pieces:
             if ro < 0 or co < 0 or ro + m.rows > rows or co + m.cols > cols:
                 raise InputError(f"{m.rows}x{m.cols} piece at ({ro},{co}) "
                                  f"outside {rows}x{cols}")
-            s = den // m.den
+            s = sign * (den // m.den)
             for (i, j), v in m._n.items():
                 key = (ro + i, co + j)
                 v *= s

@@ -28,10 +28,13 @@ punctured square A -> B <- G({t}), with A and B two such totalizations.
 
 A full cube is totalized the same way with the empty corner in level
 -1: the cone of the corner map into the punctured limit, summand for
-summand, so its shift by -1 is the total fiber. The mapping cone of a
-chain map is the totalization of its 1-cube, the homotopy fiber that
-cube's total fiber, and a quasi-isomorphism a map with an acyclic cone:
-the package has one cone formula and one sign convention.
+summand. The total fiber is that totalization one level up, built at
+its own degrees: the corner in level 0, S in level |S|, face signs
+(-1)^(i+1), and a direction cube's faces read off the parent. The
+mapping cone of a chain map is the totalization of its 1-cube, the
+homotopy fiber that cube's total fiber, and a quasi-isomorphism a map
+with an acyclic cone: the package has one cone formula and one sign
+convention.
 
 Diagrams are strictly functorial: every path composite between two
 elements must agree as matrices. Limit cones built by totalization have
@@ -71,7 +74,6 @@ from .sorted_complex import (
     chain_map_group,
     comparison_is_isomorphism,
     is_acyclic,
-    shift,
     uniform_sort,
 )
 
@@ -236,20 +238,20 @@ def attach_localization(d: PosetDiagram, table: LocalizationTable, label) -> Pos
 class HolimResult:
     """A totalization over a set of cells: its complex, coface table and layout.
 
-    A cell is a tuple of shape elements at level len(cell) - 1 carrying
-    the diagram's value at its top vertex; dropping position i gives its
-    i-th face. Nerve cells are the strict chains (top: the last element),
-    cube cells the vertices of a cube (top: the subset itself), the empty
-    vertex of a full cube in level -1. The table holds, once per cell, the
-    cell, its level, its value and its cofaces: each face that is a cell,
-    the sign (-1)^i and the nonzero diagram map between the two tops. The
+    A cell is a tuple of shape elements at level len(cell) - 1 + lift
+    carrying the diagram's value at its top vertex; dropping position i
+    gives its i-th face. Nerve cells are the strict chains (top: the last
+    element), cube cells the vertices of a cube (top: the subset itself),
+    the empty vertex of a full cube in level -1 (level 0 at lift 1, the
+    total fiber). The table holds, once per cell, the cell, its level, its
+    value and its cofaces: each face that is a cell, the sign
+    (-1)^(i + lift) and the nonzero diagram map between the two tops. The
     layout offsets[n] maps each cell with a term in degree n to the basis
     offset of that term in the degree-n module, cells in the given order.
     """
 
-    def __init__(self, diagram: PosetDiagram, cells, top):
-        self.diagram = diagram
-        self.top = top
+    def __init__(self, diagram: PosetDiagram, cells, top, lift: int = 0):
+        self.diagram, self.top, self.lift = diagram, top, lift
         self.cells = list(cells)
         # a zero cell has no term and no coface: the table leaves it out
         vertices = diagram.vertices
@@ -257,13 +259,13 @@ class HolimResult:
         known = {c for c, _ in nonzero}
         self.table = []
         for c, value in nonzero:
-            k, cofaces = len(c) - 1, []
-            for i in range(k + 1):
+            k, cofaces = len(c) - 1 + lift, []
+            for i in range(len(c)):
                 face = c[:i] + c[i + 1:]
                 if face in known:
                     edge = diagram.hom(top(face), top(c))
                     if edge.maps:
-                        cofaces.append((face, -1 if i % 2 else 1, edge))
+                        cofaces.append((face, -1 if (i + lift) % 2 else 1, edge))
             self.table.append((c, k, value, cofaces))
         self.offsets, summands, used = {}, {}, {}
         for c, k, value, _ in self.table:
@@ -273,23 +275,23 @@ class HolimResult:
                 used[n] = used.get(n, 0) + module.total_rank
                 summands.setdefault(n, []).extend(module.summands)
         mods = {n: SortedModule(summands[n]) for n in sorted(summands)}
-        diffs = {n: self._differential(n, mods[n], mods[n - 1])
-                 for n in mods if n - 1 in mods}
-        self.complex = SortedComplex._trusted(mods, diffs)
+        self.complex = SortedComplex._trusted(mods, self._differentials(mods))
 
-    def _differential(self, n: int, source: SortedModule, target: SortedModule) -> SortedMap:
-        # only blocks that exist are placed; a sign copies the block it negates
-        here, below, pieces = self.offsets[n], self.offsets[n - 1], []
+    def _differentials(self, mods: dict) -> dict:
+        # one walk over the blocks that exist, each placed uncopied with its
+        # sign; a nonzero block has both its terms, so its offsets exist
+        offsets, pieces = self.offsets, {}
         for c, k, value, cofaces in self.table:
             # inner differential with sign (-1)^k
-            d = value.diffs.get(n + k)
-            if d is not None:
-                pieces.append((below[c], here[c], d.matrix if k % 2 == 0 else -d.matrix))
+            for m, d in value.diffs.items():
+                pieces.setdefault(m - k, []).append(
+                    (offsets[m - k - 1][c], offsets[m - k][c], d.matrix, -1 if k % 2 else 1))
             for face, sign, edge in cofaces:
-                e = edge.maps.get(n - 1 + k)
-                if e is not None:
-                    pieces.append((below[c], here[face], e.matrix if sign > 0 else -e.matrix))
-        return _map_from_pieces(source, target, pieces)
+                for m, e in edge.maps.items():
+                    pieces.setdefault(m - k + 1, []).append(
+                        (offsets[m - k][c], offsets[m - k + 1][face], e.matrix, sign))
+        return {n: SortedMap._trusted(mods[n], mods[n - 1], ExactMatrix.assemble_signed(
+            mods[n - 1].total_rank, mods[n].total_rank, pieces[n])) for n in mods if n in pieces}
 
     def _base(self) -> list:
         # the level-zero cells by their top vertex, zero ones too: where
@@ -344,19 +346,14 @@ def _place(src: HolimResult, dst: HolimResult, blocks) -> dict:
     into the target cell's. Nothing is checked: f must map the value at
     the source cell to the value at the target cell.
     """
-    maps = {}
-    for n, here in src.offsets.items():
-        there = dst.offsets.get(n)
-        if there is None:
-            continue
-        pieces = []
-        for a, b, f in blocks:
-            m = f.maps.get(n + len(a) - 1)
-            if m is not None:
-                pieces.append((there[b], here[a], m.matrix))
-        if pieces:
-            maps[n] = _map_from_pieces(src.complex.module(n), dst.complex.module(n), pieces)
-    return maps
+    pieces = {}
+    for a, b, f in blocks:
+        k = len(a) - 1 + src.lift
+        for m, g in f.maps.items():
+            pieces.setdefault(m - k, []).append(
+                (dst.offsets[m - k][b], src.offsets[m - k][a], g.matrix))
+    return {n: _map_from_pieces(src.complex.module(n), dst.complex.module(n), pieces[n])
+            for n in src.offsets if n in pieces}
 
 
 def nerve_limit(diagram: PosetDiagram) -> HolimResult:
@@ -517,8 +514,12 @@ def cube_totalization(diagram: PosetDiagram) -> HolimResult:
 
 
 def total_fiber(diagram: PosetDiagram) -> SortedComplex:
-    """Fiber of the map from the initial vertex to the punctured limit."""
-    return shift(cube_totalization(diagram).complex, -1)
+    """Fiber of the map from the initial vertex to the punctured limit: the
+    cube's totalization one level up, S in level |S|, so a 0-cube's is its
+    one vertex."""
+    if not cube_labels(diagram, punctured=False):
+        return diagram.vertex(())
+    return HolimResult(diagram, diagram.shape.elements, lambda s: s, lift=1).complex
 
 
 def is_cartesian(diagram: PosetDiagram, primes) -> bool:
@@ -576,26 +577,28 @@ def limit_extended_cube(punctured: PosetDiagram) -> PosetDiagram:
 
 
 def tfib_direction_cube(diagram: PosetDiagram, t_prime) -> PosetDiagram:
-    """Cube on P(T') of total fibers of the complementary subcubes."""
+    """Cube on P(T') of total fibers of the complementary subcubes, the face
+    S -> G(S + S') at S' totalized off the diagram itself, one level up."""
     labels = cube_labels(diagram, punctured=False)
     t_prime = canonical_subset(t_prime)
     if not set(t_prime) <= set(labels):
         raise InputError("direction set is not a subset of the cube labels")
     rest = tuple(x for x in labels if x not in t_prime)
+    if not rest:
+        # each face is one vertex, its own total fiber: the cube itself
+        return diagram
     outer_shape = subset_poset(t_prime, punctured=False)
-    tots = {sp: cube_totalization(_face(diagram, sp, rest)) for sp in outer_shape.elements}
-    verts = {sp: shift(tot.complex, -1) for sp, tot in tots.items()}
+    cells = subset_poset(rest, punctured=False).elements
+    up = {sp: {s: canonical_subset(s + sp) for s in cells} for sp in outer_shape.elements}
+    tots = {sp: HolimResult(diagram, cells, up[sp].__getitem__, lift=1) for sp in up}
     edges = {}
     for (sp, sp2) in outer_shape.covering_pairs():
         # S + sp -> S + sp2 is a covering pair: its diagram edge, natural by
-        # construction, placed where nonzero; the map shifted over the
-        # vertices already shifted above
-        blocks = [(s, s, e) for s in tots[sp].cells if (e := diagram.edges[
-            (canonical_subset(s + sp), canonical_subset(s + sp2))]).maps]
-        maps = _place(tots[sp], tots[sp2], blocks)
-        edges[(sp, sp2)] = ComplexMap._trusted(verts[sp], verts[sp2],
-                                               {n - 1: m for n, m in maps.items()})
-    return PosetDiagram._trusted(outer_shape, verts, edges)
+        # construction, placed where nonzero
+        blocks = [(s, s, e) for s in cells if (e := diagram.edges[(up[sp][s], up[sp2][s])]).maps]
+        edges[(sp, sp2)] = ComplexMap._trusted(tots[sp].complex, tots[sp2].complex,
+                                               _place(tots[sp], tots[sp2], blocks))
+    return PosetDiagram._trusted(outer_shape, {sp: t.complex for sp, t in tots.items()}, edges)
 
 
 def total_fiber_iterated(diagram: PosetDiagram, t_prime) -> SortedComplex:

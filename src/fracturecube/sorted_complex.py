@@ -532,16 +532,7 @@ class ComplexMap:
     __hash__ = None
 
 
-# --- shift and sums ----------------------------------------------------------------
-
-def shift(c: SortedComplex, k: int) -> SortedComplex:
-    """Degree shift: shift(c, k)_n = c_{n-k}; differentials pick up (-1)^k."""
-    sign = -1 if k % 2 else 1
-    mods = {n + k: m for n, m in c.modules.items()}
-    diffs = {n + k: (d if sign == 1 else d.scale(-1))
-             for n, d in c.diffs.items()}
-    return SortedComplex._trusted(mods, diffs)
-
+# --- sums -------------------------------------------------------------------------
 
 def direct_sum(c: SortedComplex, d: SortedComplex) -> SortedComplex:
     degs = set(c.modules) | set(d.modules)

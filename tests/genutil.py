@@ -34,7 +34,6 @@ from fracturecube.sorted_complex import (
     canonical_unit,
     chain_map_group,
     direct_sum,
-    shift,
 )
 
 
@@ -338,6 +337,19 @@ def random_cube(rng: random.Random, labels, sort: Sort = Z, deg_lo: int = 0,
     return total
 
 
+def scaled(c, k):
+    """c with every differential scaled by k; still d^2 = 0."""
+    return SortedComplex(c.modules, {n: d.scale(k) for n, d in c.diffs.items()})
+
+
+def scaled_cube(d, k):
+    """The cube with every vertex's differentials scaled by k: each edge
+    commutes with them as before."""
+    verts = {s: scaled(d.vertex(s), k) for s in d.shape.elements}
+    return PosetDiagram(d.shape, verts, {
+        (s, t): ComplexMap(verts[s], verts[t], e.maps) for (s, t), e in d.edges.items()})
+
+
 def nerve_total_fiber(d):
     """Total fiber through the nerve totalization: the reference oracle."""
     punct = punctured_restriction(d)
@@ -386,6 +398,19 @@ def reference_cone(f: ComplexMap) -> SortedComplex:
             (0, 0, c.diff(n - 1).matrix.scale(-1)),
             (below, 0, f.map_at(n - 1).matrix),
             (below, here, d.diff(n).matrix)])
+    return SortedComplex._trusted(mods, diffs)
+
+
+def shift(c: SortedComplex, k: int) -> SortedComplex:
+    """Degree shift: shift(c, k)_n = c_{n-k}; differentials pick up (-1)^k.
+
+    The reference for complexes the package builds at their own degrees,
+    such as the total fiber: the cube's totalization shifted by -1.
+    """
+    sign = -1 if k % 2 else 1
+    mods = {n + k: m for n, m in c.modules.items()}
+    diffs = {n + k: (d if sign == 1 else d.scale(-1))
+             for n, d in c.diffs.items()}
     return SortedComplex._trusted(mods, diffs)
 
 

@@ -39,7 +39,6 @@ from fracturecube.sorted_complex import (
     ZLOC,
     homology_p_local,
     is_acyclic,
-    shift,
 )
 
 from genutil import (
@@ -48,6 +47,7 @@ from genutil import (
     random_cube,
     reference_cone,
     reference_hofib,
+    shift,
 )
 
 PRIMES = (2, 3)

@@ -20,6 +20,7 @@ from fracturecube.sorted_complex import (
     ZLOC,
     apply_localization,
     canonical_unit,
+    chain_map_group,
     complete,
     direct_sum,
     homology_p_local,
@@ -664,3 +665,14 @@ class TestAdjunction:
             d = random_cube(rng, (1, 2), sort=ZLOC, max_rank=3)
             x = random_complex(rng, sort=ZLOC, deg_hi=2, max_rank=2)
             assert adjunction_check(x, d, PRIMES)
+
+    def test_random_two_cubes_with_maps(self):
+        # larger cubes and sources, so that the groups compared are not all zero
+        rng = random.Random(17)
+        ranks = []
+        for _ in range(8):
+            d = random_cube(rng, (1, 2), sort=ZLOC, max_rank=3, pieces=4)
+            x = random_complex(rng, sort=ZLOC, deg_hi=2, max_rank=3)
+            assert adjunction_check(x, d, PRIMES)
+            ranks.append(chain_map_group(x, strict_total_fiber(d)[0]).rank)
+        assert sum(r > 0 for r in ranks) >= 3, ranks

@@ -36,7 +36,6 @@ from fracturecube.sorted_complex import (
     homology_p_local,
     is_acyclic,
     localize_chain_map_tables,
-    shift,
     sort_map_exists,
     Violation,
     validate,
@@ -50,6 +49,9 @@ from genutil import (
     random_complex,
     random_cube,
     reference_chain_map_group,
+    scaled,
+    scaled_cube,
+    shift,
 )
 
 
@@ -474,19 +476,6 @@ class TestChainMapGroup:
         b = SortedComplex.single(Q)
         with pytest.raises(InputError):
             chain_map_group(a, b)
-
-
-def scaled(c, k):
-    """c with every differential scaled by k; still d^2 = 0."""
-    return SortedComplex(c.modules, {n: d.scale(k) for n, d in c.diffs.items()})
-
-
-def scaled_cube(d, k):
-    """The cube with every vertex's differentials scaled by k: each edge
-    commutes with them as before."""
-    verts = {s: scaled(d.vertex(s), k) for s in d.shape.elements}
-    return PosetDiagram(d.shape, verts, {
-        (s, t): ComplexMap(verts[s], verts[t], e.maps) for (s, t), e in d.edges.items()})
 
 
 def assert_group_pinned(group, ref, rng):

@@ -8,10 +8,13 @@ between the two tops with sign (-1)^i, each read through diff(n) and
 map_at(n) with their zero blocks. The totalized map of a natural
 transformation is the same per-degree placement of its components. A
 mapping cone is the totalization of a 1-cube; its reference is the
-degreewise cone formula.
+degreewise cone formula. The total fiber and the direction-cube faces,
+built one level up off the parent cube, are checked against the shift
+by -1 of the full cube's totalization and of each face's.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -40,6 +43,7 @@ from fracturecube.holim import (
     punctured_limit_recursive,
     punctured_restriction,
     tfib_direction_cube,
+    total_fiber,
     total_fiber_iterated,
 )
 from fracturecube.posets import FinitePoset, canonical_subset, subset_poset
@@ -55,7 +59,6 @@ from fracturecube.sorted_complex import (
     canonical_unit,
     direct_sum,
     homology_p_local,
-    shift,
 )
 
 from genutil import (
@@ -68,6 +71,8 @@ from genutil import (
     random_cube,
     reference_cone,
     reference_hofib,
+    scaled_cube,
+    shift,
 )
 from test_cube_totalization import CUBES
 
@@ -260,22 +265,74 @@ def test_nerve_totalization_matches_the_reference(k):
     assert nerve_limit(d).complex == nerve_reference(d).complex
 
 
-@pytest.mark.parametrize("k", [k for k, d in enumerate(ALL_CUBES) if len(d.shape) > 2])
-def test_direction_cube_edges_match_the_reference_map(k):
-    d = ALL_CUBES[k]
+def assert_direction_cubes_match_the_reference(d):
+    """Every direction cube of d, vertices and edges, against the shifted
+    references of its faces."""
     labels = max(d.shape.elements, key=len)
     for tp in subset_poset(labels).elements:
         rest = tuple(x for x in labels if x not in tp)
         dc = tfib_direction_cube(d, tp)
+        refs = {sp: cube_reference(_face(d, sp, rest)) for sp in dc.shape.elements}
+        for sp, ref in refs.items():
+            assert dc.vertex(sp) == shift(ref.complex, -1), (tp, sp)
         for (sp, sp2), e in dc.edges.items():
-            src = cube_reference(_face(d, sp, rest))
-            dst = cube_reference(_face(d, sp2, rest))
+            src, dst = refs[sp], refs[sp2]
             comps = {s: d.hom(canonical_subset(s + sp), canonical_subset(s + sp2))
                      for s in subset_poset(rest).elements}
             f = reference_map(src, dst, comps)
             want = ComplexMap(shift(src.complex, -1), shift(dst.complex, -1),
                               {n - 1: m for n, m in f.maps.items()})
             assert e == want, (tp, sp, sp2)
+
+
+@pytest.mark.parametrize("k", [k for k, d in enumerate(ALL_CUBES) if len(d.shape) > 2])
+def test_direction_cube_edges_match_the_reference_map(k):
+    assert_direction_cubes_match_the_reference(ALL_CUBES[k])
+
+
+@pytest.mark.parametrize("k", range(len(ALL_CUBES)))
+def test_total_fibers_match_the_shifted_totalization(k):
+    # the old path, a face diagram totalized and then shifted down, is the
+    # oracle for the total fiber built at its own degrees
+    d = ALL_CUBES[k]
+    assert total_fiber(d) == shift(cube_totalization(d).complex, -1)
+    labels = max(d.shape.elements, key=len)
+    for tp in subset_poset(labels).elements:
+        rest = tuple(x for x in labels if x not in tp)
+        dc = tfib_direction_cube(d, tp)
+        for sp in dc.shape.elements:
+            want = shift(cube_totalization(_face(d, sp, rest)).complex, -1)
+            assert dc.vertex(sp) == want, (tp, sp)
+        # a 0-cube at tp = (), the cube itself at tp = labels
+        assert total_fiber(dc) == shift(cube_totalization(dc).complex, -1), tp
+
+
+def scaled_cubes():
+    """ZlocP cubes whose differentials carry the denominator 5."""
+    rng = random.Random(57)
+    for labels in ((1, 2), (1, 2, 3)):
+        for _ in range(3):
+            yield scaled_cube(random_cube(rng, labels, sort=ZLOC, max_rank=3, pieces=4),
+                              Fraction(1, 5))
+
+
+SCALED_CUBES = list(scaled_cubes())
+
+
+def test_scaled_cubes_totalize_with_denominators():
+    dens = {m.matrix.den for d in SCALED_CUBES for m in total_fiber(d).diffs.values()}
+    assert dens - {1}, dens
+
+
+@pytest.mark.parametrize("k", range(len(SCALED_CUBES)))
+def test_scaled_cube_totalizations_match_the_reference(k):
+    # each block enters over the common denominator of its degree, so a
+    # numerator read over the wrong denominator shows here
+    d = SCALED_CUBES[k]
+    ref = cube_reference(d)
+    assert cube_totalization(d).complex == ref.complex
+    assert total_fiber(d) == shift(ref.complex, -1)
+    assert_direction_cubes_match_the_reference(d)
 
 
 # --- cones: the totalization of a 1-cube against the degreewise formula ---------
@@ -370,6 +427,31 @@ def test_kernel_builds_no_zero_blocks(monkeypatch):
         for t in (1, 2, 3):
             punctured_limit_recursive(g, t)
     assert len(calls) == 0
+
+
+def test_total_fibers_build_no_copies(monkeypatch):
+    # the total fiber is built at its own degrees and each direction-cube
+    # face off the parent: no face diagram, no shifted or negated copy
+    rng = random.Random(54)
+    cubes = [random_cube(rng, (1, 2, 3), sort=ZLOC, max_rank=3) for _ in range(2)]
+    cubes += ZERO_PATTERN_CUBES[-4:]
+    calls = []
+    scale, face, totalize = ExactMatrix.scale, holim._face, holim.cube_totalization
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ExactMatrix, "scale", counted("scale", scale))
+    monkeypatch.setattr(holim, "_face", counted("_face", face))
+    monkeypatch.setattr(holim, "cube_totalization", counted("cube_totalization", totalize))
+    for d in cubes:
+        holim.total_fiber(d)
+        for tp in subset_poset(max(d.shape.elements, key=len)).elements:
+            holim.total_fiber_iterated(d, tp)
+    assert calls == []
 
 
 def test_totalization_layer_builds_nothing_checked(monkeypatch):

@@ -63,7 +63,6 @@ from fracturecube.sorted_complex import (
     complete,
     direct_sum,
     localize_chain_map_tables,
-    shift,
 )
 
 from genutil import (
@@ -73,6 +72,7 @@ from genutil import (
     random_chain_map,
     random_complex,
     random_cube,
+    shift,
     sum_inclusions,
     unit_of_tables,
 )

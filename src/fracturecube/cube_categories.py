@@ -76,7 +76,11 @@ class FractureObject:
 def validate_fracture_object(g: FractureObject) -> list:
     """Check the locality and unit-edge conditions, peeling minima.
 
-    Returns a list of violations; empty means the object is valid.
+    Returns a list of violations; empty means the object is valid. The
+    edges iv -> iw inside a localized face need no check: once these
+    pass, induction on |w| makes every vertex with two completion labels
+    zero (a completion kills every sort local for another), and every
+    such iw holds two, so both sides of the edge are zero.
     """
     fam = g.family
     out = []
@@ -99,13 +103,6 @@ def validate_fracture_object(g: FractureObject) -> list:
             if g.diagram.hom(v, iv) != want.edges[(v, iv)]:
                 out.append(Violation(
                     f"edge {v} -> {iv}", "must be the localization unit"))
-        for (v, w) in rest.covering_pairs():
-            iv = canonical_subset((i,) + v)
-            iw = canonical_subset((i,) + w)
-            if g.diagram.hom(iv, iw) != want.edges[(iv, iw)]:
-                out.append(Violation(
-                    f"edge {iv} -> {iw}",
-                    f"must be the {table.label()} localization of {v} -> {w}"))
     return out
 
 
@@ -399,15 +396,12 @@ def glue_fracture_object(split: SplitData, fam: LocalizationFamily) -> FractureO
     base = split.bottom.vertex((first,))
     if not is_local(base, table):
         raise InputError(f"anchor vertex {(first,)} is not fixed by {table.label()}")
-    mixing = {}
-    for (a, b) in bottom_shape.covering_pairs():
-        e = split.bottom.hom(a, b)
-        if a == (first,):
-            mixing[(a, b)] = e
-        elif e != glued.edges[(a, b)]:
-            raise InputError(f"bottom edge {a} -> {b} is not the {table.label()} "
-                             "localization of the top face")
-    # the mixing squares commute in the bottom face, the rest in the attached cube
+    # any other bottom edge ends at a vertex with two completion labels, zero
+    # in the attached cube of the valid top and so, by its witness, in the
+    # bottom: it equals the attached edge. The mixing squares commute in the
+    # bottom face, the rest in the attached cube
+    mixing = {(a, b): split.bottom.edges[(a, b)]
+              for (a, b) in bottom_shape.covering_pairs() if a == (first,)}
     diagram = PosetDiagram._trusted(subset_poset(labels, punctured=True),
                                     {**glued.vertices, (first,): base},
                                     {**glued.edges, **mixing})

@@ -22,9 +22,12 @@ G(S)[-(|S| - 1)] per nonempty S, the cubical formula for the limit.
 Every other shape is totalized over the strict chains of its nerve. A
 shape is a (punctured) cube only when it equals the shared subset poset
 of its labels, elements and order both; cube_labels is that one check,
-for homotopy_limit and every cube entry point alike. The
-punctured-cube recursion in one direction t is the limit of one
-punctured square A -> B <- G({t}), with A and B two such totalizations.
+for homotopy_limit and every cube entry point alike. A sub-cube is
+totalized straight off its parent, its cells the subsets of the free
+labels and its tops their unions with the fixed ones: no face diagram
+is built. The punctured-cube recursion in one direction t is the limit
+of one punctured square A -> B <- G({t}), with A and B the faces away
+from t and through t.
 
 A full cube is totalized the same way with the empty corner in level
 -1: the cone of the corner map into the punctured limit, summand for
@@ -40,8 +43,9 @@ Diagrams are strictly functorial: every path composite between two
 elements must agree as matrices. Limit cones built by totalization have
 projection legs that commute with the diagram edges up to homotopy
 only; where a strict cone is required (extending a punctured cube to a
-Cartesian one), the extension re-totalizes each up-set over the nerve,
-which restricts strictly and stays a diagram on the nose.
+Cartesian one), the extension totalizes each up-set over the nerve
+chains that start in it, which restricts strictly and stays a diagram
+on the nose.
 
 Cubes of localizations grow one index at a time: attach_localization
 sets a diagram on label subsets next to its localization at one table,
@@ -142,14 +146,9 @@ class PosetDiagram:
         if x == y:
             out = ComplexMap.identity(self.vertices[x])
         else:
-            out = None
-            for z in self._successors[x]:
-                if not self.shape.leq(z, y):
-                    continue
-                out = self.hom(z, y).compose(self.edges[(x, z)])
-                break
-            if out is None:
-                raise InputError(f"no covering path {x!r} -> {y!r}")
+            # in a finite poset some cover of x lies below y
+            z = next(z for z in self._successors[x] if self.shape.leq(z, y))
+            out = self.hom(z, y).compose(self.edges[(x, z)])
         self._hom_cache[key] = out
         return out
 
@@ -175,12 +174,6 @@ class PosetDiagram:
         verts = {x: self.vertices[x] for x in sub.elements}
         edges = {(x, y): self.hom(x, y) for (x, y) in sub.covering_pairs()}
         return PosetDiagram._trusted(sub, verts, edges)
-
-    def sorts(self):
-        out = set()
-        for c in self.vertices.values():
-            out |= c.sorts()
-        return out
 
 
 def localize_diagram(d: PosetDiagram, table: LocalizationTable) -> PosetDiagram:
@@ -490,18 +483,12 @@ def initial_corner_cube(x: SortedComplex, labels) -> PosetDiagram:
     return PosetDiagram._trusted(shape, verts, {})
 
 
-def _face(diagram: PosetDiagram, fixed, free, punctured: bool = False) -> PosetDiagram:
-    """The face S -> diagram(S + fixed) over the subsets S of free."""
-    # a covering pair of the face is one of the diagram: read its edge
-    shape = subset_poset(free, punctured=punctured)
-    verts = {s: diagram.vertex(canonical_subset(s + fixed)) for s in shape.elements}
-    edges = {(a, b): diagram.edges[(canonical_subset(a + fixed), canonical_subset(b + fixed))]
-             for (a, b) in shape.covering_pairs()}
-    return PosetDiagram._trusted(shape, verts, edges)
-
-
 def punctured_restriction(diagram: PosetDiagram) -> PosetDiagram:
-    return _face(diagram, (), cube_labels(diagram, punctured=False), punctured=True)
+    """The cube without its empty corner, on the shared punctured subset poset."""
+    shape = subset_poset(cube_labels(diagram, punctured=False), punctured=True)
+    # the edges out of the corner are not covering pairs of the shape: unread
+    return PosetDiagram._trusted(shape, {s: diagram.vertices[s] for s in shape.elements},
+                                 diagram.edges)
 
 
 def cube_totalization(diagram: PosetDiagram) -> HolimResult:
@@ -555,18 +542,19 @@ def is_quasi_iso(f: ComplexMap, primes) -> AcyclicityReport:
 def limit_extended_cube(punctured: PosetDiagram) -> PosetDiagram:
     """Extend a punctured cube to a Cartesian cube, strictly.
 
-    Each vertex S is the totalization over the nonempty supersets of S;
-    the edges restrict chain tuples, which makes the extension a diagram
-    on the nose. The empty corner is the nerve totalization of the whole
+    Each vertex S is the nerve totalization over the nonempty supersets
+    of S: the chains of the punctured nerve, enumerated once, whose first
+    element contains S, which are the chains of that up-set. The edges
+    restrict chain tuples, which makes the extension a diagram on the
+    nose. The empty corner is the nerve totalization of the whole
     punctured cube and every other vertex projects quasi-isomorphically
     to the original one.
     """
     labels = cube_labels(punctured, punctured=True)
     full = subset_poset(labels, punctured=False)
-    results = {}
-    for s in full.elements:
-        upset = [u for u in punctured.shape.elements if set(s) <= set(u)]
-        results[s] = nerve_limit(punctured.restrict(upset))
+    chains = [c for level in punctured.shape.strict_chains() for c in level]
+    results = {s: HolimResult(punctured, [c for c in chains if set(s) <= set(c[0])],
+                              lambda c: c[-1]) for s in full.elements}
     verts = {s: results[s].complex for s in full.elements}
     ident = {x: ComplexMap.identity(v) for x, v in punctured.vertices.items()}
     # the identity on every chain surviving the restriction
@@ -614,22 +602,21 @@ def punctured_limit_recursive(diagram: PosetDiagram, t) -> SortedComplex:
     The limit is that of the punctured square A -> B <- G({t}), with A
     the limit of the face away from t, B the limit of the face through t
     shifted by t, phi: A -> B the induced map and psi: G({t}) -> B the
-    cone map.
+    cone map. Both faces are totalized off the diagram itself, over the
+    nonempty subsets S of the other labels, with tops S and S + t.
     """
     labels = cube_labels(diagram, punctured=True)
     if len(labels) < 2:
         raise InputError("recursion needs at least two labels")
     if t not in labels:
         raise InputError(f"{t!r} is not a label of the cube")
-    rest = tuple(x for x in labels if x != t)
-    a_diag = _face(diagram, (), rest, punctured=True)
-    b_diag = _face(diagram, (t,), rest, punctured=True)
-    a, b = homotopy_limit(a_diag), homotopy_limit(b_diag)
+    cells = subset_poset(tuple(x for x in labels if x != t), punctured=True).elements
+    up = {s: canonical_subset(s + (t,)) for s in cells}
+    a, b = HolimResult(diagram, cells, lambda s: s), HolimResult(diagram, cells, up.__getitem__)
     c = diagram.vertex((t,))
     phi = ComplexMap._trusted(a.complex, b.complex, _place(
-        a, b, [(s, s, diagram.hom(s, canonical_subset(s + (t,)))) for s in a.cells]))
-    psi = b.cone_map(c, {s: diagram.hom((t,), canonical_subset(s + (t,)))
-                         for s in b_diag.shape.elements})
+        a, b, [(s, s, diagram.hom(s, up[s])) for s in cells]))
+    psi = b.cone_map(c, {up[s]: diagram.hom((t,), up[s]) for s in cells if len(s) == 1})
     square = PosetDiagram._trusted(subset_poset((1, 2), punctured=True),
                                    {(1,): a.complex, (2,): c, (1, 2): b.complex},
                                    {((1,), (1, 2)): phi, ((2,), (1, 2)): psi})

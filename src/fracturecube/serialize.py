@@ -26,7 +26,6 @@ from .sorted_complex import (
     SortedComplex,
     SortedMap,
     SortedModule,
-    ZERO,
 )
 
 FORMAT_VERSION = "fracture/1"
@@ -54,13 +53,13 @@ def _expect(value, types, path):
     return value
 
 
-def _only_keys(d, required, optional, path):
+def _only_keys(d, required, path):
     _expect(d, dict, path)
     for k in required:
         if k not in d:
             raise SchemaError(path, f"missing field {k!r}")
     for k in d:
-        if k not in required and k not in optional:
+        if k not in required:
             raise SchemaError(f"{path}.{k}", "unknown field")
 
 
@@ -141,7 +140,7 @@ def matrix_to_json(m: ExactMatrix) -> dict:
 
 
 def matrix_from_json(d, path="$") -> ExactMatrix:
-    _only_keys(d, ("rows", "cols", "entries"), (), path)
+    _only_keys(d, ("rows", "cols", "entries"), path)
     rows = _expect(d["rows"], int, f"{path}.rows")
     cols = _expect(d["cols"], int, f"{path}.cols")
     entries = _expect(d["entries"], list, f"{path}.entries")
@@ -177,8 +176,6 @@ def _module_from_json(d, path) -> SortedModule:
             sort = Sort.from_tag(tag)
         except InputError as exc:
             raise SchemaError(f"{path}[{i}][0]", str(exc)) from None
-        if sort == ZERO:  # never written; dropping it would shift the block indices
-            raise SchemaError(f"{path}[{i}][0]", "a Zero summand is never written")
         summands.append((sort, rank))
     return SortedModule(summands)
 
@@ -189,11 +186,11 @@ def _sorted_map_to_json(m: SortedMap) -> dict:
 
 
 def _sorted_map_from_json(d, source, target, path) -> SortedMap:
-    _only_keys(d, ("blocks",), (), path)
+    _only_keys(d, ("blocks",), path)
     blocks = {}
     for k, b in enumerate(_expect(d["blocks"], list, f"{path}.blocks")):
         bpath = f"{path}.blocks[{k}]"
-        _only_keys(b, ("source", "target", "matrix"), (), bpath)
+        _only_keys(b, ("source", "target", "matrix"), bpath)
         i = _expect(b["source"], int, f"{bpath}.source")
         j = _expect(b["target"], int, f"{bpath}.target")
         if (i, j) in blocks:
@@ -225,7 +222,7 @@ def complex_to_json(c: SortedComplex) -> dict:
 
 
 def complex_from_json(d, path="$") -> SortedComplex:
-    _only_keys(d, ("modules", "differentials"), (), path)
+    _only_keys(d, ("modules", "differentials"), path)
     mods = {}
     for key, m in _expect(d["modules"], dict, f"{path}.modules").items():
         n = _degree(key, f"{path}.modules.{key}")
@@ -272,7 +269,7 @@ def diagram_to_json(d: PosetDiagram) -> dict:
 
 def _vertex_payloads(d, path) -> dict:
     """Vertex subsets of a diagram document, each with its key and payload."""
-    _only_keys(d, ("vertices", "edges"), (), path)
+    _only_keys(d, ("vertices", "edges"), path)
     raw = _expect(d["vertices"], dict, f"{path}.vertices")
     return {subset_from_str(k, f"{path}.vertices.{k}"): (k, v) for k, v in raw.items()}
 
@@ -293,7 +290,7 @@ def _diagram_over(shape: FinitePoset, payloads: dict, d, path) -> PosetDiagram:
     edges = {}
     for k, e in enumerate(_expect(d["edges"], list, f"{path}.edges")):
         epath = f"{path}.edges[{k}]"
-        _only_keys(e, ("from", "to", "components"), (), epath)
+        _only_keys(e, ("from", "to", "components"), epath)
         x = endpoint(e["from"], f"{epath}.from")
         y = endpoint(e["to"], f"{epath}.to")
         if x not in verts or y not in verts:
@@ -330,7 +327,7 @@ def fracture_object_to_json(g: FractureObject) -> dict:
 
 
 def fracture_object_from_json(d, path="$") -> FractureObject:
-    _only_keys(d, ("primes", "labels", "diagram"), (), path)
+    _only_keys(d, ("primes", "labels", "diagram"), path)
     primes = tuple(_expect(p, int, f"{path}.primes[{i}]")
                    for i, p in enumerate(_expect(d["primes"], list,
                                                  f"{path}.primes")))
@@ -360,7 +357,7 @@ def split_to_json(sp: SplitData) -> dict:
 
 
 def split_from_json(d, path="$"):
-    _only_keys(d, ("top", "bottom", "witness"), (), path)
+    _only_keys(d, ("top", "bottom", "witness"), path)
     top = fracture_object_from_json(d["top"], f"{path}.top")
     # the bottom face is anchored at its singleton vertex, not a full subset
     # poset; glue checks that the anchor is a family index below the top
@@ -463,7 +460,7 @@ def _key(k) -> str:
 
 
 def unwrap(doc, expected_kind=None):
-    _only_keys(doc, ("version", "kind", "payload"), (), "$")
+    _only_keys(doc, ("version", "kind", "payload"), "$")
     if doc["version"] != FORMAT_VERSION:
         raise SchemaError("$.version", f"expected {FORMAT_VERSION!r}")
     kind = doc["kind"]

@@ -50,7 +50,7 @@ from .exact_linalg import (
 
 # --- sorts ---------------------------------------------------------------------
 
-KINDS = ("Z", "ZlocP", "Q", "Zp", "Qp", "Zero")
+KINDS = ("Z", "ZlocP", "Q", "Zp", "Qp")
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,6 @@ class Sort:
 Z = Sort("Z")
 ZLOC = Sort("ZlocP")
 Q = Sort("Q")
-ZERO = Sort("Zero")
 
 
 def Zp(p: int) -> Sort:
@@ -105,8 +104,6 @@ def Qp(p: int) -> Sort:
 
 def sort_map_exists(src: Sort, tgt: Sort) -> bool:
     """Whether the canonical ring map src -> tgt exists."""
-    if src.kind == "Zero" or tgt.kind == "Zero":
-        return True
     if src == tgt:
         return True
     if src.kind == "Z":
@@ -117,9 +114,7 @@ def sort_map_exists(src: Sort, tgt: Sort) -> bool:
         return tgt.kind in ("Q", "Qp")
     if src.kind == "Zp":
         return tgt.kind in ("Zp", "Qp") and tgt.prime == src.prime
-    if src.kind == "Qp":
-        return tgt.kind == "Qp" and tgt.prime == src.prime
-    raise InputError(f"unknown sort {src!r}")
+    return False  # Qp maps only to itself
 
 
 def _is_unit(n: int, sort: Sort, primes) -> bool:
@@ -150,8 +145,6 @@ class SortedModule:
         for sort, rank in summands:
             if not isinstance(sort, Sort):
                 raise InputError("summand sort must be a Sort")
-            if sort.kind == "Zero":
-                continue
             if rank < 1:
                 raise InputError("summand rank must be >= 1")
             ss.append((sort, int(rank)))
@@ -372,7 +365,7 @@ class SortedComplex:
 
     @classmethod
     def single(cls, sort: Sort, rank: int = 1, degree: int = 0) -> "SortedComplex":
-        if rank == 0 or sort.kind == "Zero":
+        if rank == 0:
             return cls.zero()
         return cls({degree: SortedModule([(sort, rank)])}, {})
 
@@ -568,9 +561,8 @@ class LocalizationTable:
         elif self.prime is not None:
             raise InputError(f"{self.kind} table takes no prime")
 
-    def apply_sort(self, s: Sort) -> Sort:
-        if s.kind == "Zero":
-            return ZERO
+    def apply_sort(self, s: Sort) -> Sort | None:
+        """The sort of s tensored along the table; None when it kills s."""
         if self.kind == "rationalize":
             if s.kind in ("Z", "ZlocP"):
                 return Q
@@ -583,7 +575,7 @@ class LocalizationTable:
                 return Zp(p)
             if s.kind == "Zp" and s.prime == p:
                 return s
-            return ZERO
+            return None
         # localize: invert every prime outside the configured set
         if s.kind == "Z":
             return ZLOC
@@ -609,7 +601,9 @@ def _localize_module(m: SortedModule, tables):
     for i, (s, r) in enumerate(m.summands):
         for t in tables:
             s = t.apply_sort(s)
-        if s.kind != "Zero":
+            if s is None:
+                break
+        else:
             kept.append(i)
             out.append((s, r))
     return kept, SortedModule(out)
@@ -620,8 +614,8 @@ def _localize(c: SortedComplex, tables):
     the localized complex and, per degree, the basis indices of c it keeps.
 
     Applying the tables one at a time keeps exactly the summands whose
-    sort the composite does not send to Zero, and each matrix is a
-    submatrix of a submatrix, so one pass gives the same complex.
+    sort no table kills, and each matrix is a submatrix of a submatrix,
+    so one pass gives the same complex.
     """
     mods, kept = {}, {}
     for n, m in c.modules.items():

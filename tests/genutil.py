@@ -14,10 +14,17 @@ from fracturecube.exact_linalg import (
     _smith,
     kernel_basis,
 )
-from fracturecube.holim import PosetDiagram, nerve_limit, punctured_restriction
-from fracturecube.posets import FinitePoset, canonical_subset
+from fracturecube.cube_categories import FractureObject
+from fracturecube.holim import (
+    PosetDiagram,
+    _place,
+    attach_localization,
+    homotopy_limit,
+    nerve_limit,
+    punctured_restriction,
+)
+from fracturecube.posets import FinitePoset, canonical_subset, subset_poset
 from fracturecube.sorted_complex import (
-    ZERO,
     ZLOC,
     Q,
     Qp,
@@ -34,6 +41,8 @@ from fracturecube.sorted_complex import (
     canonical_unit,
     chain_map_group,
     direct_sum,
+    is_local,
+    Violation,
 )
 
 
@@ -306,8 +315,6 @@ def random_cube(rng: random.Random, labels, sort: Sort = Z, deg_lo: int = 0,
                 deg_hi: int = 2, max_rank: int = 3, punctured: bool = False,
                 pieces: int = 3):
     """Seeded strictly functorial cube with genuinely mixed edge maps."""
-    from fracturecube.posets import subset_poset
-
     labels = tuple(sorted(labels))
     shape = subset_poset(labels, punctured=False)
 
@@ -517,8 +524,8 @@ def all_sorts(primes):
 
 
 def composite_kills_all(second, first, primes) -> bool:
-    """Whether applying the table first then second sends every sort to Zero."""
-    return all(second.apply_sort(first.apply_sort(s)) == ZERO
+    """Whether applying the table first then second kills every sort."""
+    return all((u := first.apply_sort(s)) is None or second.apply_sort(u) is None
                for s in all_sorts(primes))
 
 
@@ -696,7 +703,7 @@ def reference_matrix_to_json(m: ExactMatrix) -> dict:
 
 
 def reference_matrix_from_json(d, path="$") -> ExactMatrix:
-    serialize._only_keys(d, ("rows", "cols", "entries"), (), path)
+    serialize._only_keys(d, ("rows", "cols", "entries"), path)
     rows = serialize._expect(d["rows"], int, f"{path}.rows")
     cols = serialize._expect(d["cols"], int, f"{path}.cols")
     entries = serialize._expect(d["entries"], list, f"{path}.entries")
@@ -735,7 +742,7 @@ def reference_diagram_over(shape, payloads: dict, d, path):
     edges = {}
     for k, e in enumerate(serialize._expect(d["edges"], list, f"{path}.edges")):
         epath = f"{path}.edges[{k}]"
-        serialize._only_keys(e, ("from", "to", "components"), (), epath)
+        serialize._only_keys(e, ("from", "to", "components"), epath)
         x = serialize.subset_from_str(e["from"], f"{epath}.from")
         y = serialize.subset_from_str(e["to"], f"{epath}.to")
         if x not in verts or y not in verts:
@@ -748,3 +755,83 @@ def reference_diagram_over(shape, payloads: dict, d, path):
         return PosetDiagram(shape, verts, edges)
     except InputError as exc:
         raise SchemaError(path, str(exc)) from None
+
+
+# --- sub-cubes as their own diagrams ------------------------------------------------
+# The package totalizes a sub-cube straight off its parent cube. These build
+# the face or up-set diagram first and totalize that, as the package once did.
+
+def _face(diagram: PosetDiagram, fixed, free, punctured: bool = False) -> PosetDiagram:
+    """The face S -> diagram(S + fixed) over the subsets S of free."""
+    # a covering pair of the face is one of the diagram: read its edge
+    shape = subset_poset(free, punctured=punctured)
+    verts = {s: diagram.vertex(canonical_subset(s + fixed)) for s in shape.elements}
+    edges = {(a, b): diagram.edges[(canonical_subset(a + fixed), canonical_subset(b + fixed))]
+             for (a, b) in shape.covering_pairs()}
+    return PosetDiagram._trusted(shape, verts, edges)
+
+
+def reference_punctured_limit_recursive(diagram: PosetDiagram, t) -> SortedComplex:
+    """The pullback of A -> B <- G({t}) over the two face diagrams."""
+    labels = max(diagram.shape.elements, key=len)
+    rest = tuple(x for x in labels if x != t)
+    a_diag = _face(diagram, (), rest, punctured=True)
+    b_diag = _face(diagram, (t,), rest, punctured=True)
+    a, b = homotopy_limit(a_diag), homotopy_limit(b_diag)
+    c = diagram.vertex((t,))
+    phi = ComplexMap._trusted(a.complex, b.complex, _place(
+        a, b, [(s, s, diagram.hom(s, canonical_subset(s + (t,)))) for s in a.cells]))
+    psi = b.cone_map(c, {s: diagram.hom((t,), canonical_subset(s + (t,)))
+                         for s in b_diag.shape.elements})
+    square = PosetDiagram._trusted(subset_poset((1, 2), punctured=True),
+                                   {(1,): a.complex, (2,): c, (1, 2): b.complex},
+                                   {((1,), (1, 2)): phi, ((2,), (1, 2)): psi})
+    return homotopy_limit(square).complex
+
+
+def reference_limit_extended_cube(punctured: PosetDiagram) -> PosetDiagram:
+    """The Cartesian extension with one restricted diagram and one nerve per vertex."""
+    full = subset_poset(max(punctured.shape.elements, key=len))
+    results = {}
+    for s in full.elements:
+        upset = [u for u in punctured.shape.elements if set(s) <= set(u)]
+        results[s] = nerve_limit(punctured.restrict(upset))
+    verts = {s: results[s].complex for s in full.elements}
+    ident = {x: ComplexMap.identity(v) for x, v in punctured.vertices.items()}
+    edges = {(s, s2): ComplexMap._trusted(verts[s], verts[s2], _place(
+        results[s], results[s2], [(c, c, ident[c[-1]]) for c in results[s2].cells]))
+        for (s, s2) in full.covering_pairs()}
+    return PosetDiagram._trusted(full, verts, edges)
+
+
+def reference_validate_fracture_object(g: FractureObject) -> list:
+    """The validation with its third loop: every edge iv -> iw inside the
+    localized face checked against the localization of v -> w."""
+    fam = g.family
+    out = []
+    for s in g.diagram.shape.elements:
+        table = fam.table(min(s))
+        if not is_local(g.vertex(s), table):
+            out.append(Violation(f"vertex {s}", f"not fixed by {table.label()}"))
+    for k, i in enumerate(g.labels[:-1]):
+        rest = subset_poset(g.labels[k + 1:], punctured=True)
+        table = fam.table(i)
+        want = attach_localization(g.diagram.restrict(rest.elements), table, i)
+        for v in rest.elements:
+            iv = canonical_subset((i,) + v)
+            if g.vertex(iv) != want.vertex(iv):
+                out.append(Violation(
+                    f"vertex {iv}",
+                    f"must equal the {table.label()} localization of {v}"))
+                continue
+            if g.diagram.hom(v, iv) != want.edges[(v, iv)]:
+                out.append(Violation(
+                    f"edge {v} -> {iv}", "must be the localization unit"))
+        for (v, w) in rest.covering_pairs():
+            iv = canonical_subset((i,) + v)
+            iw = canonical_subset((i,) + w)
+            if g.diagram.hom(iv, iw) != want.edges[(iv, iw)]:
+                out.append(Violation(
+                    f"edge {iv} -> {iw}",
+                    f"must be the {table.label()} localization of {v} -> {w}"))
+    return out

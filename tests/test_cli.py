@@ -679,12 +679,12 @@ def test_non_canonical_sort_tag(tmp_path, tag):
 
 
 def test_zero_summand_is_refused(tmp_path):
-    # dropping it would shift the summand index of the Z block behind it
+    # no sort is Zero: a localization drops a killed summand, never writes it
     payload = _line_complex(("0", "1"), ("1",))
     payload["modules"]["1"] = [["Zero", 1], ["Z", 1]]
     code, out, err = cli("homology", _payload_doc(tmp_path, "complex", payload))
     assert (code, out) == (2, "")
-    assert err == "schema error: $.payload.modules.1[0][0]: a Zero summand is never written\n"
+    assert err == "schema error: $.payload.modules.1[0][0]: unknown sort kind 'Zero'\n"
 
 
 NON_CANONICAL_DEGREES = ["1_0", "+1", "01", " 1"]

@@ -26,11 +26,14 @@ from fracturecube.fracture import LocalizationFamily, build_fracture_cube, e_loc
 from fracturecube.holim import PosetDiagram, homotopy_limit, is_quasi_iso
 from fracturecube.posets import FinitePoset, canonical_subset, subset_poset
 from fracturecube.sorted_complex import (
+    ZLOC,
     ComplexMap,
     Q,
     Qp,
+    Sort,
     SortedComplex,
     SortedMap,
+    SortedModule,
     Z,
     Zp,
     apply_localization,
@@ -45,6 +48,7 @@ from genutil import (
     random_complex,
     reference_anchored_supersets,
     reference_gap_subsets,
+    reference_validate_fracture_object,
     sum_inclusions,
 )
 
@@ -168,6 +172,82 @@ class TestValidate:
         d = PosetDiagram(chain, {s: SortedComplex.zero() for s in chain.elements}, {})
         with pytest.raises(InputError, match="not the punctured subset poset on"):
             FractureObject(d, FAM2)
+
+
+def seeded_objects():
+    """Fracture objects of seeded complexes for |P| = 0..3, all valid."""
+    rng = random.Random(61)
+    for primes in ((), (2,), (2, 3), (2, 3, 5)):
+        fam = LocalizationFamily(primes)
+        for _ in range(2):
+            x = random_complex(rng, deg_hi=2, max_rank=3)
+            yield fracture_diagram(e_localize(x, fam), fam)
+
+
+SEEDED_OBJECTS = list(seeded_objects())
+
+
+def swapped_sorts(c: SortedComplex) -> SortedComplex:
+    """c with each sort traded for another of the same rank, matrices kept."""
+    swap = {"Q": ZLOC, "ZlocP": Q}
+    mods = {n: SortedModule([(swap.get(s.kind) or Sort("Qp" if s.kind == "Zp" else "Zp",
+                                                         s.prime), r)
+                             for s, r in m.summands]) for n, m in c.modules.items()}
+    return SortedComplex._trusted(mods, {n: SortedMap._trusted(mods[n], mods[n - 1], d.matrix)
+                                         for n, d in c.diffs.items()})
+
+
+def corrupted(g: FractureObject):
+    """Copies of g with one nonzero vertex or one nonzero unit edge changed;
+    the edges at a changed vertex keep their matrices and take it as endpoint."""
+    d = g.diagram
+    for s, c in d.vertices.items():
+        if c.modules:
+            verts = {**d.vertices, s: swapped_sorts(c)}
+            edges = {(x, y): ComplexMap._trusted(verts[x], verts[y], e.maps)
+                     for (x, y), e in d.edges.items()}
+            yield FractureObject(PosetDiagram._trusted(d.shape, verts, edges),
+                                 g.family, g.labels)
+    for (v, iv), e in d.edges.items():
+        if e.maps and min(iv) < min(v):
+            doubled = ComplexMap._trusted(e.source, e.target,
+                                          {n: m.scale(2) for n, m in e.maps.items()})
+            yield FractureObject(PosetDiagram._trusted(
+                d.shape, d.vertices, {**d.edges, (v, iv): doubled}), g.family, g.labels)
+
+
+class TestValidateWithoutFaceEdges:
+    """The edges iv -> iw inside a localized face were checked by a third
+    loop; orthogonality makes it repeat the other two."""
+
+    def test_seeded_objects_cover_every_size(self):
+        assert {len(g.labels) for g in SEEDED_OBJECTS} == {1, 2, 3, 4}
+        assert all(validate_fracture_object(g) == [] for g in SEEDED_OBJECTS)
+
+    def test_face_edge_targets_are_zero(self):
+        # every vertex iw the loop visited: i, then w with two labels or more
+        visited = 0
+        for g in SEEDED_OBJECTS:
+            for k, i in enumerate(g.labels[:-1]):
+                rest = subset_poset(g.labels[k + 1:], punctured=True)
+                for (_, w) in rest.covering_pairs():
+                    assert g.vertex((i,) + w).is_zero_complex()
+                    visited += 1
+        assert visited > 20
+
+    @pytest.mark.parametrize("k", range(len(SEEDED_OBJECTS)))
+    def test_agrees_with_the_three_loop_reference(self, k):
+        refuted_by_face_edges = 0
+        for obj in [SEEDED_OBJECTS[k], *corrupted(SEEDED_OBJECTS[k])]:
+            new, ref = validate_fracture_object(obj), reference_validate_fracture_object(obj)
+            face_edges = [v for v in ref if v.location.startswith("edge")
+                          and v.message != "must be the localization unit"]
+            assert (new == []) == (ref == [])
+            assert new == [v for v in ref if v not in face_edges]
+            refuted_by_face_edges += bool(face_edges)
+        if len(SEEDED_OBJECTS[k].labels) > 2:
+            # the loop did report lines, each on an object already refuted
+            assert refuted_by_face_edges
 
 
 class TestGenerators:

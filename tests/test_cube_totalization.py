@@ -22,7 +22,6 @@ from fracturecube.fracture import (
 )
 from fracturecube.holim import (
     PosetDiagram,
-    _face,
     cube_totalization,
     homotopy_limit,
     initial_corner_cube,
@@ -43,6 +42,7 @@ from fracturecube.sorted_complex import (
 
 from genutil import (
     _direct_sum_map,
+    _face,
     random_complex,
     random_cube,
     reference_cone,

@@ -34,7 +34,6 @@ from fracturecube.fracture import (
 )
 from fracturecube.holim import (
     PosetDiagram,
-    _face,
     adjunction_check,
     attach_localization,
     cube_labels,
@@ -57,6 +56,7 @@ from fracturecube.holim import (
 )
 
 from genutil import (
+    _face,
     _upset_cube,
     nerve_total_fiber,
     random_complex,

@@ -97,6 +97,13 @@ class TestSorts:
         with pytest.raises(InputError, match="not in the form tag\\(\\) writes"):
             Sort.from_tag(tag)
 
+    @pytest.mark.parametrize("make", [lambda: Sort("Zero"), lambda: Sort.from_tag("Zero")])
+    def test_there_is_no_zero_sort(self, make):
+        # a table that kills a sort returns None, and the summand is dropped
+        with pytest.raises(InputError, match="unknown sort kind 'Zero'"):
+            make()
+        assert complete(2).apply_sort(Q) is None
+
     def test_completed_sorts_need_primes(self):
         with pytest.raises(InputError):
             Sort("Zp")
@@ -151,6 +158,12 @@ class TestValidation:
         bad = validate(c, primes=(2,))
         assert len(bad) == 1 and "not a unit" in bad[0].message
         assert validate(c, primes=(3,)) == []
+
+    def test_completed_sort_outside_the_primes(self):
+        c = direct_sum(SortedComplex.single(Zp(2)), SortedComplex.single(Zp(5), degree=2))
+        assert validate(c, primes=(2, 3)) == [
+            Violation("degree 2 summand 0", "sort Zp:5 uses prime outside [2, 3]")]
+        assert validate(c) == [] and validate(c, primes=(2, 5)) == []
 
     def test_integer_target_needs_integers(self):
         m = SortedModule([(Z, 1)])
@@ -544,6 +557,8 @@ class TestComparison:
         (Z, Fraction(1, 7), (), False), (ZLOC, Fraction(1, 7), (2, 3), True),
         (ZLOC, Fraction(1, 2), (2, 3), False), (Zp(5), Fraction(1, 7), (5,), True),
         (Q, Fraction(1, 7), (), True),
+        # a zero transform: its coordinate matrix is zero, whose diagonal is no unit
+        (Z, 0, (), False), (Q, 0, (), False),
     ])
     def test_scalar_on_the_sphere(self, sort, c, primes, want):
         sphere = SortedComplex.single(sort)

@@ -30,7 +30,6 @@ from fracturecube.fracture import (
 )
 from fracturecube.holim import (
     PosetDiagram,
-    _face,
     cone,
     cube_totalization,
     hofib,
@@ -63,6 +62,7 @@ from fracturecube.sorted_complex import (
 
 from genutil import (
     _direct_sum_map,
+    _face,
     _scalar_cube,
     _upset_cube,
     cube_direct_sum,
@@ -71,6 +71,8 @@ from genutil import (
     random_cube,
     reference_cone,
     reference_hofib,
+    reference_limit_extended_cube,
+    reference_punctured_limit_recursive,
     scaled_cube,
     shift,
 )
@@ -222,6 +224,36 @@ def test_cube_totalization_matches_the_reference(k):
 def test_punctured_limit_matches_the_reference(k):
     g = punctured_restriction(ALL_CUBES[k])
     assert homotopy_limit(g).complex == cube_reference(g).complex
+
+
+@pytest.mark.parametrize("k", range(len(ALL_CUBES)))
+def test_sub_cube_limits_match_the_face_diagram_references(k, monkeypatch):
+    # the sub-cubes are totalized off the punctured cube, so each limit
+    # builds one diagram, where the references build one per face or up-set
+    g = punctured_restriction(ALL_CUBES[k])
+    labels = g.shape.elements[-1]
+    built = []
+    trusted = PosetDiagram._trusted.__func__
+
+    def counted(cls, *args):
+        built.append(args[0])
+        return trusted(cls, *args)
+
+    monkeypatch.setattr(PosetDiagram, "_trusted", classmethod(counted))
+
+    def run(fn, *args):
+        built.clear()
+        return fn(*args), len(built)
+
+    (ext, n), (ref, n_ref) = run(limit_extended_cube, g), run(reference_limit_extended_cube, g)
+    assert (n, n_ref) == (1, 2 ** len(labels) + 1)
+    assert ext.shape is ref.shape
+    assert ext.vertices == ref.vertices and ext.edges == ref.edges
+    for t in labels if len(labels) > 1 else ():
+        (rec, n), (ref, n_ref) = (run(punctured_limit_recursive, g, t),
+                                  run(reference_punctured_limit_recursive, g, t))
+        assert (n, n_ref) == (1, 3)
+        assert rec == ref
 
 
 def fracture_cubes():
@@ -436,7 +468,7 @@ def test_total_fibers_build_no_copies(monkeypatch):
     cubes = [random_cube(rng, (1, 2, 3), sort=ZLOC, max_rank=3) for _ in range(2)]
     cubes += ZERO_PATTERN_CUBES[-4:]
     calls = []
-    scale, face, totalize = ExactMatrix.scale, holim._face, holim.cube_totalization
+    scale, totalize = ExactMatrix.scale, holim.cube_totalization
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -445,7 +477,6 @@ def test_total_fibers_build_no_copies(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(ExactMatrix, "scale", counted("scale", scale))
-    monkeypatch.setattr(holim, "_face", counted("_face", face))
     monkeypatch.setattr(holim, "cube_totalization", counted("cube_totalization", totalize))
     for d in cubes:
         holim.total_fiber(d)

@@ -32,7 +32,6 @@ from fracturecube.fracture import (
 )
 from fracturecube.holim import (
     PosetDiagram,
-    _face,
     attach_localization,
     cone,
     cube_totalization,
@@ -66,6 +65,7 @@ from fracturecube.sorted_complex import (
 )
 
 from genutil import (
+    _face,
     apply_tables,
     assert_canonical,
     leg_compatibility,

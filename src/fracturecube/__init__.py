@@ -20,11 +20,9 @@ from .exact_linalg import (
 from .posets import (
     FinitePoset,
     PosetMap,
-    SimplicialComplexData,
     certify_initial,
     comma_poset,
     is_dismantlable,
-    order_complex,
     pcubelim_index_map,
     reduced_homology,
     subset_poset,

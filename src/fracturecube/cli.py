@@ -27,7 +27,7 @@ from .holim import PosetDiagram, homotopy_limit, total_fiber
 from .posets import certify_initial, pcubelim_index_map, subset_poset
 from .sorted_complex import homology_p_local
 from . import serialize
-from .serialize import SchemaError, check_dimension, label_to_str
+from .serialize import SchemaError, check_dimension, subset_to_str
 
 
 def _parse_primes(raw: str) -> tuple:
@@ -107,7 +107,7 @@ def emit_dot(diagram: PosetDiagram, with_homology: bool = False,
     names = {}
     for i, s in enumerate(diagram.shape.elements):
         names[s] = f"n{i}"
-        key = label_to_str(s) or "{}"
+        key = subset_to_str(s) or "{}"
         body = _homology_label(diagram.vertex(s), primes) if with_homology \
             else _module_label(diagram.vertex(s))
         lines.append(f'  n{i} [label="{key}: {body}"];')
@@ -178,9 +178,9 @@ def _cmd_poset_check_initial(args, out):
     rep = certify_initial(pcubelim_index_map(labels, args.t))
     payload = {
         "overall": rep.overall,
-        "certificates": {label_to_str(i): cert
+        "certificates": {subset_to_str(i): cert
                          for i, cert in rep.certificates.items()},
-        "inconclusive": [label_to_str(i) for i in rep.inconclusive],
+        "inconclusive": [subset_to_str(i) for i in rep.inconclusive],
     }
     _emit(serialize.wrap("report", payload), args.output, out)
     return 0 if rep.overall else 1

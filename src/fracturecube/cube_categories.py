@@ -8,13 +8,14 @@ Such objects are equivalent to single local complexes: the limit
 functor and the fracture-diagram functor are mutually inverse up to
 quasi-isomorphism, verified here vertex by vertex.
 
-Every cube of localizations here is built or checked by folding
+Every cube of localizations here is built by folding
 holim.attach_localization from the largest index down: the face on the
 larger indices, its localization at the next index, and the units
 between the two. build_from_generators, diagram_functor and
 glue_fracture_object satisfy the object conditions by that
 construction, so they check only what the caller supplies and do not
-validate their output again. Locality is sorted_complex.is_local.
+validate their output again. Validation does the fold's per-vertex
+work without building a diagram. Locality is sorted_complex.is_local.
 
 The decomposition combinatorics splits the index poset above a subset
 into a gap part between the two minima and an anchored part above the
@@ -43,6 +44,8 @@ from .sorted_complex import (
     ComplexMap,
     SortedComplex,
     Violation,
+    _localize,
+    _unit,
     apply_localization,
     is_acyclic,
     is_local,
@@ -76,11 +79,13 @@ class FractureObject:
 def validate_fracture_object(g: FractureObject) -> list:
     """Check the locality and unit-edge conditions, peeling minima.
 
-    Returns a list of violations; empty means the object is valid. The
-    edges iv -> iw inside a localized face need no check: once these
-    pass, induction on |w| makes every vertex with two completion labels
-    zero (a completion kills every sort local for another), and every
-    such iw holds two, so both sides of the edge are zero.
+    Returns a list of violations; empty means the object is valid. Each
+    vertex v of the face after index i is localized at i once, with no
+    face diagram built, for vertex iv and unit edge v -> iv. The edges
+    iv -> iw need no check: once these pass, induction on |w| makes every
+    vertex with two completion labels zero (a completion kills every
+    sort local for another), and every such iw holds two, so both sides
+    are zero.
     """
     fam = g.family
     out = []
@@ -89,18 +94,16 @@ def validate_fracture_object(g: FractureObject) -> list:
         if not is_local(g.vertex(s), table):
             out.append(Violation(f"vertex {s}", f"not fixed by {table.label()}"))
     for k, i in enumerate(g.labels[:-1]):
-        # the face away from i, with its localization at i attached
-        rest = subset_poset(g.labels[k + 1:], punctured=True)
         table = fam.table(i)
-        want = attach_localization(g.diagram.restrict(rest.elements), table, i)
-        for v in rest.elements:
-            iv = canonical_subset((i,) + v)
-            if g.vertex(iv) != want.vertex(iv):
+        for v in subset_poset(g.labels[k + 1:], punctured=True).elements:
+            iv, c = canonical_subset((i,) + v), g.vertex(v)
+            loc = _localize(c, (table,))
+            if g.vertex(iv) != loc[0]:
                 out.append(Violation(
                     f"vertex {iv}",
                     f"must equal the {table.label()} localization of {v}"))
                 continue
-            if g.diagram.hom(v, iv) != want.edges[(v, iv)]:
+            if g.diagram.hom(v, iv) != _unit(c, loc):
                 out.append(Violation(
                     f"edge {v} -> {iv}", "must be the localization unit"))
     return out
@@ -307,20 +310,11 @@ def anchored_cover_identity(n: int) -> bool:
     """The anchored posets of the two-or-more element sets cover the
     punctured anchored poset of the singleton, compatibly on overlaps."""
     t = tuple(range(1, n + 1))
-    one = anchored_supersets((1,), t)
-    index = [u for u in one.elements if u != (1,)]
-    union = set()
-    for s in index:
-        union |= set(anchored_supersets(s, t).elements)
-    if union != set(index):
-        return False
-    for s1 in index:
-        for s2 in index:
-            meet = set(anchored_supersets(s1, t).elements) & \
-                set(anchored_supersets(s2, t).elements)
-            if meet != set(anchored_supersets(canonical_subset(s1 + s2), t).elements):
-                return False
-    return True
+    index = [u for u in anchored_supersets((1,), t).elements if u != (1,)]
+    up = {s: set(anchored_supersets(s, t).elements) for s in index}
+    return (set().union(*up.values()) == set(index)
+            and all(up[a] & up[b] == up[canonical_subset(a + b)]
+                    for a in index for b in index))
 
 
 # --- split and glue -----------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Finite posets, subset posets, order complexes, and initiality certificates.
+"""Finite posets, subset posets, and initiality certificates.
 
 Subsets of an integer label set are always encoded as strictly increasing
 tuples so that every enumeration in the package is deterministic. Order
 questions are read off a poset's up-sets: each subset poset is built
 once and shared, and dismantling looks for a minimum above or a maximum
-below an element without building a subposet to ask.
+below an element without building a subposet to ask. The homology of
+a poset's order complex is read off its strict chains.
 """
 
 from __future__ import annotations
@@ -156,11 +157,10 @@ class PosetMap:
                 raise InputError(f"assignment missing {x!r}")
             if self.assignment[x] not in self.target:
                 raise InputError(f"image {self.assignment[x]!r} not in target")
-        for x in self.source.elements:
-            for y in self.source.elements:
-                if self.source.leq(x, y) and not self.target.leq(
-                        self.assignment[x], self.assignment[y]):
-                    raise InputError(f"map not order-preserving at {x!r} <= {y!r}")
+        # a map that keeps every cover keeps the order, by transitivity
+        for x, y in self.source.covering_pairs():
+            if not self.target.leq(self.assignment[x], self.assignment[y]):
+                raise InputError(f"map not order-preserving at {x!r} <= {y!r}")
 
     def __call__(self, x):
         return self.assignment[x]
@@ -168,43 +168,6 @@ class PosetMap:
     @classmethod
     def identity(cls, p: FinitePoset) -> "PosetMap":
         return cls(p, p, {x: x for x in p.elements})
-
-
-@dataclass(frozen=True)
-class SimplicialComplexData:
-    """Abstract simplicial complex stored by its maximal faces."""
-
-    vertices: tuple
-    maximal_faces: frozenset  # frozensets of vertices
-
-    def __post_init__(self):
-        for f in self.maximal_faces:
-            if not f <= set(self.vertices):
-                raise InputError("face uses unknown vertex")
-        for f in self.maximal_faces:
-            for g in self.maximal_faces:
-                if f < g:
-                    raise InputError("stored face is not maximal")
-
-    def faces_by_dimension(self):
-        """All faces, closed under subsets, keyed by dimension."""
-        seen = set()
-        for mf in self.maximal_faces:
-            stack = [frozenset(mf)]
-            while stack:
-                f = stack.pop()
-                if f in seen or not f:
-                    continue
-                seen.add(f)
-                for v in f:
-                    stack.append(f - {v})
-        out = {}
-        order = {v: i for i, v in enumerate(self.vertices)}
-        for f in seen:
-            out.setdefault(len(f) - 1, []).append(tuple(sorted(f, key=order.get)))
-        for d in out:
-            out[d].sort()
-        return out
 
 
 # --- subset posets ------------------------------------------------------------
@@ -251,39 +214,26 @@ def _subset_poset(base: tuple, punctured: bool) -> FinitePoset:
     return FinitePoset._trusted(subsets, up)
 
 
-def order_complex(p: FinitePoset) -> SimplicialComplexData:
-    """Simplicial complex whose simplices are the chains of the poset."""
-    levels = p.strict_chains()
-    all_chains = [frozenset(c) for level in levels for c in level]
-    maximal = [c for c in all_chains
-               if not any(c < other for other in all_chains)]
-    return SimplicialComplexData(tuple(p.elements), frozenset(maximal))
+def reduced_homology(p: FinitePoset) -> dict[int, AbelianInvariants]:
+    """Reduced homology over Z of the order complex of p, by Smith normal form.
 
-
-def reduced_homology(k: SimplicialComplexData) -> dict[int, AbelianInvariants]:
-    """Reduced simplicial homology over Z, by Smith normal form.
-
+    The simplices are read straight off p.strict_chains(): a chain of
+    d + 1 elements is a d-simplex, dropping its i-th element gives its
+    i-th face with sign (-1)^i, and C_{-1} = Z is the augmentation.
     Returns only the nonzero degrees (missing degree means trivial group).
     """
-    faces = k.faces_by_dimension()
-    if not faces:
+    chains = p.strict_chains()
+    if not chains:
         raise InputError("empty complex")
-    index = {d: {f: i for i, f in enumerate(faces[d])} for d in faces}
-
-    def boundary(d):
-        # d-th boundary map C_d -> C_{d-1}; C_{-1} = Z (augmentation)
-        if d == 0:
-            return ExactMatrix(1, len(faces[0]),
-                               {(0, j): 1 for j in range(len(faces[0]))})
-        entries = {}
-        for j, f in enumerate(faces.get(d, [])):
-            for pos in range(len(f)):
-                sub = f[:pos] + f[pos + 1:]
-                entries[(index[d - 1][sub], j)] = (-1) ** pos
-        return ExactMatrix(len(faces.get(d - 1, [])), len(faces.get(d, [])), entries)
-
-    ranks = {-1: 1, **{d: len(fs) for d, fs in faces.items()}}
-    hom = integer_homology(ranks, {d: boundary(d) for d in faces})
+    # the empty chain spans C_{-1}: it is the one face of every vertex
+    levels = {-1: [()], **dict(enumerate(chains))}
+    diffs = {}
+    for d in range(len(chains)):
+        row = {c: r for r, c in enumerate(levels[d - 1])}
+        diffs[d] = ExactMatrix(len(levels[d - 1]), len(levels[d]), {
+            (row[c[:i] + c[i + 1:]], j): (-1) ** i
+            for j, c in enumerate(levels[d]) for i in range(len(c))})
+    hom = integer_homology({d: len(level) for d, level in levels.items()}, diffs)
     return {d: inv for d, inv in hom.items() if not inv.is_trivial()}
 
 
@@ -346,8 +296,9 @@ def certify_initial(f: PosetMap) -> InitialityReport:
 
     Every comma poset over a target element must be contractible.
     Dismantlability is the conclusive certificate; when it fails but the
-    reduced homology of the comma poset vanishes, the element is flagged
-    inconclusive instead of guessed.
+    reduced homology of the comma poset's order complex vanishes, the
+    element is flagged inconclusive instead of guessed. An empty comma
+    poset fails.
     """
     certs = {}
     inconclusive = []
@@ -360,8 +311,7 @@ def certify_initial(f: PosetMap) -> InitialityReport:
         if ok:
             certs[i] = CERT_DISMANTLABLE
             continue
-        hom = reduced_homology(order_complex(comma))
-        if not hom:
+        if not reduced_homology(comma):
             certs[i] = CERT_HOMOLOGY_ONLY
             inconclusive.append(i)
         else:

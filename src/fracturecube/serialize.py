@@ -122,14 +122,6 @@ def subset_from_str(s, path="$"):
     return parts
 
 
-def label_to_str(x) -> str:
-    if isinstance(x, tuple):
-        if all(isinstance(v, int) for v in x):
-            return subset_to_str(x)
-        return "|".join(label_to_str(v) for v in x)
-    return str(x)
-
-
 # --- matrices ---------------------------------------------------------------------
 
 def matrix_to_json(m: ExactMatrix) -> dict:
@@ -259,7 +251,7 @@ def _complex_map_from_json(d, source, target, path) -> ComplexMap:
 
 
 def diagram_to_json(d: PosetDiagram) -> dict:
-    keys = {s: label_to_str(s) for s in d.shape.elements}
+    keys = {s: subset_to_str(s) for s in d.shape.elements}
     verts = {keys[s]: complex_to_json(d.vertex(s)) for s in d.shape.elements}
     edges = [{"from": keys[x], "to": keys[y],
               "components": _complex_map_components_to_json(d.edges[(x, y)])}
@@ -278,7 +270,7 @@ def _diagram_over(shape: FinitePoset, payloads: dict, d, path) -> PosetDiagram:
     """Decode the vertices and edges of a diagram document of a known shape."""
     if set(payloads) != set(shape.elements):
         raise SchemaError(f"{path}.vertices", "keys do not form the diagram's "
-                          f"poset on {label_to_str(max(shape.elements, key=len))}")
+                          f"poset on {subset_to_str(max(shape.elements, key=len))}")
     verts = {s: complex_from_json(v, f"{path}.vertices.{k}")
              for s, (k, v) in payloads.items()}
     subsets = {k: s for s, (k, _) in payloads.items()}
@@ -350,7 +342,7 @@ def fracture_object_from_json(d, path="$") -> FractureObject:
 def split_to_json(sp: SplitData) -> dict:
     witness = {}
     for u, w in sorted(sp.witness.items()):
-        witness[label_to_str(u)] = _complex_map_components_to_json(w)
+        witness[subset_to_str(u)] = _complex_map_components_to_json(w)
     return {"top": fracture_object_to_json(sp.top),
             "bottom": diagram_to_json(sp.bottom),
             "witness": witness}

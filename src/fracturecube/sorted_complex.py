@@ -681,12 +681,6 @@ class ResidueCheck:
     passed: bool
     defects: tuple = ()  # (degree, dim of surviving homology)
 
-    def describe(self) -> str:
-        name = {"mod-p": f"mod {self.prime}",
-                "rational-completed": f"rational Qp({self.prime}) part",
-                "rational": "rational Q part"}[self.kind]
-        return f"{name}: {'ok' if self.passed else 'fails at ' + str(self.defects)}"
-
 
 @dataclass(frozen=True)
 class AcyclicityReport:

@@ -457,6 +457,14 @@ def _inclusion_poset(elems) -> FinitePoset:
     return FinitePoset._trusted(elems, up)
 
 
+def face_poset(maximal_faces) -> FinitePoset:
+    """The nonempty faces of the simplicial complex these faces span (its
+    maximal faces suffice), as sorted tuples ordered by inclusion. Its
+    order complex is the barycentric subdivision of the complex, so the
+    two share homology."""
+    return _inclusion_poset({u for f in maximal_faces for u in _all_subsets(sorted(f)) if u})
+
+
 def reference_anchored_supersets(s, t) -> FinitePoset:
     """Subsets of t containing s and sharing its minimum, by inclusion."""
     s, t = canonical_subset(s), canonical_subset(t)
@@ -721,7 +729,7 @@ def reference_matrix_from_json(d, path="$") -> ExactMatrix:
 
 
 def reference_diagram_to_json(d) -> dict:
-    label = serialize.label_to_str
+    label = serialize.subset_to_str
     verts = {}
     for s in d.shape.elements:
         verts[label(s)] = serialize.complex_to_json(d.vertex(s))
@@ -736,7 +744,7 @@ def reference_diagram_over(shape, payloads: dict, d, path):
     SchemaError = serialize.SchemaError
     if set(payloads) != set(shape.elements):
         raise SchemaError(f"{path}.vertices", "keys do not form the diagram's "
-                          f"poset on {serialize.label_to_str(max(shape.elements, key=len))}")
+                          f"poset on {serialize.subset_to_str(max(shape.elements, key=len))}")
     verts = {s: serialize.complex_from_json(v, f"{path}.vertices.{k}")
              for s, (k, v) in payloads.items()}
     edges = {}

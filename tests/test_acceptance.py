@@ -57,7 +57,7 @@ def test_criterion_01_fracture_verification():
         x = random_complex(rng, sort=Z, deg_lo=0, deg_hi=4, max_rank=6, bound=9)
         for primes in PRIME_SETS:
             rep = verify_fracture(x, LocalizationFamily(primes))
-            assert rep.verdict, (primes, [c.describe() for c in rep.checks])
+            assert rep.verdict, (primes, [(c.kind, c.prime, c.defects) for c in rep.checks])
             count += 1
     elapsed = time.time() - t0
     assert elapsed < 60.0, f"runtime budget exceeded: {elapsed:.1f}s"

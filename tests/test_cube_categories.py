@@ -250,6 +250,23 @@ class TestValidateWithoutFaceEdges:
             assert refuted_by_face_edges
 
 
+def test_validation_builds_no_diagram(monkeypatch):
+    # one localization pass per face vertex, no face restricted or attached
+    objects = [h for g in SEEDED_OBJECTS for h in (g, *corrupted(g))]
+    built = []
+    trusted, restrict = PosetDiagram._trusted.__func__, PosetDiagram.restrict
+    monkeypatch.setattr(PosetDiagram, "_trusted", classmethod(
+        lambda cls, *args: built.append("_trusted") or trusted(cls, *args)))
+    monkeypatch.setattr(PosetDiagram, "restrict",
+                        lambda d, keep: built.append("restrict") or restrict(d, keep))
+    for g in objects:
+        validate_fracture_object(g)
+    assert built == []
+    # the counters do count
+    SEEDED_OBJECTS[-1].diagram.restrict([(1,)])
+    assert built == ["restrict", "_trusted"]
+
+
 class TestGenerators:
     def test_zero_generators(self):
         zero = SortedComplex.zero()

@@ -18,7 +18,7 @@ from fracturecube.exact_linalg import (
     snf_diagonal,
     solve_in_span,
 )
-from fracturecube.posets import SimplicialComplexData, reduced_homology
+from fracturecube.posets import reduced_homology
 from fracturecube.sorted_complex import (
     SortedComplex,
     SortedMap,
@@ -26,6 +26,8 @@ from fracturecube.sorted_complex import (
     Z,
     homology_p_local,
 )
+
+from genutil import face_poset
 
 
 def chain_homology_at(d_in, d_out):
@@ -120,9 +122,13 @@ class TestAgainstKernelChain:
     @given(st.lists(st.frozensets(st.integers(0, 5), min_size=1, max_size=4),
                     min_size=1, max_size=6))
     def test_reduced_homology(self, faces):
-        maximal = frozenset(f for f in faces if not any(f < g for g in faces))
-        k = SimplicialComplexData(tuple(range(6)), maximal)
-        by_dim = k.faces_by_dimension()
+        # the oracle reads K's own simplicial chains, the package the order
+        # complex of K's face poset, which subdivides K
+        simplices = sorted({u for f in faces for k in range(1, len(f) + 1)
+                            for u in combinations(sorted(f), k)})
+        by_dim = {}
+        for u in simplices:
+            by_dim.setdefault(len(u) - 1, []).append(u)
         index = {d: {f: i for i, f in enumerate(fs)} for d, fs in by_dim.items()}
         ranks = {-1: 1, **{d: len(fs) for d, fs in by_dim.items()}}
         diffs = {}
@@ -135,7 +141,7 @@ class TestAgainstKernelChain:
             diffs[d] = ExactMatrix(ranks[d - 1], ranks[d], entries)
         want = {d: inv for d, inv in oracle_homology(ranks, diffs).items()
                 if not inv.is_trivial()}
-        assert reduced_homology(k) == want
+        assert reduced_homology(face_poset(faces)) == want
 
 
 class TestOneDiagonalPerDifferential:
@@ -160,17 +166,15 @@ class TestOneDiagonalPerDifferential:
             0: AbelianInvariants(1, (2,)), 1: AbelianInvariants(0, (3,))}
         assert sorted(calls) == [(2, 1), (2, 2)]
         assert integer_homology_at(diffs[2], diffs[1]) == AbelianInvariants(0, (3,))
-        k = SimplicialComplexData((0, 1, 2), frozenset(
-            frozenset(e) for e in combinations(range(3), 2)))
-        assert reduced_homology(k) == {1: AbelianInvariants(1)}
+        circle = face_poset(combinations(range(3), 2))
+        assert reduced_homology(circle) == {1: AbelianInvariants(1)}
 
     def test_no_product_on_complexes_built_by_the_caller(self, monkeypatch):
         # d^2 = 0 holds for a sorted complex and a boundary: not re-checked
         c = sorted_complex_of({0: 2, 1: 2, 2: 1},
                               {1: ExactMatrix.from_rows([[2, 0], [0, 0]]),
                                2: ExactMatrix.from_rows([[0], [3]])})
-        k = SimplicialComplexData((0, 1, 2, 3), frozenset(
-            frozenset(f) for f in combinations(range(4), 3)))
+        sphere = face_poset(combinations(range(4), 3))
 
         def forbidden(*args):
             raise AssertionError("homology must not multiply matrices")
@@ -178,7 +182,7 @@ class TestOneDiagonalPerDifferential:
         monkeypatch.setattr(ExactMatrix, "__mul__", forbidden)
         assert homology_p_local(c) == {0: AbelianInvariants(1, (2,)),
                                        1: AbelianInvariants(0, (3,))}
-        assert reduced_homology(k) == {2: AbelianInvariants(1)}
+        assert reduced_homology(sphere) == {2: AbelianInvariants(1)}
 
     def test_raw_matrices_are_checked(self):
         with pytest.raises(InputError, match="non-integral"):

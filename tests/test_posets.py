@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -6,21 +7,25 @@ from fracturecube.exact_linalg import AbelianInvariants, InputError
 from fracturecube.posets import (
     CERT_DISMANTLABLE,
     CERT_FAIL,
+    CERT_HOMOLOGY_ONLY,
     FinitePoset,
     PosetMap,
-    SimplicialComplexData,
     _irreducible,
     _subset_poset,
     certify_initial,
     comma_poset,
     is_dismantlable,
-    order_complex,
     pcubelim_index_map,
     reduced_homology,
     subset_poset,
 )
 
-from genutil import random_poset, reference_irreducible, reference_is_dismantlable
+from genutil import (
+    face_poset,
+    random_poset,
+    reference_irreducible,
+    reference_is_dismantlable,
+)
 
 
 def antichain(n):
@@ -98,74 +103,57 @@ class TestSubsetPoset:
 
 
 class TestOrderComplex:
+    # the order complex is read off the strict chains: a chain of d + 1
+    # elements is a d-simplex
     def test_point(self):
-        k = order_complex(antichain(1))
-        assert k.maximal_faces == frozenset({frozenset({0})})
+        assert antichain(1).strict_chains() == [[(0,)]]
 
     def test_two_disjoint_points(self):
-        k = order_complex(antichain(2))
-        assert k.maximal_faces == frozenset({frozenset({0}), frozenset({1})})
+        assert antichain(2).strict_chains() == [[(0,), (1,)]]
 
     def test_punctured_square_is_path(self):
-        k = order_complex(subset_poset((1, 2), punctured=True))
-        faces = k.faces_by_dimension()
-        assert len(faces[0]) == 3
-        assert len(faces[1]) == 2
-        assert 2 not in faces
+        chains = subset_poset((1, 2), punctured=True).strict_chains()
+        assert chains == [[((1,),), ((2,),), ((1, 2),)],
+                          [((1,), (1, 2)), ((2,), (1, 2))]]
+
+
+# the boundary of a triangle and the minimal triangulation of RP^2, by
+# their maximal faces; a face poset's order complex is the barycentric
+# subdivision, with the same homology
+CIRCLE = [(0, 1), (1, 2), (0, 2)]
+RP2 = [(1, 2, 3), (1, 3, 4), (1, 2, 6), (1, 5, 6), (1, 4, 5),
+       (2, 3, 5), (2, 4, 6), (2, 4, 5), (3, 4, 6), (3, 5, 6)]
 
 
 class TestReducedHomology:
     def test_point_is_acyclic(self):
-        assert reduced_homology(order_complex(antichain(1))) == {}
+        assert reduced_homology(antichain(1)) == {}
 
     def test_circle_from_triangle_boundary(self):
-        k = SimplicialComplexData(
-            (0, 1, 2),
-            frozenset({frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})}))
-        assert reduced_homology(k) == {1: AbelianInvariants(1)}
+        assert reduced_homology(face_poset(CIRCLE)) == {1: AbelianInvariants(1)}
 
     def test_two_points(self):
-        assert reduced_homology(order_complex(antichain(2))) == {0: AbelianInvariants(1)}
+        assert reduced_homology(antichain(2)) == {0: AbelianInvariants(1)}
 
     def test_cone_poset_is_acyclic(self):
         p = subset_poset((1, 2, 3), punctured=True)
-        assert reduced_homology(order_complex(p)) == {}
+        assert reduced_homology(p) == {}
 
     def test_rational_betti_numbers_agree(self):
-        # independent route: rank-nullity over Q versus Smith normal form
+        # independent route: rank-nullity over Q versus Smith normal form,
+        # on the hexagon that subdivides the circle
         from fracturecube.exact_linalg import ExactMatrix, rank_over_field
-        k = SimplicialComplexData(
-            (0, 1, 2),
-            frozenset({frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})}))
-        faces = k.faces_by_dimension()
-        index = {d: {f: i for i, f in enumerate(faces[d])} for d in faces}
-        entries = {}
-        for j, f in enumerate(faces[1]):
-            for pos in range(2):
-                sub = f[:pos] + f[pos + 1:]
-                entries[(index[0][sub], j)] = (-1) ** pos
-        d1 = ExactMatrix(len(faces[0]), len(faces[1]), entries)
-        rank1 = rank_over_field(d1, "Q")
-        betti1 = len(faces[1]) - rank1
-        hom = reduced_homology(k)
-        assert betti1 == hom[1].free_rank == 1
+        p = face_poset(CIRCLE)
+        vertices, edges = p.strict_chains()
+        index = {v: i for i, (v,) in enumerate(vertices)}
+        d1 = ExactMatrix(len(vertices), len(edges), {
+            (index[e[pos]], j): (-1) ** (pos + 1)
+            for j, e in enumerate(edges) for pos in range(2)})
+        betti1 = len(edges) - rank_over_field(d1, "Q")
+        assert betti1 == reduced_homology(p)[1].free_rank == 1
 
     def test_projective_plane_style_torsion(self):
-        # minimal triangulation of the real projective plane, 6 vertices
-        faces = [
-            (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 1, 4),
-            (1, 2, 5), (2, 3, 5), (3, 4, 5), (1, 4, 5),
-            (0, 2, 5), (0, 4, 5),
-        ]
-        # replace two faces to close it up into RP^2 (standard RP^2_6)
-        faces = [
-            (1, 2, 3), (1, 3, 4), (1, 2, 6), (1, 5, 6), (1, 4, 5),
-            (2, 3, 5), (2, 4, 6), (2, 4, 5), (3, 4, 6), (3, 5, 6),
-        ]
-        k = SimplicialComplexData(
-            tuple(range(1, 7)), frozenset(frozenset(f) for f in faces))
-        hom = reduced_homology(k)
-        assert hom == {1: AbelianInvariants(0, (2,))}
+        assert reduced_homology(face_poset(RP2)) == {1: AbelianInvariants(0, (2,))}
 
 
 class TestDismantlable:
@@ -185,7 +173,7 @@ class TestDismantlable:
         p = FinitePoset(range(6), pairs)
         ok, _ = is_dismantlable(p)
         assert not ok
-        assert reduced_homology(order_complex(p)) == {1: AbelianInvariants(1)}
+        assert reduced_homology(p) == {1: AbelianInvariants(1)}
 
     def test_r_subposet_from_recursion_is_dismantlable(self):
         f = pcubelim_index_map((1, 2, 3), 1)
@@ -217,7 +205,7 @@ class TestDismantlable:
             p = FinitePoset(range(n), pairs)
             ok, _ = is_dismantlable(p)
             if ok:
-                assert reduced_homology(order_complex(p)) == {}
+                assert reduced_homology(p) == {}
 
 
     def test_irreducible_matches_the_reference(self):
@@ -292,6 +280,46 @@ class TestCommaAndInitiality:
         assert not rep.overall
         assert rep.certificates["x"] == CERT_FAIL
 
+    def test_empty_comma_poset_fails(self):
+        # nothing of the point maps at or below lo
+        point = FinitePoset(("*",), [])
+        arrow = FinitePoset(("lo", "hi"), [("lo", "hi")])
+        rep = certify_initial(PosetMap(point, arrow, {"*": "hi"}))
+        assert rep.certificates == {"lo": CERT_FAIL, "hi": CERT_DISMANTLABLE}
+        assert not rep.overall and rep.inconclusive == ()
+
+    def test_dunce_hat_is_acyclic_but_not_dismantlable(self):
+        p = face_poset(dunce_hat())
+        assert len(p) == 79
+        assert is_dismantlable(p)[0] is False
+        assert reduced_homology(p) == {}
+        point = FinitePoset(("*",), [])
+        rep = certify_initial(PosetMap(p, point, {x: "*" for x in p.elements}))
+        assert rep.certificates == {"*": CERT_HOMOLOGY_ONLY}
+        assert rep.inconclusive == ("*",) and not rep.overall
+
+
+def dunce_hat():
+    """Zeeman's dunce hat, the word a.a.a^-1 with each side cut in three:
+    the 9-cycle b_k on the boundary carries the vertex classes 0, 1, 2,
+    0, 1, 2, 0, 2, 1, inside it lie a ring u_k = 3 + k and a centre 12."""
+    b = (0, 1, 2, 0, 1, 2, 0, 2, 1)
+    faces = []
+    for k in range(9):
+        k1 = (k + 1) % 9
+        faces += [(b[k], b[k1], 3 + k), (b[k1], 3 + k, 3 + k1), (3 + k, 3 + k1, 12)]
+    return faces
+
+
+def test_dunce_hat_triangulation():
+    # 13 vertices, 39 edges, 27 triangles (Euler characteristic 1), and
+    # every edge lies on at least two triangles, so nothing collapses
+    faces = dunce_hat()
+    edges = [frozenset(e) for f in faces for e in combinations(f, 2)]
+    assert len({v for f in faces for v in f}) == 13
+    assert len(set(edges)) == 39 and len(set(map(frozenset, faces))) == 27
+    assert min(edges.count(e) for e in set(edges)) == 2
+
 
 class TestRecursionIndexMap:
     def test_two_labels(self):
@@ -325,7 +353,7 @@ class TestSpecInvariants:
     def test_punctured_posets_acyclic_up_to_five(self):
         for n in range(1, 6):
             p = subset_poset(range(1, n + 1), punctured=True)
-            assert reduced_homology(order_complex(p)) == {}
+            assert reduced_homology(p) == {}
 
     def test_recursion_maps_initial_up_to_four(self):
         for n in range(2, 5):

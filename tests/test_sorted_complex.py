@@ -134,6 +134,10 @@ class TestValidation:
         c = SortedComplex.single(Z)
         assert validate(c) == []
 
+    def test_single_of_rank_zero_is_the_zero_complex(self):
+        assert SortedComplex.single(Z, 0) == SortedComplex.zero()
+        assert SortedComplex.single(Z, 0).is_zero_complex()
+
     def test_two_term_ok(self):
         c = two_term(Z, 2)
         assert validate(c, primes=(2,)) == []

@@ -61,7 +61,6 @@ KEPT_PUBLIC = {
     "posets.FinitePoset.maximum": "accessor",
     "posets.FinitePoset.minimum": "accessor",
     "sorted_complex.ChainMapGroup.element": "accessor: the chain map at given coordinates",
-    "sorted_complex.ResidueCheck.describe": "accessor: one line on a residue check",
 }
 
 

@@ -45,7 +45,7 @@ def _load(path: str, expected_kind=None):
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    except ValueError as exc:  # bad JSON, bad UTF-8 or an integer over 4300 digits
+    except (ValueError, RecursionError) as exc:  # malformed, a huge integer or too deep
         raise SchemaError("$", f"invalid JSON in {path}: {exc}")
     return serialize.unwrap(doc, expected_kind)
 
@@ -111,9 +111,7 @@ def emit_dot(diagram: PosetDiagram, with_homology: bool = False,
         body = _homology_label(diagram.vertex(s), primes) if with_homology \
             else _module_label(diagram.vertex(s))
         lines.append(f'  n{i} [label="{key}: {body}"];')
-    for (x, y) in sorted(diagram.edges,
-                         key=lambda p: (diagram.shape.index(p[0]),
-                                        diagram.shape.index(p[1]))):
+    for (x, y) in diagram.shape.covering_pairs():
         lines.append(f"  {names[x]} -> {names[y]};")
     lines.append("}")
     return "\n".join(lines)

@@ -394,8 +394,7 @@ def glue_fracture_object(split: SplitData, fam: LocalizationFamily) -> FractureO
     # in the attached cube of the valid top and so, by its witness, in the
     # bottom: it equals the attached edge. The mixing squares commute in the
     # bottom face, the rest in the attached cube
-    mixing = {(a, b): split.bottom.edges[(a, b)]
-              for (a, b) in bottom_shape.covering_pairs() if a == (first,)}
+    mixing = {(a, b): e for (a, b), e in split.bottom.edges.items() if a == (first,)}
     diagram = PosetDiagram._trusted(subset_poset(labels, punctured=True),
                                     {**glued.vertices, (first,): base},
                                     {**glued.edges, **mixing})

@@ -40,8 +40,10 @@ with an acyclic cone: the package has one cone formula and one sign
 convention.
 
 Diagrams are strictly functorial: every path composite between two
-elements must agree as matrices. Limit cones built by totalization have
-projection legs that commute with the diagram edges up to homotopy
+elements must agree as matrices. A diagram stores only its nonzero
+edges, and hom(x, y) is the map for any x <= y: zero where no stored
+edge out of x leads at or below y. Limit cones built by totalization
+have projection legs that commute with the diagram edges up to homotopy
 only; where a strict cone is required (extending a punctured cube to a
 Cartesian one), the extension totalizes each up-set over the nerve
 chains that start in it, which restricts strictly and stays a diagram
@@ -52,8 +54,9 @@ sets a diagram on label subsets next to its localization at one table,
 on the subsets with a new label added, joined by the units. The
 fracture cube and every fracture-object builder fold this one step.
 Orthogonality makes most of the fracture cube zero (12 of its 64
-vertices are nonzero at |P| = 5), and a zero vertex is neither
-localized nor totalized: its image is zero and so are its edges.
+vertices and 16 of its 192 edges are nonzero at |P| = 5): a zero
+vertex is neither localized nor totalized, and a zero edge is not
+stored.
 """
 
 from __future__ import annotations
@@ -83,7 +86,10 @@ from .sorted_complex import (
 
 
 class PosetDiagram:
-    """Functor from a finite poset to sorted complexes, strict on the nose."""
+    """Functor from a finite poset to sorted complexes, strict on the nose.
+
+    edges holds only the nonzero maps on covering pairs, each other
+    covering pair carrying zero; hom(x, y) is the map for any x <= y."""
 
     __slots__ = ("shape", "vertices", "edges", "_successors", "_hom_cache")
 
@@ -99,45 +105,36 @@ class PosetDiagram:
                 raise InputError(f"missing vertex complex at {x!r}")
         covers = shape.covering_pairs()
         cover_set = set(covers)
-        for (x, y) in edges:
+        for (x, y), e in edges.items():
             if (x, y) not in cover_set:
                 raise InputError(f"edge {x!r} -> {y!r} is not a covering pair")
-        for (x, y) in covers:
-            src, tgt = vertices[x], vertices[y]
-            e = edges.get((x, y))
-            if e is None:
-                if not (src.is_zero_complex() or tgt.is_zero_complex()):
-                    raise InputError(f"missing edge map {x!r} -> {y!r}")
-            elif e.source != src or e.target != tgt:
+            if e.source != vertices[x] or e.target != vertices[y]:
                 raise InputError(f"edge {x!r} -> {y!r} has wrong endpoints")
-        self._assign(shape, vertices, edges, covers)
-        self._check_functorial()
+        self._assign(shape, vertices, edges)
+        self._check_functorial(covers)
 
     @classmethod
     def _trusted(cls, shape: FinitePoset, vertices: dict, edges: dict) -> "PosetDiagram":
         # fast path for diagrams that are functorial by construction
         d = object.__new__(cls)
-        d._assign(shape, vertices, edges, shape.covering_pairs())
+        d._assign(shape, vertices, edges)
         return d
 
-    def _assign(self, shape, vertices, edges, covers):
-        # edges in covering order; a missing edge at a zero vertex is zero
-        self.shape = shape
-        self.vertices = verts = dict(vertices)
-        self.edges = out = {}
+    def _assign(self, shape, vertices, edges):
+        # a zero edge is not stored: hom reads an absent covering pair as zero
+        self.shape, self.vertices = shape, dict(vertices)
+        self.edges = {pair: e for pair, e in edges.items() if e.maps}
         self._successors = succ = {x: [] for x in shape.elements}
-        for pair in covers:
-            x, y = pair
-            e = edges.get(pair)
-            out[pair] = e if e is not None else ComplexMap.zero(verts[x], verts[y])
+        for x, y in self.edges:
             succ[x].append(y)
-        self._hom_cache = dict(out)
+        self._hom_cache = dict(self.edges)
 
     def vertex(self, x) -> SortedComplex:
         return self.vertices[x]
 
     def hom(self, x, y) -> ComplexMap:
-        """The composite map along any covering path from x to y."""
+        """The composite map along any covering path from x to y: zero
+        when no stored edge out of x leads to an element at or below y."""
         if not self.shape.leq(x, y):
             raise InputError(f"{x!r} is not below {y!r}")
         key = (x, y)
@@ -146,27 +143,27 @@ class PosetDiagram:
         if x == y:
             out = ComplexMap.identity(self.vertices[x])
         else:
-            # in a finite poset some cover of x lies below y
-            z = next(z for z in self._successors[x] if self.shape.leq(z, y))
-            out = self.hom(z, y).compose(self.edges[(x, z)])
+            # all path composites are equal, one with a zero first step is zero
+            z = next((z for z in self._successors[x] if self.shape.leq(z, y)), None)
+            out = ComplexMap.zero(self.vertices[x], self.vertices[y]) if z is None \
+                else self.hom(z, y).compose(self.edges[(x, z)])
         self._hom_cache[key] = out
         return out
 
-    def _check_functorial(self):
-        # composites along all first steps must agree; induction covers
-        # every pair of parallel paths, and a covering pair has one path
-        for x in self.shape.elements:
+    def _check_functorial(self, covers):
+        # composites along all first steps, zero ones too, must agree;
+        # induction covers every pair of parallel paths
+        steps = {}
+        for x, z in covers:
+            steps.setdefault(x, []).append(z)
+        for x, zs in steps.items():
             for y in self.shape.elements:
-                if not self.shape.lt(x, y) or (x, y) in self.edges:
+                firsts = [z for z in zs if self.shape.leq(z, y)]
+                if len(firsts) < 2:
                     continue
-                candidates = [self.hom(z, y).compose(self.edges[(x, z)])
-                              for z in self._successors[x]
-                              if self.shape.leq(z, y)]
-                first = candidates[0]
-                for other in candidates[1:]:
-                    if other != first:
-                        raise InputError(
-                            f"path composites {x!r} -> {y!r} disagree")
+                first, *others = [self.hom(z, y).compose(self.hom(x, z)) for z in firsts]
+                if any(other != first for other in others):
+                    raise InputError(f"path composites {x!r} -> {y!r} disagree")
                 self._hom_cache[(x, y)] = first
 
     def restrict(self, keep) -> "PosetDiagram":
@@ -181,8 +178,7 @@ def localize_diagram(d: PosetDiagram, table: LocalizationTable) -> PosetDiagram:
     localized endpoints; what is zero stays zero."""
     loc = {x: _localize(c, (table,)) for x, c in d.vertices.items() if c.modules}
     verts = {x: loc[x][0] if x in loc else c for x, c in d.vertices.items()}
-    edges = {(x, y): _localize_chain_map(e, loc[x], loc[y])
-             for (x, y), e in d.edges.items() if e.maps}
+    edges = {(x, y): _localize_chain_map(e, loc[x], loc[y]) for (x, y), e in d.edges.items()}
     return PosetDiagram._trusted(d.shape, verts, edges)
 
 
@@ -219,8 +215,7 @@ def attach_localization(d: PosetDiagram, table: LocalizationTable, label) -> Pos
         else:
             verts[up[s]] = c
     for (x, y), e in d.edges.items():
-        if e.maps:
-            edges[(up[x], up[y])] = _localize_chain_map(e, loc[x], loc[y])
+        edges[(up[x], up[y])] = _localize_chain_map(e, loc[x], loc[y])
     whole = subset_poset(top)
     shape = whole if len(verts) == len(whole) else whole.subposet(verts)
     return PosetDiagram._trusted(shape, verts, edges)
@@ -260,14 +255,14 @@ class HolimResult:
                     if edge.maps:
                         cofaces.append((face, -1 if (i + lift) % 2 else 1, edge))
             self.table.append((c, k, value, cofaces))
-        self.offsets, summands, used = {}, {}, {}
+        self.offsets, parts, used = {}, {}, {}
         for c, k, value, _ in self.table:
             for m, module in value.modules.items():
                 n = m - k
                 self.offsets.setdefault(n, {})[c] = used.get(n, 0)
                 used[n] = used.get(n, 0) + module.total_rank
-                summands.setdefault(n, []).extend(module.summands)
-        mods = {n: SortedModule(summands[n]) for n in sorted(summands)}
+                parts.setdefault(n, []).append(module)
+        mods = {n: SortedModule.concat(*parts[n]) for n in sorted(parts)}
         self.complex = SortedComplex._trusted(mods, self._differentials(mods))
 
     def _differentials(self, mods: dict) -> dict:
@@ -424,9 +419,10 @@ def strict_limit(diagram: PosetDiagram) -> StrictLimitResult:
             off += r
         # one block row per edge x -> y: e(v_x) - v_y = 0
         pieces, row_off = [], 0
-        for (x, y), e in diagram.edges.items():
+        # a zero edge still imposes v_y = 0
+        for (x, y) in diagram.shape.covering_pairs():
             yo, r = slices[(n, y)]
-            pieces += [(row_off, slices[(n, x)][0], e.map_at(n).matrix),
+            pieces += [(row_off, slices[(n, x)][0], diagram.hom(x, y).map_at(n).matrix),
                        (row_off, yo, ExactMatrix.identity(r).scale(-1))]
             row_off += r
         constraint = ExactMatrix.assemble(row_off, off, pieces)
@@ -486,9 +482,9 @@ def initial_corner_cube(x: SortedComplex, labels) -> PosetDiagram:
 def punctured_restriction(diagram: PosetDiagram) -> PosetDiagram:
     """The cube without its empty corner, on the shared punctured subset poset."""
     shape = subset_poset(cube_labels(diagram, punctured=False), punctured=True)
-    # the edges out of the corner are not covering pairs of the shape: unread
+    # the edges out of the corner () are not covering pairs of the shape
     return PosetDiagram._trusted(shape, {s: diagram.vertices[s] for s in shape.elements},
-                                 diagram.edges)
+                                 {(x, y): e for (x, y), e in diagram.edges.items() if x})
 
 
 def cube_totalization(diagram: PosetDiagram) -> HolimResult:
@@ -583,7 +579,8 @@ def tfib_direction_cube(diagram: PosetDiagram, t_prime) -> PosetDiagram:
     for (sp, sp2) in outer_shape.covering_pairs():
         # S + sp -> S + sp2 is a covering pair: its diagram edge, natural by
         # construction, placed where nonzero
-        blocks = [(s, s, e) for s in cells if (e := diagram.edges[(up[sp][s], up[sp2][s])]).maps]
+        blocks = [(s, s, e) for s in cells
+                  if (e := diagram.edges.get((up[sp][s], up[sp2][s]))) is not None]
         edges[(sp, sp2)] = ComplexMap._trusted(tots[sp].complex, tots[sp2].complex,
                                                _place(tots[sp], tots[sp2], blocks))
     return PosetDiagram._trusted(outer_shape, {sp: t.complex for sp, t in tots.items()}, edges)

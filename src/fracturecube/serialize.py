@@ -253,9 +253,10 @@ def _complex_map_from_json(d, source, target, path) -> ComplexMap:
 def diagram_to_json(d: PosetDiagram) -> dict:
     keys = {s: subset_to_str(s) for s in d.shape.elements}
     verts = {keys[s]: complex_to_json(d.vertex(s)) for s in d.shape.elements}
+    # every covering pair is written, zero edges too
+    pairs = sorted(d.shape.covering_pairs(), key=lambda p: (keys[p[0]], keys[p[1]]))
     edges = [{"from": keys[x], "to": keys[y],
-              "components": _complex_map_components_to_json(d.edges[(x, y)])}
-             for x, y in sorted(d.edges, key=lambda p: (keys[p[0]], keys[p[1]]))]
+              "components": _complex_map_components_to_json(d.hom(x, y))} for x, y in pairs]
     return {"vertices": verts, "edges": edges}
 
 
@@ -292,9 +293,14 @@ def _diagram_over(shape: FinitePoset, payloads: dict, d, path) -> PosetDiagram:
         edges[(x, y)] = _complex_map_from_json(e["components"], verts[x], verts[y],
                                                f"{epath}.components")
     try:
-        return PosetDiagram(shape, verts, edges)
+        out = PosetDiagram(shape, verts, edges)
     except InputError as exc:
         raise SchemaError(path, str(exc)) from None
+    # a document lists every edge between two nonzero vertices, zero or not
+    for x, y in shape.covering_pairs():
+        if (x, y) not in edges and verts[x].modules and verts[y].modules:
+            raise SchemaError(path, f"missing edge map {x!r} -> {y!r}")
+    return out
 
 
 def diagram_from_json(d, path="$") -> PosetDiagram:

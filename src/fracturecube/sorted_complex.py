@@ -148,7 +148,10 @@ class SortedModule:
             if rank < 1:
                 raise InputError("summand rank must be >= 1")
             ss.append((sort, int(rank)))
-        self.summands = tuple(ss)
+        self._assign(tuple(ss))
+
+    def _assign(self, summands: tuple):
+        self.summands = summands
         offs = []
         total = 0
         for _, r in self.summands:
@@ -183,10 +186,10 @@ class SortedModule:
 
     @classmethod
     def concat(cls, *mods) -> "SortedModule":
-        out = []
-        for m in mods:
-            out.extend(m.summands)
-        return cls(out)
+        # the summands of valid modules need no second check
+        m = object.__new__(cls)
+        m._assign(tuple(s for mod in mods for s in mod.summands))
+        return m
 
     def __eq__(self, other):
         if not isinstance(other, SortedModule):
@@ -485,10 +488,7 @@ class ComplexMap:
 
     @classmethod
     def zero(cls, source, target) -> "ComplexMap":
-        # built directly: a cube's zero edges are most of its edges
-        f = object.__new__(cls)
-        f.source, f.target, f.maps = source, target, {}
-        return f
+        return cls._trusted(source, target, {})
 
     def compose(self, other: "ComplexMap") -> "ComplexMap":
         """self after other."""

@@ -441,6 +441,14 @@ class TestDigitCap:
         assert (code, out) == (2, "")
         assert err.startswith("schema error: $: invalid JSON in ")
 
+    def test_nesting_past_the_recursion_limit_is_a_schema_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_bytes(b"[" * 100_000 + b"]" * 100_000)
+        code, out, err = cli("homology", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("schema error: $: invalid JSON in ")
+        assert "Traceback" not in err and "internal error" not in err
+
     def test_entry_at_the_cap_round_trips_through_snf(self, tmp_path):
         entry = "9" * serialize.MAX_DIGITS
         code, out, _ = cli("snf", _matrix_doc(tmp_path, "-" + entry))

@@ -113,15 +113,24 @@ class TestPosetDiagram:
                 PosetDiagram(shape, verts, {**edges, stray: scalar_map(z, 7)})
 
     def test_covering_hom_is_the_edge(self):
-        # a covering pair has one path: hom hands back the stored edge
+        # a covering pair has one path: hom hands back the stored edge, and
+        # the zero map between the pair's vertices where none is stored
         rng = random.Random(3)
         cube = random_cube(rng, (1, 2, 3))
         checked = PosetDiagram(cube.shape, cube.vertices, cube.edges)
         trusted = build_fracture_cube(random_complex(rng, deg_hi=2, max_rank=3),
                                       LocalizationFamily(PRIMES))
+        absent = 0
         for d in (checked, trusted):
             for (x, y) in d.shape.covering_pairs():
-                assert d.hom(x, y) is d.edges[(x, y)]
+                if (x, y) in d.edges:
+                    assert d.hom(x, y) is d.edges[(x, y)]
+                else:
+                    absent += 1
+                    f = d.hom(x, y)
+                    assert f.source is d.vertex(x) and f.target is d.vertex(y)
+                    assert f.maps == {}
+        assert absent
 
     def test_cube_labels_validation(self):
         d = initial_corner_cube(sphere(), (1, 2))
@@ -210,15 +219,17 @@ class TestAttachLocalization:
         assert any(c.is_zero_complex() for c in d.vertices.values())
         out, loc = attach_localization(d, table, 1), localize_diagram(d, table)
         assert out.shape is subset_poset((1,) + labels)
-        assert list(out.edges) == out.shape.covering_pairs()
+        # only nonzero edges on covering pairs are stored
+        assert set(out.edges) <= set(out.shape.covering_pairs())
+        assert all(e.maps for e in out.edges.values())
         for s, c in d.vertices.items():
             up = canonical_subset(s + (1,))
             assert out.vertex(up) == loc.vertex(s) == apply_localization(c, table)
-            assert out.edges[(s, up)] == canonical_unit(c, table)
-        for (a, b), e in d.edges.items():
-            want = localize_chain_map_tables(e, (table,))
-            assert out.edges[(canonical_subset(a + (1,)), canonical_subset(b + (1,)))] \
-                == loc.edges[(a, b)] == want
+            assert out.hom(s, up) == canonical_unit(c, table)
+        for (a, b) in d.shape.covering_pairs():
+            want = localize_chain_map_tables(d.hom(a, b), (table,))
+            assert out.hom(canonical_subset(a + (1,)), canonical_subset(b + (1,))) \
+                == loc.hom(a, b) == want
 
     def test_shape_of_non_labels_rejected(self):
         x = sphere()

@@ -121,6 +121,16 @@ def vertex_payloads(*keys):
     return lambda: {"vertices": {k: sphere for k in keys}, "edges": []}
 
 
+def square_without_edge():
+    """The identity square on the sphere, its edge "" -> "1" left out."""
+    shape = subset_poset((1, 2))
+    doc = serialize.diagram_to_json(PosetDiagram(
+        shape, {s: SPHERE for s in shape.elements},
+        {pair: ComplexMap.identity(SPHERE) for pair in shape.covering_pairs()}))
+    doc["edges"] = [e for e in doc["edges"] if (e["from"], e["to"]) != ("", "1")]
+    return doc
+
+
 def split_payload(edit=None, top=None):
     """The split of the local sphere's object over P = (2, 3), edited."""
     def payload():
@@ -256,6 +266,9 @@ HOLIM = [
     (Call(PosetDiagram, (ARROW, {}, {})), "missing vertex complex at 'a'"),
     (Cli(("holim", "DOC"), "diagram", vertex_payloads("", "1")),
      "schema error: $.payload: missing edge map () -> (1,)"),
+    # the omitted edge reads as zero, and the square no longer commutes
+    (Cli(("holim", "DOC"), "diagram", square_without_edge),
+     "schema error: $.payload: path composites () -> (1, 2) disagree"),
     (Call(PosetDiagram, (ARROW, {"a": SPHERE, "b": SPHERE},
                          {("a", "b"): ComplexMap.identity(PLANE)})),
      "edge 'a' -> 'b' has wrong endpoints"),

@@ -142,6 +142,16 @@ class TestValidation:
         c = two_term(Z, 2)
         assert validate(c, primes=(2,)) == []
 
+    @pytest.mark.parametrize("rows, cols", [(0, 3), (2, 0), (0, 0)])
+    def test_two_term_of_an_empty_matrix(self, rows, cols):
+        # no differential: the nonzero term is all of the homology
+        c = SortedComplex.two_term(Z, ExactMatrix.zeros(rows, cols))
+        terms = {1: cols, 0: rows}
+        assert c.modules == {n: SortedModule([(Z, r)]) for n, r in terms.items() if r}
+        assert c.diffs == {}
+        assert homology_p_local(c) == {n: AbelianInvariants(r)
+                                       for n, r in terms.items() if r}
+
     def test_forbidden_block_rejected(self):
         src = SortedModule([(Qp(2), 1)])
         tgt = SortedModule([(Q, 1)])

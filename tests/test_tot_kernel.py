@@ -204,9 +204,10 @@ ALL_CUBES = [d for _, d in CUBES] + ZERO_PATTERN_CUBES
 def test_seeded_diagrams_have_the_zero_patterns():
     has_zero_vertex = any(c.is_zero_complex() for d in ZERO_PATTERN_CUBES
                           for c in d.vertices.values())
-    has_zero_edge = any(e.is_zero() and not e.source.is_zero_complex()
-                        and not e.target.is_zero_complex()
-                        for d in ZERO_PATTERN_CUBES for e in d.edges.values())
+    # a zero edge between two nonzero vertices is a covering pair with no stored edge
+    has_zero_edge = any((x, y) not in d.edges and not d.vertex(x).is_zero_complex()
+                        and not d.vertex(y).is_zero_complex()
+                        for d in ZERO_PATTERN_CUBES for (x, y) in d.shape.covering_pairs())
     has_gap = any(n - 1 in c.modules and n + 1 in c.modules and n not in c.modules
                   for d in ZERO_PATTERN_CUBES for c in d.vertices.values()
                   for n in range(-1, 6))
@@ -525,6 +526,25 @@ def test_totalization_layer_builds_nothing_checked(monkeypatch):
     assert calls == []
 
 
+def test_totalization_checks_no_module(monkeypatch):
+    # a totalization joins the modules of its cells, each already valid:
+    # none of their summands goes through the checked constructor again
+    calls = []
+    checked = SortedModule.__init__
+
+    def counted(self, summands=()):
+        calls.append(summands)
+        checked(self, summands)
+
+    monkeypatch.setattr(SortedModule, "__init__", counted)
+    for d in ALL_CUBES:
+        cube_totalization(d)
+        nerve_limit(d)
+        for tp in subset_poset(max(d.shape.elements, key=len)).elements:
+            total_fiber_iterated(d, tp)
+    assert calls == []
+
+
 def test_zero_vertices_cost_nothing(monkeypatch):
     # at |P| = 5, 12 of the fracture cube's 64 vertices are nonzero: only
     # they are localized, and only they enter the coface table
@@ -538,7 +558,19 @@ def test_zero_vertices_cost_nothing(monkeypatch):
         return localize(c, tables)
 
     monkeypatch.setattr(holim, "_localize", counted)
+    zeros = []
+    zero = ComplexMap.zero
+
+    def counted_zero(source, target):
+        zeros.append((source, target))
+        return zero(source, target)
+
+    monkeypatch.setattr(ComplexMap, "zero", staticmethod(counted_zero))
     cube = build_fracture_cube(e_localize(x, fam), fam)
+    # no zero map is made, and only the 16 nonzero edges of 192 are stored
+    assert zeros == []
+    assert len(cube.edges) == 16
+    assert all(e.maps for e in cube.edges.values())
     assert sum(not c.is_zero_complex() for c in cube.vertices.values()) == 12
     # one pass per nonzero vertex of the cubes on 0, 1, ..., 5 labels
     assert len(calls) == 21
@@ -547,8 +579,6 @@ def test_zero_vertices_cost_nothing(monkeypatch):
     calls.clear()
     localize_diagram(cube, fam.table(1))
     assert len(calls) == 12
-    # every covering pair keeps its edge, zero or not
-    assert list(cube.edges) == cube.shape.covering_pairs()
 
 
 def test_direction_cubes_read_covering_edges(monkeypatch):

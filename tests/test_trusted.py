@@ -115,6 +115,12 @@ def recheck_diagram(d: PosetDiagram):
         recheck_map(e)
     again = PosetDiagram(d.shape, d.vertices, d.edges)
     assert again.edges == d.edges
+    # only nonzero edges on covering pairs are stored, and the checked
+    # constructor drops the zero ones it is given
+    covers = d.shape.covering_pairs()
+    assert all(pair in covers and e.maps for pair, e in d.edges.items())
+    dense = PosetDiagram(d.shape, d.vertices, {(x, y): d.hom(x, y) for (x, y) in covers})
+    assert dense.edges == d.edges
 
 
 def seeded_maps(seed, count=6):
@@ -298,6 +304,7 @@ class TestCubeCategoryBuilders:
                 for s in subsets:
                     if set(s) <= set(s2):
                         d = obj.diagram.restrict(anchored_supersets(s, t).elements)
+                        recheck_diagram(d)
                         recheck_diagram(diagram_functor(s, s2, d, fam))
 
 

@@ -242,7 +242,7 @@ def completion_pair_square(x: SortedComplex, p: int, q: int) -> PosetDiagram:
     xp = apply_localization(x, tp)
     xq = apply_localization(x, tq)
     punct = PosetDiagram._trusted(subset_poset((1, 2), punctured=True),
-                                  {(1,): xq, (2,): xp, (1, 2): SortedComplex.zero()}, {})
+                                  {(1,): xq, (2,): xp}, {})
     lim = homotopy_limit(punct)
     verts = {(): lim.complex, **punct.vertices}
     edges = {((), s): lim.legs[s] for s in ((1,), (2,))}

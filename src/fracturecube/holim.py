@@ -41,13 +41,13 @@ convention.
 
 Diagrams are strictly functorial: every path composite between two
 elements must agree as matrices. A diagram stores only its nonzero
-edges, and hom(x, y) is the map for any x <= y: zero where no stored
-edge out of x leads at or below y. Limit cones built by totalization
-have projection legs that commute with the diagram edges up to homotopy
-only; where a strict cone is required (extending a punctured cube to a
-Cartesian one), the extension totalizes each up-set over the nerve
-chains that start in it, which restricts strictly and stays a diagram
-on the nose.
+vertices and edges: vertex(x) is zero where none is stored, and hom(x, y)
+is the map for any x <= y, zero where no stored edge out of x leads at
+or below y. Limit cones built by totalization have projection legs that
+commute with the diagram edges up to homotopy only; where a strict cone
+is required (extending a punctured cube to a Cartesian one), the
+extension totalizes each up-set over the nerve chains that start in it,
+which restricts strictly and stays a diagram on the nose.
 
 Cubes of localizations grow one index at a time: attach_localization
 sets a diagram on label subsets next to its localization at one table,
@@ -55,8 +55,8 @@ on the subsets with a new label added, joined by the units. The
 fracture cube and every fracture-object builder fold this one step.
 Orthogonality makes most of the fracture cube zero (12 of its 64
 vertices and 16 of its 192 edges are nonzero at |P| = 5): a zero
-vertex is neither localized nor totalized, and a zero edge is not
-stored.
+vertex or edge is not stored, so it is neither localized nor
+totalized.
 """
 
 from __future__ import annotations
@@ -84,12 +84,14 @@ from .sorted_complex import (
     uniform_sort,
 )
 
+_ZERO = SortedComplex.zero()
+
 
 class PosetDiagram:
     """Functor from a finite poset to sorted complexes, strict on the nose.
 
-    edges holds only the nonzero maps on covering pairs, each other
-    covering pair carrying zero; hom(x, y) is the map for any x <= y."""
+    vertices and edges hold only the nonzero values and covering-pair maps;
+    vertex(x) and hom(x, y), for any x <= y, read the rest as zero."""
 
     __slots__ = ("shape", "vertices", "edges", "_successors", "_hom_cache")
 
@@ -100,17 +102,17 @@ class PosetDiagram:
         # builders go through _trusted
         if check is not True:
             raise TypeError("PosetDiagram always checks its input")
-        for x in shape.elements:
-            if x not in vertices:
-                raise InputError(f"missing vertex complex at {x!r}")
+        for x in vertices:
+            if x not in shape:
+                raise InputError(f"vertex {x!r} is not in the shape")
+        self._assign(shape, vertices, edges)
         covers = shape.covering_pairs()
         cover_set = set(covers)
         for (x, y), e in edges.items():
             if (x, y) not in cover_set:
                 raise InputError(f"edge {x!r} -> {y!r} is not a covering pair")
-            if e.source != vertices[x] or e.target != vertices[y]:
+            if e.source != self.vertex(x) or e.target != self.vertex(y):
                 raise InputError(f"edge {x!r} -> {y!r} has wrong endpoints")
-        self._assign(shape, vertices, edges)
         self._check_functorial(covers)
 
     @classmethod
@@ -121,16 +123,17 @@ class PosetDiagram:
         return d
 
     def _assign(self, shape, vertices, edges):
-        # a zero edge is not stored: hom reads an absent covering pair as zero
-        self.shape, self.vertices = shape, dict(vertices)
+        # a zero vertex or edge is not stored: vertex and hom read it as zero
+        self.shape, self.vertices = shape, {x: c for x, c in vertices.items() if c.modules}
         self.edges = {pair: e for pair, e in edges.items() if e.maps}
-        self._successors = succ = {x: [] for x in shape.elements}
+        self._successors = succ = {}
         for x, y in self.edges:
-            succ[x].append(y)
+            succ.setdefault(x, []).append(y)
         self._hom_cache = dict(self.edges)
 
     def vertex(self, x) -> SortedComplex:
-        return self.vertices[x]
+        """The value at an element of the shape: zero where none is stored."""
+        return _ZERO if x not in self.vertices and x in self.shape else self.vertices[x]
 
     def hom(self, x, y) -> ComplexMap:
         """The composite map along any covering path from x to y: zero
@@ -141,11 +144,11 @@ class PosetDiagram:
         if key in self._hom_cache:
             return self._hom_cache[key]
         if x == y:
-            out = ComplexMap.identity(self.vertices[x])
+            out = ComplexMap.identity(self.vertex(x))
         else:
             # all path composites are equal, one with a zero first step is zero
-            z = next((z for z in self._successors[x] if self.shape.leq(z, y)), None)
-            out = ComplexMap.zero(self.vertices[x], self.vertices[y]) if z is None \
+            z = next((z for z in self._successors.get(x, ()) if self.shape.leq(z, y)), None)
+            out = ComplexMap.zero(self.vertex(x), self.vertex(y)) if z is None \
                 else self.hom(z, y).compose(self.edges[(x, z)])
         self._hom_cache[key] = out
         return out
@@ -168,16 +171,18 @@ class PosetDiagram:
 
     def restrict(self, keep) -> "PosetDiagram":
         sub = self.shape.subposet(keep)
-        verts = {x: self.vertices[x] for x in sub.elements}
-        edges = {(x, y): self.hom(x, y) for (x, y) in sub.covering_pairs()}
+        verts = {x: c for x, c in self.vertices.items() if x in sub}
+        # a covering pair with a zero end carries zero
+        edges = {(x, y): self.hom(x, y) for (x, y) in sub.covering_pairs()
+                 if x in verts and y in verts}
         return PosetDiagram._trusted(sub, verts, edges)
 
 
 def localize_diagram(d: PosetDiagram, table: LocalizationTable) -> PosetDiagram:
-    """Localize each nonzero vertex once and each nonzero edge over its
-    localized endpoints; what is zero stays zero."""
-    loc = {x: _localize(c, (table,)) for x, c in d.vertices.items() if c.modules}
-    verts = {x: loc[x][0] if x in loc else c for x, c in d.vertices.items()}
+    """Localize each stored vertex once and each stored edge over its
+    localized endpoints; what is zero is not stored and stays zero."""
+    loc = {x: _localize(c, (table,)) for x, c in d.vertices.items()}
+    verts = {x: c for x, (c, _) in loc.items()}
     edges = {(x, y): _localize_chain_map(e, loc[x], loc[y]) for (x, y), e in d.edges.items()}
     return PosetDiagram._trusted(d.shape, verts, edges)
 
@@ -187,12 +192,12 @@ def attach_localization(d: PosetDiagram, table: LocalizationTable, label) -> Pos
 
     The vertices of d are label subsets and label occurs in none of them.
     The value at S + {label} is the localization of the value at S, the
-    edge S -> S + {label} is the unit, and each nonzero edge of d is
+    edge S -> S + {label} is the unit, and each stored edge of d is
     localized over its endpoints' passes: one localization pass per
-    nonzero vertex of d. A zero vertex is not localized, its image is
-    zero and so are the edges at it. The shape lists the subsets in
-    (size, lex) order, as subset_poset does: the shared poset itself
-    when the vertices fill it.
+    stored vertex of d. A zero vertex is not localized, and its image and
+    the edges at it are zero. The shape is d's elements and their images
+    in (size, lex) order, as subset_poset lists them: the shared poset
+    itself when d's shape holds every subset of its labels.
     """
     for s in d.shape.elements:
         if canonical_subset(s) != s:
@@ -206,18 +211,16 @@ def attach_localization(d: PosetDiagram, table: LocalizationTable, label) -> Pos
     if label in labels:
         raise InputError(f"label {label!r} already occurs in a vertex")
     up = {s: canonical_subset(s + (label,)) for s in d.shape.elements}
-    loc = {s: _localize(c, (table,)) for s, c in d.vertices.items() if c.modules}
+    loc = {s: _localize(c, (table,)) for s, c in d.vertices.items()}
     verts, edges = dict(d.vertices), dict(d.edges)
     for s, c in d.vertices.items():
-        if s in loc:
-            verts[up[s]] = loc[s][0]
-            edges[(s, up[s])] = _unit(c, loc[s])
-        else:
-            verts[up[s]] = c
+        verts[up[s]] = loc[s][0]
+        edges[(s, up[s])] = _unit(c, loc[s])
     for (x, y), e in d.edges.items():
         edges[(up[x], up[y])] = _localize_chain_map(e, loc[x], loc[y])
     whole = subset_poset(top)
-    shape = whole if len(verts) == len(whole) else whole.subposet(verts)
+    # d's elements are subsets of its labels: the images double them
+    shape = whole if 2 * len(up) == len(whole) else whole.subposet([*up, *up.values()])
     return PosetDiagram._trusted(shape, verts, edges)
 
 
@@ -243,7 +246,7 @@ class HolimResult:
         self.cells = list(cells)
         # a zero cell has no term and no coface: the table leaves it out
         vertices = diagram.vertices
-        nonzero = [(c, v) for c in self.cells if (v := vertices[top(c)]).modules]
+        nonzero = [(c, v) for c in self.cells if (v := vertices.get(top(c))) is not None]
         known = {c for c, _ in nonzero}
         self.table = []
         for c, value in nonzero:
@@ -285,7 +288,7 @@ class HolimResult:
         # the level-zero cells by their top vertex, zero ones too: where
         # the cone legs live
         tops = [(self.top(c), c) for c in self.cells if len(c) == 1]
-        return [(x, c, self.diagram.vertices[x]) for x, c in tops]
+        return [(x, c, self.diagram.vertex(x)) for x, c in tops]
 
     @cached_property
     def legs(self) -> dict:
@@ -472,18 +475,15 @@ def cube_labels(diagram: PosetDiagram, punctured: bool):
 
 def initial_corner_cube(x: SortedComplex, labels) -> PosetDiagram:
     """Cube with x at the empty corner and the zero complex elsewhere."""
-    t = canonical_subset(labels)
-    shape = subset_poset(t, punctured=False)
-    zero = SortedComplex.zero()
-    verts = {s: (x if s == () else zero) for s in shape.elements}
-    return PosetDiagram._trusted(shape, verts, {})
+    shape = subset_poset(canonical_subset(labels), punctured=False)
+    return PosetDiagram._trusted(shape, {(): x}, {})
 
 
 def punctured_restriction(diagram: PosetDiagram) -> PosetDiagram:
     """The cube without its empty corner, on the shared punctured subset poset."""
     shape = subset_poset(cube_labels(diagram, punctured=False), punctured=True)
     # the edges out of the corner () are not covering pairs of the shape
-    return PosetDiagram._trusted(shape, {s: diagram.vertices[s] for s in shape.elements},
+    return PosetDiagram._trusted(shape, {s: c for s, c in diagram.vertices.items() if s},
                                  {(x, y): e for (x, y), e in diagram.edges.items() if x})
 
 
@@ -553,9 +553,9 @@ def limit_extended_cube(punctured: PosetDiagram) -> PosetDiagram:
                               lambda c: c[-1]) for s in full.elements}
     verts = {s: results[s].complex for s in full.elements}
     ident = {x: ComplexMap.identity(v) for x, v in punctured.vertices.items()}
-    # the identity on every chain surviving the restriction
+    # the identity on every nonzero chain surviving the restriction
     edges = {(s, s2): ComplexMap._trusted(verts[s], verts[s2], _place(
-        results[s], results[s2], [(c, c, ident[c[-1]]) for c in results[s2].cells]))
+        results[s], results[s2], [(c, c, ident[c[-1]]) for c, *_ in results[s2].table]))
         for (s, s2) in full.covering_pairs()}
     return PosetDiagram._trusted(full, verts, edges)
 
@@ -633,8 +633,7 @@ def strict_total_fiber(diagram: PosetDiagram):
     zeros = [("0", x) for x in labels]
     shape = FinitePoset([()] + singles + zeros,
                         [((), s) for s in singles] + list(zip(zeros, singles)))
-    verts = {z: SortedComplex.zero() for z in zeros}
-    verts.update({s: diagram.vertex(s) for s in [()] + singles})
+    verts = {s: diagram.vertex(s) for s in [()] + singles}
     lim = strict_limit(PosetDiagram._trusted(
         shape, verts, {((), s): diagram.hom((), s) for s in singles}))
     return lim.complex, lim.legs[()]

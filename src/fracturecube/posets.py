@@ -196,22 +196,23 @@ def subset_poset(labels, punctured: bool = False) -> FinitePoset:
 
 @lru_cache(maxsize=64)
 def _subset_poset(base: tuple, punctured: bool) -> FinitePoset:
-    subsets = [()]
-    for x in base:
-        subsets += [s + (x,) for s in subsets]
-    subsets = [canonical_subset(s) for s in subsets]
-    if punctured:
-        subsets = [s for s in subsets if s]
-    subsets.sort(key=lambda s: (len(s), s))
-    index = {s: i for i, s in enumerate(subsets)}
+    # a subset is a mask of positions in base; m's supersets are m | t for t within ~m
+    n, full = len(base), (1 << len(base)) - 1
+    level = [(0, (), -1)]
+    subsets = [] if punctured else level[:]
+    while level:
+        level = [(m | 1 << j, s + (base[j],), j)
+                 for m, s, last in level for j in range(last + 1, n)]
+        subsets += level
+    index = {m: i for i, (m, _, _) in enumerate(subsets)}
     up = []
-    for s in subsets:
-        rest = tuple(x for x in base if x not in s)
-        sup = [s]
-        for x in rest:
-            sup += [canonical_subset(t + (x,)) for t in sup]
-        up.append({index[t] for t in sup})
-    return FinitePoset._trusted(subsets, up)
+    for m, _, _ in subsets:
+        sup, t = {index[m]}, full ^ m
+        while t:
+            sup.add(index[m | t])
+            t = (t - 1) & ~m
+        up.append(sup)
+    return FinitePoset._trusted([s for _, s, _ in subsets], up)
 
 
 def reduced_homology(p: FinitePoset) -> dict[int, AbelianInvariants]:

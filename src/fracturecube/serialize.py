@@ -369,7 +369,7 @@ def split_from_json(d, path="$"):
     for key, payload in _expect(d["witness"], dict, f"{path}.witness").items():
         wpath = f"{path}.witness.{key}"
         u = subset_from_str(key, wpath)
-        if u not in bottom.vertices:
+        if u not in bottom.shape:
             raise SchemaError(wpath, "not a vertex of the bottom face")
         witness[u] = _complex_map_from_json(payload, bottom.vertex(u),
                                             bottom.vertex(u), wpath)

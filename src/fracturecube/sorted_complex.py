@@ -609,9 +609,19 @@ def _localize_module(m: SortedModule, tables):
     return kept, SortedModule(out)
 
 
+def _kept_block(f: SortedMap, rows: list, cols: list) -> ExactMatrix | None:
+    """f's matrix on the kept summands of its target (rows) and source (cols),
+    each increasing: itself when both are whole, None when either is empty."""
+    if not rows or not cols:
+        return None
+    if (len(rows), len(cols)) == (len(f.target.summands), len(f.source.summands)):
+        return f.matrix
+    return f.matrix.submatrix(f.target.basis(rows), f.source.basis(cols))
+
+
 def _localize(c: SortedComplex, tables):
     """The one localization pass along a table list, in application order:
-    the localized complex and, per degree, the basis indices of c it keeps.
+    the localized complex and, per degree, the summand indices of c it keeps.
 
     Applying the tables one at a time keeps exactly the summands whose
     sort no table kills, and each matrix is a submatrix of a submatrix,
@@ -619,11 +629,9 @@ def _localize(c: SortedComplex, tables):
     """
     mods, kept = {}, {}
     for n, m in c.modules.items():
-        keep, mods[n] = _localize_module(m, tables)
-        kept[n] = m.basis(keep)
-    diffs = {n: SortedMap._trusted(mods[n], mods[n - 1],
-                                   d.matrix.submatrix(kept[n - 1], kept[n]))
-             for n, d in c.diffs.items()}
+        kept[n], mods[n] = _localize_module(m, tables)
+    diffs = {n: SortedMap._trusted(mods[n], mods[n - 1], b) for n, d in c.diffs.items()
+             if (b := _kept_block(d, kept[n - 1], kept[n])) is not None}
     return SortedComplex._trusted(mods, diffs), kept
 
 
@@ -631,9 +639,8 @@ def _localize_chain_map(f: ComplexMap, source, target) -> ComplexMap:
     """f between its endpoints' localizations, each given as its _localize pass."""
     (src, skept), (tgt, tkept) = source, target
     return ComplexMap._trusted(src, tgt, {
-        n: SortedMap._trusted(src.module(n), tgt.module(n),
-                              m.matrix.submatrix(tkept[n], skept[n]))
-        for n, m in f.maps.items()})
+        n: SortedMap._trusted(src.module(n), tgt.module(n), b) for n, m in f.maps.items()
+        if (b := _kept_block(m, tkept[n], skept[n])) is not None})
 
 
 def apply_localization(c: SortedComplex, table: LocalizationTable) -> SortedComplex:
@@ -654,11 +661,11 @@ def localize_chain_map_tables(f: ComplexMap, tables) -> ComplexMap:
 
 
 def _unit(c: SortedComplex, localized) -> ComplexMap:
-    """The projection of c onto the basis its _localize pass keeps."""
+    """The projection of c onto the summands its _localize pass keeps."""
     loc, kept = localized
     return ComplexMap._trusted(c, loc, {n: SortedMap._trusted(
-        m, loc.module(n), ExactMatrix._trusted(
-            len(kept[n]), m.total_rank, {(r, k): 1 for r, k in enumerate(kept[n])}))
+        m, loc.module(n), ExactMatrix._trusted(loc.module(n).total_rank, m.total_rank, {
+            (r, k): 1 for r, k in enumerate(m.basis(kept[n]))}))
         for n, m in c.modules.items()})
 
 
@@ -724,20 +731,13 @@ def _residue(c: SortedComplex, survives):
     """Dimensions and differentials of the summands whose sort survives.
 
     A differential with no surviving summand at one end has rank 0 and
-    is left out; one whose ends survive whole is kept as it is.
+    is left out.
     """
     keep = {n: [i for i, (s, _) in enumerate(m.summands) if survives(s)]
             for n, m in c.modules.items()}
-    dims = {n: sum(m.summands[i][1] for i in keep[n]) for n, m in c.modules.items()}
-    mats = {}
-    for n, d in c.diffs.items():
-        rows, cols = dims[n - 1], dims[n]
-        if (rows, cols) == (d.matrix.rows, d.matrix.cols):
-            mats[n] = d.matrix
-        elif rows and cols:
-            mats[n] = d.matrix.submatrix(d.target.basis(keep[n - 1]),
-                                         d.source.basis(keep[n]))
-    return dims, mats
+    mats = {n: b for n, d in c.diffs.items()
+            if (b := _kept_block(d, keep[n - 1], keep[n])) is not None}
+    return {n: sum(m.summands[i][1] for i in keep[n]) for n, m in c.modules.items()}, mats
 
 
 def is_acyclic(c: SortedComplex, primes) -> AcyclicityReport:

@@ -296,6 +296,7 @@ def _conjugate_cube(d, rng):
             diffs[n] = SortedMap.from_dense(mods[n], mods[n - 1], dense)
         return SortedComplex(mods, diffs), perms, inv
 
+    # a zero vertex is not stored and draws nothing from rng
     scrambled = {s: scramble(c) for s, c in d.vertices.items()}
     verts = {s: trip[0] for s, trip in scrambled.items()}
     edges = {}
@@ -464,6 +465,27 @@ def face_poset(maximal_faces) -> FinitePoset:
     order complex is the barycentric subdivision of the complex, so the
     two share homology."""
     return _inclusion_poset({u for f in maximal_faces for u in _all_subsets(sorted(f)) if u})
+
+
+def reference_subset_poset(base: tuple, punctured: bool) -> FinitePoset:
+    """The subset poset on sorted labels, each subset's supersets built by
+    adding the labels it lacks one at a time and found by their tuples."""
+    subsets = [()]
+    for x in base:
+        subsets += [s + (x,) for s in subsets]
+    subsets = [canonical_subset(s) for s in subsets]
+    if punctured:
+        subsets = [s for s in subsets if s]
+    subsets.sort(key=lambda s: (len(s), s))
+    index = {s: i for i, s in enumerate(subsets)}
+    up = []
+    for s in subsets:
+        rest = tuple(x for x in base if x not in s)
+        sup = [s]
+        for x in rest:
+            sup += [canonical_subset(t + (x,)) for t in sup]
+        up.append({index[t] for t in sup})
+    return FinitePoset._trusted(subsets, up)
 
 
 def reference_anchored_supersets(s, t) -> FinitePoset:
@@ -811,7 +833,7 @@ def reference_limit_extended_cube(punctured: PosetDiagram) -> PosetDiagram:
         upset = [u for u in punctured.shape.elements if set(s) <= set(u)]
         results[s] = nerve_limit(punctured.restrict(upset))
     verts = {s: results[s].complex for s in full.elements}
-    ident = {x: ComplexMap.identity(v) for x, v in punctured.vertices.items()}
+    ident = {x: ComplexMap.identity(punctured.vertex(x)) for x in punctured.shape.elements}
     edges = {(s, s2): ComplexMap._trusted(verts[s], verts[s2], _place(
         results[s], results[s2], [(c, c, ident[c[-1]]) for c in results[s2].cells]))
         for (s, s2) in full.covering_pairs()}

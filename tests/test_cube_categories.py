@@ -273,7 +273,8 @@ class TestGenerators:
         gen = GeneratorData({1: zero, 2: zero},
                             {(1, 2): ComplexMap.zero(zero, zero)})
         obj = build_from_generators(gen, FAM2)
-        assert all(c.is_zero_complex() for c in obj.diagram.vertices.values())
+        assert not obj.diagram.vertices
+        assert all(obj.vertex(s).is_zero_complex() for s in obj.diagram.shape.elements)
 
     def test_three_indices_zero_mixing_maps(self):
         xs = {1: SortedComplex.single(Q), 2: SortedComplex.single(Zp(2)),
@@ -566,7 +567,8 @@ class TestDiagramFunctor:
         d = PosetDiagram(anchored_supersets((3,), (1, 2, 3)),
                          {(3,): SortedComplex.zero()}, {})
         out = diagram_functor((3,), (1, 3), d, FAM3)
-        assert all(c.is_zero_complex() for c in out.vertices.values())
+        assert not out.vertices
+        assert all(out.vertex(s).is_zero_complex() for s in out.shape.elements)
 
     @pytest.mark.parametrize("primes", [(2,), (2, 3), (2, 3, 5)])
     def test_matches_the_closed_form(self, primes):
@@ -631,7 +633,8 @@ class TestSplitGlue:
         g = fracture_diagram(SortedComplex.zero(), FAM2)
         sp = split_fracture_object(g)
         back = glue_fracture_object(sp, FAM2)
-        assert all(c.is_zero_complex() for c in back.diagram.vertices.values())
+        assert not back.diagram.vertices
+        assert all(back.vertex(s).is_zero_complex() for s in back.diagram.shape.elements)
 
     def test_two_index_case_is_bottom_morphism(self):
         # splitting the two-index object leaves exactly the data of the

@@ -103,6 +103,18 @@ class TestPosetDiagram:
         assert d.vertex(()) == sphere()
         assert d.vertex((1, 2)).is_zero_complex()
 
+    def test_zero_vertices_not_stored(self):
+        # an element with no stored vertex reads as zero, one outside the
+        # shape does not
+        shape = subset_poset((1, 2))
+        d = PosetDiagram(shape, {}, {})
+        assert not d.vertices and not d.edges
+        assert all(d.vertex(s).is_zero_complex() for s in shape.elements)
+        assert d.hom((), (1, 2)).maps == {}
+        assert initial_corner_cube(sphere(), (1, 2)).vertices == {(): sphere()}
+        with pytest.raises(KeyError):
+            d.vertex((3,))
+
     def test_stray_edges_rejected(self):
         z = sphere()
         shape = subset_poset((1, 2), punctured=False)
@@ -216,14 +228,15 @@ class TestAttachLocalization:
         labels = (2, 3)
         d = (_upset_cube(subset_poset(labels), labels, (3,), x) if upset
              else initial_corner_cube(x, labels))
-        assert any(c.is_zero_complex() for c in d.vertices.values())
+        assert any(d.vertex(s).is_zero_complex() for s in d.shape.elements)
         out, loc = attach_localization(d, table, 1), localize_diagram(d, table)
         assert out.shape is subset_poset((1,) + labels)
-        # only nonzero edges on covering pairs are stored
+        # only nonzero vertices and nonzero edges on covering pairs are stored
+        assert all(c.modules for c in out.vertices.values())
         assert set(out.edges) <= set(out.shape.covering_pairs())
         assert all(e.maps for e in out.edges.values())
-        for s, c in d.vertices.items():
-            up = canonical_subset(s + (1,))
+        for s in d.shape.elements:
+            c, up = d.vertex(s), canonical_subset(s + (1,))
             assert out.vertex(up) == loc.vertex(s) == apply_localization(c, table)
             assert out.hom(s, up) == canonical_unit(c, table)
         for (a, b) in d.shape.covering_pairs():
@@ -494,7 +507,8 @@ class TestShapesOfLabels:
 class TestInitialCornerCube:
     def test_zero(self):
         d = initial_corner_cube(SortedComplex.zero(), (1, 2))
-        assert all(c.is_zero_complex() for c in d.vertices.values())
+        assert not d.vertices
+        assert all(d.vertex(s).is_zero_complex() for s in d.shape.elements)
 
     def test_arrow(self):
         d = initial_corner_cube(sphere(), (1,))

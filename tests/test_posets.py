@@ -25,6 +25,7 @@ from genutil import (
     random_poset,
     reference_irreducible,
     reference_is_dismantlable,
+    reference_subset_poset,
 )
 
 
@@ -94,6 +95,13 @@ class TestSubsetPoset:
         with pytest.raises(InputError, match="exceeds cap 12"):
             subset_poset(thirteen)
         _subset_poset.cache_clear()
+
+    @pytest.mark.parametrize("punctured", [False, True])
+    def test_masks_match_the_tuple_reference(self, punctured):
+        for n in range(9):
+            for base in (tuple(range(1, n + 1)), tuple(range(-3, 3 * n - 3, 3))):
+                got, want = _subset_poset(base, punctured), reference_subset_poset(base, punctured)
+                assert got.elements == want.elements and got._up == want._up
 
     def test_shared_across_label_spellings(self):
         p = subset_poset((1, 2, 3))

@@ -263,7 +263,10 @@ def test_fracture_refusals(case, message, tmp_path, monkeypatch):
 
 SQUARE = punctured_restriction(build_fracture_cube(SPHERE, FAM2))
 HOLIM = [
-    (Call(PosetDiagram, (ARROW, {}, {})), "missing vertex complex at 'a'"),
+    # a kept key outside the shape would reach strict_limit's sort check
+    (Call(PosetDiagram, (subset_poset((1,)), {(): SPHERE, (1,): SPHERE,
+                                              "junk": SortedComplex.single(Q, 1, 5)}, {})),
+     "vertex 'junk' is not in the shape"),
     (Cli(("holim", "DOC"), "diagram", vertex_payloads("", "1")),
      "schema error: $.payload: missing edge map () -> (1,)"),
     # the omitted edge reads as zero, and the square no longer commutes

@@ -20,7 +20,7 @@ import pytest
 
 from fracturecube import holim
 from fracturecube.exact_linalg import ExactMatrix
-from fracturecube.cube_categories import fracture_diagram, roundtrip_check
+from fracturecube.cube_categories import anchored_supersets, fracture_diagram, roundtrip_check
 from fracturecube.fracture import (
     LocalizationFamily,
     build_fracture_cube,
@@ -202,8 +202,8 @@ ALL_CUBES = [d for _, d in CUBES] + ZERO_PATTERN_CUBES
 
 
 def test_seeded_diagrams_have_the_zero_patterns():
-    has_zero_vertex = any(c.is_zero_complex() for d in ZERO_PATTERN_CUBES
-                          for c in d.vertices.values())
+    has_zero_vertex = any(d.vertex(s).is_zero_complex() for d in ZERO_PATTERN_CUBES
+                          for s in d.shape.elements)
     # a zero edge between two nonzero vertices is a covering pair with no stored edge
     has_zero_edge = any((x, y) not in d.edges and not d.vertex(x).is_zero_complex()
                         and not d.vertex(y).is_zero_complex()
@@ -212,7 +212,8 @@ def test_seeded_diagrams_have_the_zero_patterns():
                   for d in ZERO_PATTERN_CUBES for c in d.vertices.values()
                   for n in range(-1, 6))
     assert has_zero_vertex and has_zero_edge and has_gap
-    assert any(c.is_zero_complex() for d in NERVE_DIAGRAMS for c in d.vertices.values())
+    assert any(d.vertex(s).is_zero_complex() for d in NERVE_DIAGRAMS
+               for s in d.shape.elements)
 
 
 @pytest.mark.parametrize("k", range(len(ALL_CUBES)))
@@ -279,7 +280,8 @@ def test_fracture_cubes_are_mostly_zero():
     # 2k + 2 of the 2^(k + 1) vertices are nonzero at |P| = k
     for k, d in enumerate(FRACTURE_CUBES, start=1):
         assert len(d.shape) == 2 ** (k + 1)
-        assert sum(not c.is_zero_complex() for c in d.vertices.values()) == 2 * k + 2
+        nonzero = [s for s in d.shape.elements if not d.vertex(s).is_zero_complex()]
+        assert len(nonzero) == len(d.vertices) == 2 * k + 2
     torsion = homology_p_local(FRACTURE_CUBES[2].vertex(()), (2, 3, 5))
     assert torsion and all(inv.free_rank == 0 for inv in torsion.values())
 
@@ -547,7 +549,7 @@ def test_totalization_checks_no_module(monkeypatch):
 
 def test_zero_vertices_cost_nothing(monkeypatch):
     # at |P| = 5, 12 of the fracture cube's 64 vertices are nonzero: only
-    # they are localized, and only they enter the coface table
+    # they are stored and localized, and only they enter the coface table
     x = random_complex(random.Random(54), deg_hi=2, max_rank=3)
     fam = LocalizationFamily((2, 3, 5, 7, 11))
     calls = []
@@ -566,12 +568,23 @@ def test_zero_vertices_cost_nothing(monkeypatch):
         return zero(source, target)
 
     monkeypatch.setattr(ComplexMap, "zero", staticmethod(counted_zero))
+    copies = []
+    submatrix = ExactMatrix.submatrix
+
+    def counted_submatrix(m, rows, cols):
+        copies.append((rows, cols))
+        return submatrix(m, rows, cols)
+
+    monkeypatch.setattr(ExactMatrix, "submatrix", counted_submatrix)
     cube = build_fracture_cube(e_localize(x, fam), fam)
     # no zero map is made, and only the 16 nonzero edges of 192 are stored
     assert zeros == []
     assert len(cube.edges) == 16
     assert all(e.maps for e in cube.edges.values())
-    assert sum(not c.is_zero_complex() for c in cube.vertices.values()) == 12
+    assert len(cube.vertices) == 12
+    assert all(c.modules for c in cube.vertices.values())
+    # each table keeps a block whole or kills an end of it: nothing is copied
+    assert copies == []
     # one pass per nonzero vertex of the cubes on 0, 1, ..., 5 labels
     assert len(calls) == 21
     assert not any(c.is_zero_complex() for c in calls)
@@ -579,6 +592,14 @@ def test_zero_vertices_cost_nothing(monkeypatch):
     calls.clear()
     localize_diagram(cube, fam.table(1))
     assert len(calls) == 12
+    # restricting the fracture object reads hom only between stored vertices
+    zeros.clear()
+    keep = anchored_supersets((1,), fam.labels())
+    d = punctured_restriction(cube).restrict(keep.elements)
+    assert zeros == []
+    want = {pair: f for pair in keep.covering_pairs() if (f := cube.hom(*pair)).maps}
+    assert d.edges == want and len(want) == 5
+    assert d.vertices == {s: c for s, c in cube.vertices.items() if s in keep}
 
 
 def test_direction_cubes_read_covering_edges(monkeypatch):
@@ -592,8 +613,8 @@ def test_direction_cubes_read_covering_edges(monkeypatch):
     hom = PosetDiagram.hom
 
     def counted(self, a, b):
-        calls.append((self.vertices[a].is_zero_complex()
-                      or self.vertices[b].is_zero_complex()))
+        calls.append((self.vertex(a).is_zero_complex()
+                      or self.vertex(b).is_zero_complex()))
         return hom(self, a, b)
 
     monkeypatch.setattr(PosetDiagram, "hom", counted)

@@ -114,13 +114,16 @@ def recheck_diagram(d: PosetDiagram):
     for e in d.edges.values():
         recheck_map(e)
     again = PosetDiagram(d.shape, d.vertices, d.edges)
-    assert again.edges == d.edges
-    # only nonzero edges on covering pairs are stored, and the checked
-    # constructor drops the zero ones it is given
+    assert again.vertices == d.vertices and again.edges == d.edges
+    # only nonzero vertices of the shape and nonzero edges on covering
+    # pairs are stored, and the checked constructor drops the zero ones it
+    # is given
+    assert all(x in d.shape and c.modules for x, c in d.vertices.items())
     covers = d.shape.covering_pairs()
     assert all(pair in covers and e.maps for pair, e in d.edges.items())
-    dense = PosetDiagram(d.shape, d.vertices, {(x, y): d.hom(x, y) for (x, y) in covers})
-    assert dense.edges == d.edges
+    dense = PosetDiagram(d.shape, {x: d.vertex(x) for x in d.shape.elements},
+                         {(x, y): d.hom(x, y) for (x, y) in covers})
+    assert dense.vertices == d.vertices and dense.edges == d.edges
 
 
 def seeded_maps(seed, count=6):

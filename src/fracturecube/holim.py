@@ -34,10 +34,11 @@ A full cube is totalized the same way with the empty corner in level
 summand. The total fiber is that totalization one level up, built at
 its own degrees: the corner in level 0, S in level |S|, face signs
 (-1)^(i+1), and a direction cube's faces read off the parent. The
+iterated one, the direction cube's total fiber, totalizes the cells
+S' + S at once, S nested in S': an inner coface carries (-1)^|S'|. The
 mapping cone of a chain map is the totalization of its 1-cube, the
 homotopy fiber that cube's total fiber, and a quasi-isomorphism a map
-with an acyclic cone: the package has one cone formula and one sign
-convention.
+with an acyclic cone: one cone formula and one sign convention.
 
 Diagrams are strictly functorial: every path composite between two
 elements must agree as matrices. A diagram stores only its nonzero
@@ -560,14 +561,19 @@ def limit_extended_cube(punctured: PosetDiagram) -> PosetDiagram:
     return PosetDiagram._trusted(full, verts, edges)
 
 
-def tfib_direction_cube(diagram: PosetDiagram, t_prime) -> PosetDiagram:
-    """Cube on P(T') of total fibers of the complementary subcubes, the face
-    S -> G(S + S') at S' totalized off the diagram itself, one level up."""
+def _directions(diagram: PosetDiagram, t_prime):
+    """T' checked against the labels of a full cube, and the other labels."""
     labels = cube_labels(diagram, punctured=False)
     t_prime = canonical_subset(t_prime)
     if not set(t_prime) <= set(labels):
         raise InputError("direction set is not a subset of the cube labels")
-    rest = tuple(x for x in labels if x not in t_prime)
+    return t_prime, tuple(x for x in labels if x not in t_prime)
+
+
+def tfib_direction_cube(diagram: PosetDiagram, t_prime) -> PosetDiagram:
+    """Cube on P(T') of total fibers of the complementary subcubes, the face
+    S -> G(S + S') at S' totalized off the diagram itself, one level up."""
+    t_prime, rest = _directions(diagram, t_prime)
     if not rest:
         # each face is one vertex, its own total fiber: the cube itself
         return diagram
@@ -587,8 +593,12 @@ def tfib_direction_cube(diagram: PosetDiagram, t_prime) -> PosetDiagram:
 
 
 def total_fiber_iterated(diagram: PosetDiagram, t_prime) -> SortedComplex:
-    """Total fiber computed through the direction cube of partial fibers."""
-    return total_fiber(tfib_direction_cube(diagram, t_prime))
+    """The direction cube's total fiber, summand for summand, in one totalization
+    over the cells S' + S, S nested in S': an inner coface picks up (-1)^|S'|."""
+    t_prime, rest = _directions(diagram, t_prime)
+    top = {sp + s: canonical_subset(sp + s) for sp in subset_poset(t_prime).elements
+           for s in subset_poset(rest).elements}
+    return HolimResult(diagram, top, top.__getitem__, lift=1).complex
 
 
 # --- recursive punctured limits ----------------------------------------------------

@@ -22,6 +22,8 @@ from fracturecube.holim import (
     homotopy_limit,
     nerve_limit,
     punctured_restriction,
+    total_fiber,
+    total_fiber_iterated,
 )
 from fracturecube.posets import FinitePoset, canonical_subset, subset_poset
 from fracturecube.sorted_complex import (
@@ -364,6 +366,42 @@ def nerve_total_fiber(d):
     punct = punctured_restriction(d)
     legs = {s: d.hom((), s) for s in punct.shape.elements}
     return reference_hofib(nerve_limit(punct).cone_map(d.vertex(()), legs))
+
+
+def iterated_to_direct(d, tp) -> ComplexMap:
+    """The block permutation from total_fiber_iterated(d, tp) onto total_fiber(d).
+
+    Both complexes hold, in degree n, the term of d at U in degree
+    n + |U| once for each nonzero cell U: the iterated one lists U as
+    S' + S, S' over the subsets of tp and S over the other labels, nested;
+    the direct one lists the subsets in order. Cell S' + S goes to cell
+    sorted(S' + S) by the identity times the sign of the shuffle of S'
+    against S. The checked constructor makes it a chain map; a signed
+    permutation of the bases, it is an isomorphism.
+    """
+    labels = max(d.shape.elements, key=len)
+    rest = tuple(x for x in labels if x not in tp)
+    # the shuffle's sign: -1 to the number of pairs a in S', b in S with a > b
+    sign = {canonical_subset(sp + s): -1 if sum(a > b for a in sp for b in s) % 2 else 1
+            for sp in subset_poset(tp).elements for s in subset_poset(rest).elements}
+
+    def layout(cells):
+        # the offset of each cell's term in each degree, cells in order
+        offsets, used = {}, {}
+        for u in cells:
+            for m, module in d.vertex(u).modules.items():
+                offsets[(m - len(u), u)] = used.get(m - len(u), 0)
+                used[m - len(u)] = used.get(m - len(u), 0) + module.total_rank
+        return offsets
+
+    src, dst = total_fiber_iterated(d, tp), total_fiber(d)
+    at = layout(subset_poset(labels).elements)
+    pieces = {}
+    for (n, u), col in layout(sign).items():
+        one = ExactMatrix.identity(d.vertex(u).module(n + len(u)).total_rank)
+        pieces.setdefault(n, []).append((at[(n, u)], col, one.scale(sign[u])))
+    return ComplexMap(src, dst, {n: _map_from_pieces(src.module(n), dst.module(n), p)
+                                 for n, p in pieces.items()})
 
 
 # --- closed-form cones and sums ------------------------------------------------------

@@ -44,7 +44,13 @@ from fracturecube.sorted_complex import (
     homology_p_local,
 )
 
-from genutil import composite_kills_all, nerve_total_fiber, random_complex, random_cube
+from genutil import (
+    composite_kills_all,
+    iterated_to_direct,
+    nerve_total_fiber,
+    random_complex,
+    random_cube,
+)
 
 PRIME_SETS = ((2,), (2, 3), (2, 3, 5))
 
@@ -87,11 +93,15 @@ def test_criterion_03_total_fiber_decomposition():
                         pieces=2)
         want = homology_p_local(nerve_total_fiber(d), primes)
         for tp in subsets:
-            got = homology_p_local(total_fiber_iterated(d, tp), primes)
+            iterated = total_fiber_iterated(d, tp)
+            # a signed block permutation onto the direct total fiber, checked
+            # as a chain map, and the invariants of both
+            assert iterated_to_direct(d, tp).source == iterated
+            got = homology_p_local(iterated, primes)
             assert got == want, (tp, got, want)
             checks += 1
-    print(f"\n[PASS] criterion 3: iterated total fiber invariants agree "
-          f"on {checks} cube/subset pairs")
+    print(f"\n[PASS] criterion 3: iterated total fiber is isomorphic to the "
+          f"direct one, invariants agree, on {checks} cube/subset pairs")
 
 
 def test_criterion_04_directional_fibers():

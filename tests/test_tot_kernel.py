@@ -66,6 +66,7 @@ from genutil import (
     _scalar_cube,
     _upset_cube,
     cube_direct_sum,
+    iterated_to_direct,
     random_chain_map,
     random_complex,
     random_cube,
@@ -370,6 +371,27 @@ def test_scaled_cube_totalizations_match_the_reference(k):
     assert_direction_cubes_match_the_reference(d)
 
 
+def iterated_cubes():
+    """ZlocP cubes on four labels, where T' and the rest interleave most."""
+    rng = random.Random(58)
+    for _ in range(20):
+        yield random_cube(rng, (1, 2, 3, 4), sort=ZLOC)
+
+
+ITERATED_CUBES = ALL_CUBES + FRACTURE_CUBES[:3] + SCALED_CUBES + list(iterated_cubes())
+
+
+@pytest.mark.parametrize("k", range(len(ITERATED_CUBES)))
+def test_iterated_fiber_is_the_direction_cubes_total_fiber(k):
+    # the one-pass totalization over the cells S' + S against the two-stage
+    # one, summand for summand, and the shuffle onto the direct total fiber
+    d = ITERATED_CUBES[k]
+    for tp in subset_poset(max(d.shape.elements, key=len)).elements:
+        got = total_fiber_iterated(d, tp)
+        assert got == total_fiber(tfib_direction_cube(d, tp)), tp
+        assert iterated_to_direct(d, tp).source == got
+
+
 # --- cones: the totalization of a 1-cube against the degreewise formula ---------
 
 def seeded_cone_maps():
@@ -604,7 +626,10 @@ def test_zero_vertices_cost_nothing(monkeypatch):
 
 def test_direction_cubes_read_covering_edges(monkeypatch):
     # faces and direction-cube edges read diagram.edges, and no zero edge
-    # is placed: hom runs only for the coface tables of nonzero cells
+    # is placed: hom runs only for the coface tables of nonzero cells. The
+    # direction-cube path calls hom 8 times, on its faces and on the
+    # direction cube; the one-pass iterated fiber once per nonzero coface,
+    # here each of the cube's 10 stored edges
     x = random_complex(random.Random(54), deg_hi=2, max_rank=3)
     fam = LocalizationFamily((2, 3, 5))
     cube = build_fracture_cube(e_localize(x, fam), fam)
@@ -618,6 +643,10 @@ def test_direction_cubes_read_covering_edges(monkeypatch):
         return hom(self, a, b)
 
     monkeypatch.setattr(PosetDiagram, "hom", counted)
-    assert total_fiber_iterated(cube, (1, 2)) == want
+    assert total_fiber(tfib_direction_cube(cube, (1, 2))) == want
     assert len(calls) == 8
+    assert not any(calls)
+    calls.clear()
+    assert total_fiber_iterated(cube, (1, 2)) == want
+    assert len(calls) == 10
     assert not any(calls)

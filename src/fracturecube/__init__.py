@@ -60,7 +60,6 @@ from .holim import (
     limit_extended_cube,
     punctured_limit_recursive,
     strict_limit,
-    tfib_direction_cube,
     total_fiber,
     total_fiber_iterated,
 )

@@ -33,9 +33,11 @@ A full cube is totalized the same way with the empty corner in level
 -1: the cone of the corner map into the punctured limit, summand for
 summand. The total fiber is that totalization one level up, built at
 its own degrees: the corner in level 0, S in level |S|, face signs
-(-1)^(i+1), and a direction cube's faces read off the parent. The
-iterated one, the direction cube's total fiber, totalizes the cells
-S' + S at once, S nested in S': an inner coface carries (-1)^|S'|. The
+(-1)^(i+1). The iterated one, the total fiber of the T'-cube whose
+vertex S' is the partial total fiber of the face S -> G(S + S'), is the
+package's partial-fiber path: it totalizes the cells S' + S at once, S
+nested in S', with an inner coface carrying (-1)^|S'|, and builds no
+direction cube; the tests keep that cube as its reference. The
 mapping cone of a chain map is the totalization of its 1-cube, the
 homotopy fiber that cube's total fiber, and a quasi-isomorphism a map
 with an acyclic cone: one cone formula and one sign convention.
@@ -561,41 +563,15 @@ def limit_extended_cube(punctured: PosetDiagram) -> PosetDiagram:
     return PosetDiagram._trusted(full, verts, edges)
 
 
-def _directions(diagram: PosetDiagram, t_prime):
-    """T' checked against the labels of a full cube, and the other labels."""
+def total_fiber_iterated(diagram: PosetDiagram, t_prime) -> SortedComplex:
+    """The total fiber of the T'-cube of partial total fibers, the faces
+    S -> G(S + S') over the other labels, in one totalization over the cells
+    S' + S, S nested in S': an inner coface picks up (-1)^|S'|."""
     labels = cube_labels(diagram, punctured=False)
     t_prime = canonical_subset(t_prime)
     if not set(t_prime) <= set(labels):
         raise InputError("direction set is not a subset of the cube labels")
-    return t_prime, tuple(x for x in labels if x not in t_prime)
-
-
-def tfib_direction_cube(diagram: PosetDiagram, t_prime) -> PosetDiagram:
-    """Cube on P(T') of total fibers of the complementary subcubes, the face
-    S -> G(S + S') at S' totalized off the diagram itself, one level up."""
-    t_prime, rest = _directions(diagram, t_prime)
-    if not rest:
-        # each face is one vertex, its own total fiber: the cube itself
-        return diagram
-    outer_shape = subset_poset(t_prime, punctured=False)
-    cells = subset_poset(rest, punctured=False).elements
-    up = {sp: {s: canonical_subset(s + sp) for s in cells} for sp in outer_shape.elements}
-    tots = {sp: HolimResult(diagram, cells, up[sp].__getitem__, lift=1) for sp in up}
-    edges = {}
-    for (sp, sp2) in outer_shape.covering_pairs():
-        # S + sp -> S + sp2 is a covering pair: its diagram edge, natural by
-        # construction, placed where nonzero
-        blocks = [(s, s, e) for s in cells
-                  if (e := diagram.edges.get((up[sp][s], up[sp2][s]))) is not None]
-        edges[(sp, sp2)] = ComplexMap._trusted(tots[sp].complex, tots[sp2].complex,
-                                               _place(tots[sp], tots[sp2], blocks))
-    return PosetDiagram._trusted(outer_shape, {sp: t.complex for sp, t in tots.items()}, edges)
-
-
-def total_fiber_iterated(diagram: PosetDiagram, t_prime) -> SortedComplex:
-    """The direction cube's total fiber, summand for summand, in one totalization
-    over the cells S' + S, S nested in S': an inner coface picks up (-1)^|S'|."""
-    t_prime, rest = _directions(diagram, t_prime)
+    rest = tuple(x for x in labels if x not in t_prime)
     top = {sp + s: canonical_subset(sp + s) for sp in subset_poset(t_prime).elements
            for s in subset_poset(rest).elements}
     return HolimResult(diagram, top, top.__getitem__, lift=1).complex

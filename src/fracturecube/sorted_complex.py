@@ -185,11 +185,15 @@ class SortedModule:
         return {s for s, _ in self.summands}
 
     @classmethod
-    def concat(cls, *mods) -> "SortedModule":
-        # the summands of valid modules need no second check
+    def _trusted(cls, summands: tuple) -> "SortedModule":
+        # summands taken from valid modules need no second check
         m = object.__new__(cls)
-        m._assign(tuple(s for mod in mods for s in mod.summands))
+        m._assign(summands)
         return m
+
+    @classmethod
+    def concat(cls, *mods) -> "SortedModule":
+        return cls._trusted(tuple(s for mod in mods for s in mod.summands))
 
     def __eq__(self, other):
         if not isinstance(other, SortedModule):
@@ -606,7 +610,7 @@ def _localize_module(m: SortedModule, tables):
         else:
             kept.append(i)
             out.append((s, r))
-    return kept, SortedModule(out)
+    return kept, SortedModule._trusted(tuple(out))
 
 
 def _kept_block(f: SortedMap, rows: list, cols: list) -> ExactMatrix | None:

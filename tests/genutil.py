@@ -16,9 +16,11 @@ from fracturecube.exact_linalg import (
 )
 from fracturecube.cube_categories import FractureObject
 from fracturecube.holim import (
+    HolimResult,
     PosetDiagram,
     _place,
     attach_localization,
+    cube_labels,
     homotopy_limit,
     nerve_limit,
     punctured_restriction,
@@ -366,6 +368,33 @@ def nerve_total_fiber(d):
     punct = punctured_restriction(d)
     legs = {s: d.hom((), s) for s in punct.shape.elements}
     return reference_hofib(nerve_limit(punct).cone_map(d.vertex(()), legs))
+
+
+def tfib_direction_cube(diagram: PosetDiagram, t_prime) -> PosetDiagram:
+    """Cube on P(T') of total fibers of the complementary subcubes, the face
+    S -> G(S + S') at S' totalized off the diagram itself, one level up: the
+    reference for total_fiber_iterated, which is its total fiber."""
+    labels = cube_labels(diagram, punctured=False)
+    t_prime = canonical_subset(t_prime)
+    if not set(t_prime) <= set(labels):
+        raise InputError("direction set is not a subset of the cube labels")
+    rest = tuple(x for x in labels if x not in t_prime)
+    if not rest:
+        # each face is one vertex, its own total fiber: the cube itself
+        return diagram
+    outer_shape = subset_poset(t_prime, punctured=False)
+    cells = subset_poset(rest, punctured=False).elements
+    up = {sp: {s: canonical_subset(s + sp) for s in cells} for sp in outer_shape.elements}
+    tots = {sp: HolimResult(diagram, cells, up[sp].__getitem__, lift=1) for sp in up}
+    edges = {}
+    for (sp, sp2) in outer_shape.covering_pairs():
+        # S + sp -> S + sp2 is a covering pair: its diagram edge, natural by
+        # construction, placed where nonzero
+        blocks = [(s, s, e) for s in cells
+                  if (e := diagram.edges.get((up[sp][s], up[sp2][s]))) is not None]
+        edges[(sp, sp2)] = ComplexMap._trusted(tots[sp].complex, tots[sp2].complex,
+                                               _place(tots[sp], tots[sp2], blocks))
+    return PosetDiagram._trusted(outer_shape, {sp: t.complex for sp, t in tots.items()}, edges)
 
 
 def iterated_to_direct(d, tp) -> ComplexMap:

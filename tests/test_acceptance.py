@@ -28,7 +28,6 @@ from fracturecube.holim import (
     limit_extended_cube,
     nerve_limit,
     punctured_limit_recursive,
-    tfib_direction_cube,
     total_fiber_iterated,
 )
 from fracturecube.posets import (
@@ -50,6 +49,7 @@ from genutil import (
     nerve_total_fiber,
     random_complex,
     random_cube,
+    tfib_direction_cube,
 )
 
 PRIME_SETS = ((2,), (2, 3), (2, 3, 5))

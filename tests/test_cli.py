@@ -371,6 +371,13 @@ class TestErrors:
         assert code == 3
         assert err == "internal error: ZeroDivisionError: boom\n"
 
+    def test_unwritable_output_is_an_io_error(self, tmp_path):
+        # -o names a directory: the result cannot be written there
+        code, out, err = cli("poset", "check-initial", "--T", "2", "--t", "1",
+                             "-o", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("io error:")
+
     def test_empty_diagram(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"version": "fracture/1", "kind": "diagram",

@@ -28,7 +28,6 @@ from fracturecube.holim import (
     limit_extended_cube,
     map_between_totalizations,
     punctured_restriction,
-    tfib_direction_cube,
     total_fiber,
 )
 from fracturecube.posets import subset_poset
@@ -48,6 +47,7 @@ from genutil import (
     reference_cone,
     reference_hofib,
     shift,
+    tfib_direction_cube,
 )
 
 PRIMES = (2, 3)

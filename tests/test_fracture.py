@@ -14,7 +14,17 @@ from fracturecube.fracture import (
     rational_pair_square,
     verify_fracture,
 )
-from fracturecube.holim import PosetDiagram, cube_totalization, is_cartesian, is_quasi_iso
+from fracturecube.holim import (
+    PosetDiagram,
+    cube_totalization,
+    hofib,
+    is_cartesian,
+    is_quasi_iso,
+    limit_extended_cube,
+    localize_diagram,
+    punctured_restriction,
+)
+from fracturecube.posets import canonical_subset
 from fracturecube.sorted_complex import (
     LOCALIZE,
     Q,
@@ -37,6 +47,7 @@ from genutil import (
     leg_compatibility,
     random_complex,
     sum_inclusions,
+    tfib_direction_cube,
 )
 
 
@@ -208,6 +219,24 @@ class TestCollapse:
         x = moore(6)
         for i in (1, 2, 3):
             assert localization_collapse_check(x, fam, i).passed, i
+
+    def test_direction_fibers_are_the_index_edges(self):
+        # the direction cube's vertex S' is the homotopy fiber of the edge
+        # S' -> S' + (i,), so edge_equivalences decides every direction fiber
+        # away from the corner and conclusion the one at it
+        for x, primes in ((SortedComplex.single(Z), (2,)), (SortedComplex.zero(), (2,)),
+                          (moore(6), (2, 3))):
+            fam = LocalizationFamily(primes)
+            ext = limit_extended_cube(punctured_restriction(build_fracture_cube(x, fam)))
+            for i in fam.labels():
+                loc = localize_diagram(ext, fam.table(i))
+                fibers = tfib_direction_cube(loc, tuple(l for l in fam.labels() if l != i))
+                edges = {s: canonical_subset(s + (i,)) for s in fibers.shape.elements}
+                for s, s2 in edges.items():
+                    assert fibers.vertex(s) == hofib(loc.hom(s, s2)), (i, s)
+                report = localization_collapse_check(x, fam, i)
+                assert set(report.edge_equivalences) == {(s, s2) for s, s2 in edges.items()
+                                                         if s}
 
     def test_index_range_checked(self):
         fam = LocalizationFamily((2,))

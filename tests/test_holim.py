@@ -50,7 +50,6 @@ from fracturecube.holim import (
     punctured_restriction,
     strict_limit,
     strict_total_fiber,
-    tfib_direction_cube,
     total_fiber,
     total_fiber_iterated,
 )
@@ -63,6 +62,7 @@ from genutil import (
     random_cube,
     reference_hofib,
     sum_inclusions,
+    tfib_direction_cube,
     unit_of_tables,
     vertex_projection,
 )

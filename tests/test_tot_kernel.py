@@ -41,7 +41,6 @@ from fracturecube.holim import (
     nerve_limit,
     punctured_limit_recursive,
     punctured_restriction,
-    tfib_direction_cube,
     total_fiber,
     total_fiber_iterated,
 )
@@ -76,6 +75,7 @@ from genutil import (
     reference_punctured_limit_recursive,
     scaled_cube,
     shift,
+    tfib_direction_cube,
 )
 from test_cube_totalization import CUBES
 

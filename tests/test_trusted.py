@@ -2,9 +2,10 @@
 
 Builders whose output is valid by construction skip the constructor
 checks (d^2 = 0, the chain-map identity, functoriality, block shapes and
-sort maps, exact nonzero entries). Each test here runs such builders on
-seeded inputs and sends every output back through the public
-constructor, which re-derives all of those invariants.
+sort maps, summand sorts and ranks, exact nonzero entries). Each test
+here runs such builders on seeded inputs and sends every output back
+through the public constructor, which re-derives all of those
+invariants.
 """
 
 import random
@@ -46,7 +47,6 @@ from fracturecube.holim import (
     punctured_restriction,
     strict_limit,
     strict_total_fiber,
-    tfib_direction_cube,
 )
 from fracturecube.posets import subset_poset
 from fracturecube.sorted_complex import (
@@ -55,6 +55,7 @@ from fracturecube.sorted_complex import (
     ComplexMap,
     SortedComplex,
     SortedMap,
+    SortedModule,
     Z,
     ZLOC,
     apply_localization,
@@ -74,6 +75,7 @@ from genutil import (
     random_cube,
     shift,
     sum_inclusions,
+    tfib_direction_cube,
     unit_of_tables,
 )
 
@@ -95,6 +97,9 @@ def recheck_sorted_map(f: SortedMap):
 
 
 def recheck_complex(c: SortedComplex):
+    # every module, the localized ones and the concatenated ones included
+    for m in c.modules.values():
+        assert SortedModule(m.summands) == m
     for d in c.diffs.values():
         recheck_sorted_map(d)
     assert SortedComplex(c.modules, c.diffs) == c

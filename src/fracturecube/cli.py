@@ -218,6 +218,9 @@ def _cmd_cat_validate(args, out):
 def _cmd_cat_roundtrip(args, out):
     kind, obj = _load(args.input)
     if kind == "fracture-object":
+        if args.primes:
+            raise InputError("--primes needs a complex: a fracture-object "
+                             "carries its own primes")
         ok = roundtrip_check(obj, obj.family)
     elif kind == "complex":
         ok = roundtrip_check(obj, _family(args))
@@ -239,8 +242,7 @@ def _cmd_cat_split(args, out):
 
 def _cmd_cat_glue(args, out):
     _, payload = _load(args.input, "report")
-    sp, fam = serialize.split_from_json(payload, "$.payload")
-    glued = glue_fracture_object(sp, fam)
+    glued = glue_fracture_object(serialize.split_from_json(payload, "$.payload"))
     _emit(serialize.wrap("fracture-object", glued), args.output, out)
     return 0
 

@@ -41,7 +41,6 @@ from .holim import (
 from .posets import FinitePoset, PosetMap, canonical_subset, subset_poset
 from .sorted_complex import (
     LOCALIZE,
-    ComplexMap,
     SortedComplex,
     Violation,
     _localize,
@@ -323,16 +322,15 @@ def anchored_cover_identity(n: int) -> bool:
 class SplitData:
     top: FractureObject      # the face avoiding the first index
     bottom: PosetDiagram     # the face anchored at the first index
-    witness: dict            # vertex U -> identity-shaped comparison map
 
 
 def split_fracture_object(z: FractureObject) -> SplitData:
-    """Cut an object into its first-index face, the rest, and the glue.
+    """Cut an object into its face anchored at the first index and the rest.
 
     The bottom face consists of the vertices containing the first
     index; away from the bare singleton it is literally the first
-    localization of the top face, witnessed by identity maps. An object
-    that fails validation is an input error naming its first violation.
+    localization of the top face. An object that fails validation is an
+    input error naming its first violation.
     """
     fam = z.family
     labels = z.labels
@@ -347,19 +345,17 @@ def split_fracture_object(z: FractureObject) -> SplitData:
         z.diagram.restrict(subset_poset(rest, punctured=True).elements),
         fam, rest)
     bottom = z.diagram.restrict(anchored_supersets((first,), labels).elements)
-    witness = {u: ComplexMap.identity(bottom.vertex(u))
-               for u in bottom.shape.elements if u != (first,)}
-    return SplitData(top, bottom, witness)
+    return SplitData(top, bottom)
 
 
-def glue_fracture_object(split: SplitData, fam: LocalizationFamily) -> FractureObject:
+def glue_fracture_object(split: SplitData) -> FractureObject:
     """Reassemble an object from a split; inverse to splitting on the nose.
 
-    The witness must consist of identity-shaped isomorphisms so that the
-    glued diagram stays strictly functorial; a genuine quasi-isomorphism
-    witness would need a replacement step this model does not perform.
+    The family is the top face's. Away from the anchor, each bottom
+    vertex must equal the top face localized at the anchor index.
     """
     top = split.top
+    fam = top.family
     rest = top.labels
     # the anchor is the bottom's singleton vertex, a family index below the top
     anchor = [u[0] for u in split.bottom.shape.elements if len(u) == 1]
@@ -376,24 +372,16 @@ def glue_fracture_object(split: SplitData, fam: LocalizationFamily) -> FractureO
     if bad:
         raise InputError(f"top face invalid: {bad[0].location}: {bad[0].message}")
     glued = attach_localization(top.diagram, table, first)
-    for u, w in split.witness.items():
-        if u == (first,):
-            raise InputError(f"the anchor vertex {u} takes no witness")
-        expect = glued.vertex(u)
-        if not (w.source == split.bottom.vertex(u) == expect == w.target
-                and w == ComplexMap.identity(expect)):
-            raise InputError(f"witness at {u} is not an identity-shaped "
-                             "isomorphism onto the localized top face")
-    for u in split.bottom.shape.elements:
-        if u != (first,) and u not in split.witness:
-            raise InputError(f"missing witness at {u}")
+    for u in bottom_shape.elements:
+        if u != (first,) and split.bottom.vertex(u) != glued.vertex(u):
+            raise InputError(f"bottom vertex {u} is not the {table.label()} "
+                             "localization of the top face")
     base = split.bottom.vertex((first,))
     if not is_local(base, table):
         raise InputError(f"anchor vertex {(first,)} is not fixed by {table.label()}")
-    # any other bottom edge ends at a vertex with two completion labels, zero
-    # in the attached cube of the valid top and so, by its witness, in the
-    # bottom: it equals the attached edge. The mixing squares commute in the
-    # bottom face, the rest in the attached cube
+    # any other bottom edge ends at a vertex with two completion labels, zero in
+    # the attached cube of the valid top and so in the bottom: it equals the
+    # attached edge. The mixing squares commute in the bottom, the rest in the cube
     mixing = {(a, b): e for (a, b), e in split.bottom.edges.items() if a == (first,)}
     diagram = PosetDiagram._trusted(subset_poset(labels, punctured=True),
                                     {**glued.vertices, (first,): base},

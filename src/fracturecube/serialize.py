@@ -346,16 +346,12 @@ def fracture_object_from_json(d, path="$") -> FractureObject:
 
 
 def split_to_json(sp: SplitData) -> dict:
-    witness = {}
-    for u, w in sorted(sp.witness.items()):
-        witness[subset_to_str(u)] = _complex_map_components_to_json(w)
     return {"top": fracture_object_to_json(sp.top),
-            "bottom": diagram_to_json(sp.bottom),
-            "witness": witness}
+            "bottom": diagram_to_json(sp.bottom)}
 
 
-def split_from_json(d, path="$"):
-    _only_keys(d, ("top", "bottom", "witness"), path)
+def split_from_json(d, path="$") -> SplitData:
+    _only_keys(d, ("top", "bottom"), path)
     top = fracture_object_from_json(d["top"], f"{path}.top")
     # the bottom face is anchored at its singleton vertex, not a full subset
     # poset; glue checks that the anchor is a family index below the top
@@ -365,15 +361,7 @@ def split_from_json(d, path="$"):
     labels = canonical_subset((first,) + top.labels)
     check_dimension(len(labels))
     bottom = _diagram_over(anchored_supersets((first,), labels), payloads, d["bottom"], bpath)
-    witness = {}
-    for key, payload in _expect(d["witness"], dict, f"{path}.witness").items():
-        wpath = f"{path}.witness.{key}"
-        u = subset_from_str(key, wpath)
-        if u not in bottom.shape:
-            raise SchemaError(wpath, "not a vertex of the bottom face")
-        witness[u] = _complex_map_from_json(payload, bottom.vertex(u),
-                                            bottom.vertex(u), wpath)
-    return SplitData(top, bottom, witness), top.family
+    return SplitData(top, bottom)
 
 
 # --- the envelope ---------------------------------------------------------------------

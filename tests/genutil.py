@@ -74,6 +74,35 @@ def _permuted(c: SortedComplex, rng: random.Random) -> SortedComplex:
     return SortedComplex(mods, diffs)
 
 
+def unimodular_base_change(c: SortedComplex, rng: random.Random,
+                           steps: int = 6) -> SortedComplex:
+    """c with the basis of each degree changed by a unimodular matrix.
+
+    P_n is a product of elementary matrices I + k e_ij, i != j in one
+    summand, and its inverse the product of the I - k e_ij in reverse;
+    the new differential P_{n-1} d_n P_n^{-1} goes through the checked
+    SortedMap.from_dense and SortedComplex.
+    """
+    change, inverse = {}, {}
+    for n, m in c.modules.items():
+        r = m.total_rank
+        one = {(t, t): 1 for t in range(r)}
+        p = q = ExactMatrix.identity(r)
+        for _ in range(steps):
+            s = rng.randrange(len(m.summands))
+            if m.rank(s) < 2:
+                continue
+            i, j = rng.sample(range(m.offset(s), m.offset(s) + m.rank(s)), 2)
+            k = rng.choice((-2, -1, 1, 2))
+            p = ExactMatrix(r, r, {**one, (i, j): k}) * p
+            q = q * ExactMatrix(r, r, {**one, (i, j): -k})
+        change[n], inverse[n] = p, q
+    diffs = {n: SortedMap.from_dense(c.module(n), c.module(n - 1),
+                                     change[n - 1] * d.matrix * inverse[n])
+             for n, d in c.diffs.items()}
+    return SortedComplex(c.modules, diffs)
+
+
 def random_complex(rng: random.Random, sort: Sort = Z, deg_lo: int = 0,
                    deg_hi: int = 4, max_rank: int = 6, bound: int = 9,
                    pieces: int = 4) -> SortedComplex:

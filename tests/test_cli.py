@@ -805,16 +805,6 @@ def test_object_labels_outside_the_family(tmp_path, command):
     assert "not indices of the family" in err
 
 
-def test_witness_at_the_anchor_is_rejected(tmp_path):
-    doc = _split_report(tmp_path)
-    doc["payload"]["witness"]["1"] = {}
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    code, out, err = cli("cat", "glue", str(path))
-    assert (code, out) == (2, "")
-    assert "anchor vertex (1,) takes no witness" in err
-
-
 def test_split_refuses_what_validate_refutes(tmp_path):
     # doubling the unit (3,) -> (1, 3) keeps the diagram functorial, since
     # the vertex (1, 2, 3) is zero; split must not restore the unit silently

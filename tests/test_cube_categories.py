@@ -614,7 +614,6 @@ class TestSplitGlue:
         assert sp.top.vertex((2,)) == SortedComplex.single(Zp(2))
         assert sp.bottom.vertex((1,)) == SortedComplex.single(Q)
         assert sp.bottom.vertex((1, 2)) == SortedComplex.single(Qp(2))
-        assert list(sp.witness) == [(1, 2)]
 
     def test_round_trip_literal(self):
         rng = random.Random(3)
@@ -622,7 +621,7 @@ class TestSplitGlue:
             x = e_localize(random_complex(rng, deg_hi=2, max_rank=3), fam)
             g = fracture_diagram(x, fam)
             sp = split_fracture_object(g)
-            back = glue_fracture_object(sp, fam)
+            back = glue_fracture_object(sp)
             assert back.diagram.vertices == g.diagram.vertices
             assert back.diagram.edges == g.diagram.edges
             sp2 = split_fracture_object(back)
@@ -632,7 +631,7 @@ class TestSplitGlue:
     def test_zero_object(self):
         g = fracture_diagram(SortedComplex.zero(), FAM2)
         sp = split_fracture_object(g)
-        back = glue_fracture_object(sp, FAM2)
+        back = glue_fracture_object(sp)
         assert not back.diagram.vertices
         assert all(back.vertex(s).is_zero_complex() for s in back.diagram.shape.elements)
 
@@ -655,7 +654,7 @@ class TestSplitGlue:
             x = e_localize(random_complex(rng, deg_hi=2, max_rank=3), FAM3)
             t = split_fracture_object(fracture_diagram(x, FAM3)).top
             assert t.labels == (2, 3)
-            back = glue_fracture_object(split_fracture_object(t), FAM3)
+            back = glue_fracture_object(split_fracture_object(t))
             assert back.labels == t.labels
             assert back.diagram.vertices == t.diagram.vertices
             assert back.diagram.edges == t.diagram.edges
@@ -664,10 +663,10 @@ class TestSplitGlue:
         whole = split_fracture_object(fracture_diagram(local_sphere(FAM3), FAM3))
         face = split_fracture_object(whole.top)
         with pytest.raises(InputError, match="below every top label"):
-            glue_fracture_object(SplitData(whole.top, face.bottom, face.witness), FAM3)
+            glue_fracture_object(SplitData(whole.top, face.bottom))
         # anchored at 1 below the top (3,), but a bottom face on labels 1, 2, 3
         with pytest.raises(InputError, match="not the anchored poset"):
-            glue_fracture_object(SplitData(face.top, whole.bottom, whole.witness), FAM3)
+            glue_fracture_object(SplitData(face.top, whole.bottom))
 
     def test_split_validates_its_input(self):
         # the doubled unit is functorial, so only validation refutes it
@@ -686,7 +685,7 @@ class TestSplitGlue:
         bottom = PosetDiagram(flat, sp.bottom.vertices, {})
         with pytest.raises(InputError, match=r"bottom face is not the anchored poset "
                                              r"on \(1, 2, 3\)"):
-            glue_fracture_object(SplitData(sp.top, bottom, sp.witness), FAM3)
+            glue_fracture_object(SplitData(sp.top, bottom))
 
     def test_non_local_anchor_rejected(self):
         sp = split_fracture_object(fracture_diagram(local_sphere(FAM2), FAM2))
@@ -694,13 +693,15 @@ class TestSplitGlue:
         bottom = PosetDiagram(sp.bottom.shape, {(1,): z, (1, 2): target},
                               {((1,), (1, 2)): ComplexMap.zero(z, target)})
         with pytest.raises(InputError, match=r"anchor vertex \(1,\) is not fixed"):
-            glue_fracture_object(SplitData(sp.top, bottom, sp.witness), FAM2)
+            glue_fracture_object(SplitData(sp.top, bottom))
 
-    def test_bad_witness_rejected(self):
-        g = fracture_diagram(local_sphere(FAM2), FAM2)
-        sp = split_fracture_object(g)
-        doubled = {u: ComplexMap(w.source, w.target,
-                                 {n: m.scale(2) for n, m in w.maps.items()})
-                   for u, w in sp.witness.items()}
-        with pytest.raises(InputError, match="witness"):
-            glue_fracture_object(SplitData(sp.top, sp.bottom, doubled), FAM2)
+    def test_bottom_vertex_must_be_the_localized_top(self):
+        # the vertex (1, 2) doubled, its mixing edge zero: functorial, but
+        # not the rationalization of the top face
+        sp = split_fracture_object(fracture_diagram(local_sphere(FAM2), FAM2))
+        base, doubled = sp.bottom.vertex((1,)), SortedComplex.single(Qp(2), 2)
+        bottom = PosetDiagram(sp.bottom.shape, {(1,): base, (1, 2): doubled},
+                              {((1,), (1, 2)): ComplexMap.zero(base, doubled)})
+        with pytest.raises(InputError, match=r"^bottom vertex \(1, 2\) is not the "
+                                             "rationalize localization of the top face$"):
+            glue_fracture_object(SplitData(sp.top, bottom))

@@ -135,8 +135,7 @@ def split_payload(edit=None, top=None):
     """The split of the local sphere's object over P = (2, 3), edited."""
     def payload():
         sp = split_fracture_object(fracture_diagram(e_localize(SPHERE, FAM3), FAM3))
-        doc = serialize.split_to_json(SplitData(top(sp) if top else sp.top, sp.bottom,
-                                                sp.witness))
+        doc = serialize.split_to_json(SplitData(top(sp) if top else sp.top, sp.bottom))
         if edit:
             edit(doc)
         return doc
@@ -150,6 +149,16 @@ def non_local_top(sp):
                           sp.top.family, sp.top.labels)
 
 
+def doubled_bottom_vertex(doc):
+    # the vertex (1, 2) of rank 2 and its mixing edge zero: a valid diagram,
+    # but not the rationalization of the top face
+    bottom = doc["bottom"]
+    bottom["vertices"]["1,2"]["modules"]["0"][0][1] = 2
+    for e in bottom["edges"]:
+        if (e["from"], e["to"]) == ("1", "1,2"):
+            e["components"] = {}
+
+
 def one_label_object():
     fam = LocalizationFamily(())
     return serialize.fracture_object_to_json(fracture_diagram(e_localize(SPHERE, fam), fam))
@@ -160,6 +169,9 @@ def one_label_object():
 CLI = [
     (Cli(("cat", "roundtrip", "DOC"), "diagram", vertex_payloads("")),
      "schema error: $.kind: roundtrip expects a complex or a fracture-object document"),
+    # only a complex reads the prime set; an object carries its own
+    (Cli(("cat", "roundtrip", "DOC", "--primes", "2"), "fracture-object", one_label_object),
+     "input error: --primes needs a complex: a fracture-object carries its own primes"),
     (Cli(("emit-dot",)), "input error: emit-dot needs an input document or --category-cube N"),
     (Cli(("emit-dot", "DOC"), "complex", complex_payload({"0": [["Z", 1]], "1": [["Z", 1]]})),
      "schema error: $.kind: emit-dot expects a diagram or a fracture-object document"),
@@ -205,8 +217,8 @@ CUBE_CATEGORIES = [
      "input error: splitting needs at least two indices"),
     (Cli(("cat", "glue", "DOC"), "report", split_payload(top=non_local_top)),
      "input error: top face invalid: vertex (2,): not fixed by complete:2"),
-    (Cli(("cat", "glue", "DOC"), "report", split_payload(lambda d: d["witness"].pop("1,2"))),
-     "input error: missing witness at (1, 2)"),
+    (Cli(("cat", "glue", "DOC"), "report", split_payload(doubled_bottom_vertex)),
+     "input error: bottom vertex (1, 2) is not the rationalize localization of the top face"),
 ]
 
 
@@ -322,9 +334,9 @@ SERIALIZE = [
     (Cli(("cat", "validate", "DOC"), "fracture-object",
           lambda: {**one_label_object(), "primes": [3, 2]}),
      "schema error: $.payload.primes: primes must be strictly increasing and distinct"),
-    (Cli(("cat", "glue", "DOC"), "report",
-         split_payload(lambda d: d["witness"].update({"9": {}}))),
-     "schema error: $.payload.witness.9: not a vertex of the bottom face"),
+    # a split is its two faces and nothing else
+    (Cli(("cat", "glue", "DOC"), "report", split_payload(lambda d: d.update(witness={}))),
+     "schema error: $.payload.witness: unknown field"),
 ]
 
 

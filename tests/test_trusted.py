@@ -304,7 +304,7 @@ class TestCubeCategoryBuilders:
                                               {n: m.scale(c) for n, m in f.maps.items()})
             gen = GeneratorData({i: g.vertex((i,)) for i in t}, maps)
             obj = build_from_generators(gen, fam)
-            glued = glue_fracture_object(split_fracture_object(obj), fam)
+            glued = glue_fracture_object(split_fracture_object(obj))
             for o in (obj, glued):
                 recheck_diagram(o.diagram)
                 assert validate_fracture_object(o) == []
